@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from .characters import AdditiveCharacter, approx_eq
-from .errors import SingularGMinusOne
+from .errors import InvariantViolation, SingularGMinusOne
 from .field import FpMatrix, RowSolver, SquareClass, Subspace
 from .maslov import Orientation, maslov_class, orientation_pairing
 from .metaplectic import MpElement, character_factor
@@ -87,26 +87,24 @@ def diagonal_form(g: SpElement, l: Lagrangian) -> DiagonalForm:
     system = FpMatrix(field, np.vstack([(bl @ g.mat.a.T) % p, bl, (bl @ gm1.T) % p]))
     solver = RowSolver(system)
     sup = support.basis.a
-    transfer = np.zeros((support.dim, d), dtype=np.int64)
-    for i, x in enumerate(sup):
-        y = solver.solve((x @ gm1.T) % p)
-        assert y is not None, "support vector has no decomposition"
-        transfer[i] = ((y[:k] + y[k : 2 * k]) @ bl) % p
+    y, ok = solver.solve_many((sup @ gm1.T) % p)
+    if not ok.all():
+        raise InvariantViolation("support vector has no decomposition")
+    transfer = ((y[:, :k] + y[:, k : 2 * k]) @ bl) % p
     gram = (transfer @ space.gram.a @ sup.T) % p
-    assert not np.any((gram - gram.T) % p), "support form is not symmetric"
+    if np.any((gram - gram.T) % p):
+        raise InvariantViolation("support form is not symmetric")
 
     # dual: S' = l ^ (g-1)V with q'(a, b) = form(a, y), b = (g-1)y
     image = Subspace.from_rows(field, d, gm1.T)
     dual_support = l.sub.intersect(image)
-    dsolver = RowSolver(FpMatrix(field, gm1.T))
     db = dual_support.basis.a
-    pre = np.zeros((dual_support.dim, d), dtype=np.int64)
-    for i, b in enumerate(db):
-        y = dsolver.solve(b)
-        assert y is not None
-        pre[i] = y
+    pre, ok = RowSolver(FpMatrix(field, gm1.T)).solve_many(db)
+    if not ok.all():
+        raise InvariantViolation("dual support vector is outside (g-1)V")
     dual_gram = (db @ space.gram.a @ pre.T) % p
-    assert not np.any((dual_gram - dual_gram.T) % p), "dual form is not symmetric"
+    if np.any((dual_gram - dual_gram.T) % p):
+        raise InvariantViolation("dual form is not symmetric")
 
     return DiagonalForm(
         g=g,

@@ -1,8 +1,9 @@
 """Command-line front end: point queries, character tables, verification.
 
 Exit codes: 0 success, 1 a verification or agreement check failed,
-2 bad usage or invalid input.  Complex numbers serialize to JSON as
-{"re": ..., "im": ...}; square classes as {"rep": ..., "is_square": ...}.
+2 bad usage or invalid input, 3 an internal error such as a failed invariant
+(a fault in the library, never in the input).  Complex numbers serialize to
+JSON as {"re": ..., "im": ...}; square classes as {"rep": ..., "is_square": ...}.
 Matrices on the command line are row-major comma-separated residues.
 """
 
@@ -13,6 +14,7 @@ import csv
 import io
 import json
 import sys
+import traceback
 
 import numpy as np
 
@@ -31,8 +33,9 @@ from .symplectic import (
 )
 from .verify import MAX_REP_DIM, as_json_complex, run_verification
 
-USAGE_ERROR = 2
 CHECK_ERROR = 1
+USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 class InputError(Exception):
@@ -51,6 +54,14 @@ def _matrix_from_flag(text: str, rows: int, cols: int) -> np.ndarray:
     if len(vals) != rows * cols:
         raise InputError(f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(vals)}")
     return np.array(vals, dtype=np.int64).reshape(rows, cols)
+
+
+def _field_and_char(p: int, psi_scale: int) -> tuple[Fp, AdditiveCharacter]:
+    try:
+        field = Fp(p)
+        return field, AdditiveCharacter(field, psi_scale)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _check_rep_size(p: int, n: int) -> None:
@@ -76,13 +87,9 @@ def _emit(args, text_lines, json_obj, csv_rows=None, csv_header=None) -> None:
 
 
 def cmd_gamma(args) -> int:
-    field = Fp(args.p)
-    char = AdditiveCharacter(field, args.psi_scale)
-    try:
-        g = char.gamma(args.a)
-        chi = char.chi(args.a)
-    except ZeroFormClass as exc:
-        raise InputError(str(exc)) from exc
+    _, char = _field_and_char(args.p, args.psi_scale)
+    g = char.gamma(args.a)
+    chi = char.chi(args.a)
     chi_int = 1 if chi.real > 0 else -1
     _emit(
         args,
@@ -95,9 +102,8 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    field = Fp(args.p)
+    field, char = _field_and_char(args.p, args.psi_scale)
     _check_rep_size(args.p, args.n)
-    char = AdditiveCharacter(field, args.psi_scale)
     space = SymplecticSpace(field, args.n)
     d = space.dim
     try:
@@ -155,9 +161,7 @@ def _table_rows(args, char, space):
 
 
 def cmd_table(args) -> int:
-    field = Fp(args.p)
-    _check_rep_size(args.p, args.n)
-    char = AdditiveCharacter(field, args.psi_scale)
+    field, char = _field_and_char(args.p, args.psi_scale)
     space = SymplecticSpace(field, args.n)
     header = ["g", "dim_ker", "det_sigma_class", "trace_re", "trace_im", "formula_used"]
     rows = []
@@ -182,18 +186,17 @@ def cmd_verify(args) -> int:
     ns = _parse_ints(args.n)
     if not ps or not ns:
         raise InputError("need at least one p and one n")
-    try:
-        results = run_verification(
-            ps,
-            ns,
-            seed=args.seed,
-            samples=args.samples,
-            psi_scale=args.psi_scale,
-            max_enum=args.max_enum,
-            corrupt_cocycle=args.corrupt_cocycle,
-        )
-    except DimensionMismatch as exc:
-        raise InputError(str(exc)) from exc
+    for p in ps:
+        _field_and_char(p, args.psi_scale)
+    results = run_verification(
+        ps,
+        ns,
+        seed=args.seed,
+        samples=args.samples,
+        psi_scale=args.psi_scale,
+        max_enum=args.max_enum,
+        corrupt_cocycle=args.corrupt_cocycle,
+    )
     ok = all(r.ok for r in results)
     lines = []
     for r in results:
@@ -230,12 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--psi-scale", type=int, default=1,
                         help="nonzero residue scaling the additive character")
         sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        if with_n:
+            sp.add_argument("--n", type=int, default=1, help="half-dimension of the space")
+
+    def sampling(sp):
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--samples", type=int, default=50)
         sp.add_argument("--max-enum", type=int, default=LAGRANGIAN_CAP,
                         help="cap for exhaustive enumerations")
-        if with_n:
-            sp.add_argument("--n", type=int, default=1, help="half-dimension of the space")
 
     g = sub.add_parser("gamma", help="normalized Gauss sum and quadratic character")
     g.add_argument("--p", type=int, required=True)
@@ -256,16 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
     tb = sub.add_parser("table", help="character table over the group (CSV)")
     tb.add_argument("--p", type=int, required=True)
     common(tb)
+    sampling(tb)
     tb.set_defaults(func=cmd_table)
 
     v = sub.add_parser("verify", help="run the invariant suites")
     v.add_argument("--p", type=str, default="3,5", help="comma-separated primes")
     v.add_argument("--n", type=str, default="1", help="comma-separated half-dimensions")
-    v.add_argument("--psi-scale", type=int, default=1)
-    v.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--samples", type=int, default=50)
-    v.add_argument("--max-enum", type=int, default=LAGRANGIAN_CAP)
+    common(v, with_n=False)
+    sampling(v)
     v.add_argument("--corrupt-cocycle", action="store_true", help=argparse.SUPPRESS)
     v.set_defaults(func=cmd_verify)
     return ap
@@ -275,12 +278,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, DimensionMismatch, EnumerationTooLarge, ZeroFormClass) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (DimensionMismatch, EnumerationTooLarge, ZeroFormClass, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    except Exception as exc:  # a library fault must not pass for bad input
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

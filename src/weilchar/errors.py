@@ -19,3 +19,7 @@ class ArityError(ValueError):
 
 class SingularGMinusOne(ValueError):
     """The requested identity only makes sense when g - 1 is invertible."""
+
+
+class InvariantViolation(RuntimeError):
+    """An internal invariant failed: a fault in the library, never bad input."""

@@ -205,74 +205,79 @@ class FpMatrix:
 
     def rref(self) -> tuple["FpMatrix", tuple[int, ...]]:
         """Reduced row echelon form and the tuple of pivot column indices."""
-        p = self.field.p
-        a = self.a.copy()
-        nrows, ncols = a.shape
-        pivots: list[int] = []
-        r = 0
-        for c in range(ncols):
-            if r == nrows:
-                break
-            nz = np.nonzero(a[r:, c])[0]
-            if nz.size == 0:
-                continue
-            pr = r + int(nz[0])
-            if pr != r:
-                a[[r, pr]] = a[[pr, r]]
-            a[r] = (a[r] * self.field.inv(int(a[r, c]))) % p
-            col = a[:, c].copy()
-            col[r] = 0
-            a = (a - np.outer(col, a[r])) % p
-            pivots.append(c)
-            r += 1
-        return FpMatrix(self.field, a), tuple(pivots)
+        red, pivots, _, _ = _eliminate(self.a, self.field)
+        return FpMatrix(self.field, red), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def kernel(self) -> "Subspace":
         """The right null space {x : A x = 0} as a subspace of F_p^ncols."""
-        p = self.field.p
-        red, pivots = self.rref()
-        free = [c for c in range(self.ncols) if c not in pivots]
-        rows = np.zeros((len(free), self.ncols), dtype=np.int64)
-        for i, fc in enumerate(free):
-            rows[i, fc] = 1
-            for j, pc in enumerate(pivots):
-                rows[i, pc] = (-red.a[j, fc]) % p
-        return Subspace.from_rows(self.field, self.ncols, rows)
+        return Subspace.from_rows(self.field, self.ncols, _null_rows(self.a, self.field))
 
     def det(self) -> int:
         if self.nrows != self.ncols:
             raise DimensionMismatch("determinant of a non-square matrix")
-        p = self.field.p
-        a = self.a.copy()
-        n = self.nrows
-        d = 1
-        for c in range(n):
-            nz = np.nonzero(a[c:, c])[0]
-            if nz.size == 0:
-                return 0
-            pr = c + int(nz[0])
-            if pr != c:
-                a[[c, pr]] = a[[pr, c]]
-                d = (-d) % p
-            piv = int(a[c, c])
-            d = (d * piv) % p
-            inv = self.field.inv(piv)
-            col = a[c + 1 :, c].copy()
-            a[c + 1 :] = (a[c + 1 :] - np.outer((col * inv) % p, a[c])) % p
-        return d
+        return _eliminate(self.a, self.field)[3]
 
     def inv(self) -> "FpMatrix":
         if self.nrows != self.ncols:
             raise DimensionMismatch("inverse of a non-square matrix")
-        n = self.nrows
-        aug = FpMatrix(self.field, np.hstack([self.a, np.eye(n, dtype=np.int64)]))
-        red, pivots = aug.rref()
-        if len(pivots) < n or pivots[:n] != tuple(range(n)):
+        _, pivots, transform, _ = _eliminate(self.a, self.field, track=True)
+        if len(pivots) < self.nrows:
             raise ZeroDivisionError("matrix is singular")
-        return FpMatrix(self.field, red.a[:, n:])
+        return FpMatrix(self.field, transform)
+
+
+def _eliminate(a: np.ndarray, field: Fp, track: bool = False):
+    """Gauss-Jordan elimination of the reduced matrix a over F_p.
+
+    Returns (reduced, pivots, transform, det): the reduced row echelon form,
+    its pivot columns, the invertible T with T @ a = reduced (None unless
+    track), and the determinant of a (0 unless a is square of full rank).
+    Every row reduction of this module runs through this one pivot loop.
+    """
+    p = field.p
+    nrows, ncols = a.shape
+    work = np.hstack([a, np.eye(nrows, dtype=np.int64)]) if track else a.copy()
+    pivots: list[int] = []
+    det = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(work[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            work[[r, pr]] = work[[pr, r]]
+            det = -det
+        piv = int(work[r, c])
+        det = det * piv % p
+        work[r] = (work[r] * field.inv(piv)) % p
+        col = work[:, c].copy()
+        col[r] = 0
+        work -= col[:, None] * work[r]
+        work %= p
+        pivots.append(c)
+        r += 1
+    if not r == nrows == ncols:
+        det = 0
+    if track:
+        return work[:, :ncols], tuple(pivots), work[:, ncols:], det
+    return work, tuple(pivots), None, det
+
+
+def _null_rows(a: np.ndarray, field: Fp) -> np.ndarray:
+    """A basis of {x : a x = 0} as rows, one per free column, not yet reduced."""
+    red, pivots, _, _ = _eliminate(a, field)
+    ncols = a.shape[1]
+    free = [c for c in range(ncols) if c not in pivots]
+    rows = np.zeros((len(free), ncols), dtype=np.int64)
+    rows[np.arange(len(free)), free] = 1
+    rows[:, list(pivots)] = (-red[: len(pivots), free].T) % field.p
+    return rows
 
 
 class RowSolver:
@@ -286,57 +291,24 @@ class RowSolver:
 
     def __init__(self, M: FpMatrix) -> None:
         self.field = M.field
-        p = M.field.p
         self.nrows = M.nrows  # length of the unknown y
         self.ncols = M.ncols  # length of the right hand side d
-        a = M.a.T.copy()  # ncols x nrows
-        e = np.eye(self.ncols, dtype=np.int64)
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.nrows):
-            if r == self.ncols:
-                break
-            nz = np.nonzero(a[r:, c])[0]
-            if nz.size == 0:
-                continue
-            pr = r + int(nz[0])
-            if pr != r:
-                a[[r, pr]] = a[[pr, r]]
-                e[[r, pr]] = e[[pr, r]]
-            inv = self.field.inv(int(a[r, c]))
-            a[r] = (a[r] * inv) % p
-            e[r] = (e[r] * inv) % p
-            col = a[:, c].copy()
-            col[r] = 0
-            a = (a - np.outer(col, a[r])) % p
-            e = (e - np.outer(col, e[r])) % p
-            pivots.append(c)
-            r += 1
-        self.tableau = e
-        self.reduced = a
-        self.pivots = tuple(pivots)
-        self.rank = len(pivots)
+        self.reduced, self.pivots, self.tableau, _ = _eliminate(M.a.T, M.field, track=True)
+        self.rank = len(self.pivots)
 
     def solve(self, d) -> np.ndarray | None:
         """One solution y of y @ M = d, or None if the system is inconsistent."""
-        p = self.field.p
-        d = np.asarray(d, dtype=np.int64) % p
-        t = (self.tableau @ d) % p
-        if np.any(t[self.rank :]):
-            return None
-        y = np.zeros(self.nrows, dtype=np.int64)
-        y[list(self.pivots)] = t[: self.rank]
-        return y
+        Y, ok = self.solve_many(np.asarray(d, dtype=np.int64).reshape(1, self.ncols))
+        return Y[0] if ok[0] else None
 
     def solve_many(self, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solutions for each row of D: (Y, ok) with Y[i] valid iff ok[i]."""
         p = self.field.p
         D = np.asarray(D, dtype=np.int64) % p
         T = (D @ self.tableau.T) % p
-        ok = ~np.any(T[:, self.rank :], axis=1) if self.rank < self.ncols else np.ones(len(D), bool)
+        ok = ~np.any(T[:, self.rank :], axis=1)
         Y = np.zeros((len(D), self.nrows), dtype=np.int64)
-        if self.pivots:
-            Y[:, list(self.pivots)] = T[:, : self.rank]
+        Y[:, list(self.pivots)] = T[:, : self.rank]
         return Y, ok
 
 
@@ -404,8 +376,11 @@ class Subspace:
         return self.basis.kernel()
 
     def intersect(self, other: "Subspace") -> "Subspace":
+        """U ^ W from the null rows (a, b) of [U; W]^T: a U = -b W spans it."""
         self._check(other)
-        return (self.perp_dot() + other.perp_dot()).perp_dot()
+        u = self.basis.a
+        coefs = _null_rows(np.vstack([u, other.basis.a]).T, self.field)
+        return Subspace.from_rows(self.field, self.ambient, coefs[:, : self.dim] @ u)
 
     def complement_std(self) -> "Subspace":
         """The complement spanned by standard basis vectors off the pivot set."""

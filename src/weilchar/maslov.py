@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .characters import AdditiveCharacter
-from .errors import ArityError, DimensionMismatch
+from .errors import ArityError, DimensionMismatch, InvariantViolation
 from .field import FpMatrix, RowSolver, SquareClass, Subspace
 from .quadform import QuadraticSpace, WittInvariants, weil_index, witt_invariants
 from .symplectic import Lagrangian, SpElement
@@ -103,14 +103,10 @@ def orientation_pairing(o1: Orientation, o2: Orientation) -> SquareClass:
     d2 = _extend_basis(inter, l2)
     dets = []
     for ori, d in ((o1, d1), (o2, d2)):
-        solver = RowSolver(ori.obasis)
-        rows = []
-        for v in np.vstack([c, d]):
-            y = solver.solve(v)
-            assert y is not None
-            rows.append(y)
-        t = FpMatrix(field, np.asarray(rows, dtype=np.int64))
-        dets.append(t.det())
+        coords, ok = RowSolver(ori.obasis).solve_many(np.vstack([c, d]))
+        if not ok.all():
+            raise InvariantViolation("a basis vector lies outside its oriented Lagrangian")
+        dets.append(FpMatrix(field, coords).det())
     pair = (d1 @ space.gram.a @ d2.T) % p
     det_p = FpMatrix(field, pair).det() if len(d1) else 1
     val = det_p * field.inv(dets[0]) * field.inv(dets[1])
@@ -126,32 +122,16 @@ def maslov_form(*lags: Lagrangian) -> QuadraticSpace:
         raise DimensionMismatch("Lagrangians live in different spaces")
     field = space.field
     p = field.p
-    half = field.half
-    m = len(lags)
-    bases = [l.sub.basis.a for l in lags]
-    sizes = [b.shape[0] for b in bases]
-    stacked = np.vstack(bases)
+    m, n = len(lags), space.n
+    stacked = np.vstack([l.sub.basis.a for l in lags])
     sol = FpMatrix(field, stacked.T).kernel()  # rows w with w @ stacked = 0
-    wdim = sol.dim
-    # the i-th component vector of each solution basis row
-    parts = []
-    for w in sol.basis.a:
-        xs = []
-        off = 0
-        for b, k in zip(bases, sizes):
-            xs.append((w[off : off + k] @ b) % p)
-            off += k
-        parts.append(xs)
-    gram = np.zeros((wdim, wdim), dtype=np.int64)
-    j = space.gram.a
-    for r in range(wdim):
-        for s in range(r, wdim):
-            acc = 0
-            for a in range(m):
-                for b in range(a + 1, m):
-                    acc += parts[r][b] @ j @ parts[s][a] + parts[s][b] @ j @ parts[r][a]
-            val = (half * acc) % p
-            gram[r, s] = gram[s, r] = val
+    # x[r, i]: the i-th component vector w_r,i @ B_i; s[r, i]: the sum of those before it
+    x = np.einsum("rik,ikd->rid", sol.basis.a.reshape(sol.dim, m, n),
+                  stacked.reshape(m, n, space.dim)) % p
+    s = (np.cumsum(x, axis=1) - x) % p
+    # sum_{a<b} form(x_r,b, x_s,a) = A[r, s]; the polarization adds A[s, r]
+    a = np.einsum("rbi,ij,sbj->rs", x, space.gram.a, s)
+    gram = (field.half * (a + a.T)) % p
     return QuadraticSpace(field, gram)
 
 

@@ -12,7 +12,7 @@ from itertools import product as _cartesian
 
 import numpy as np
 
-from .errors import DimensionMismatch, EnumerationTooLarge
+from .errors import DimensionMismatch, EnumerationTooLarge, InvariantViolation
 from .field import Fp, FpMatrix, SquareClass, Subspace
 
 LAGRANGIAN_CAP = 100_000
@@ -111,10 +111,9 @@ class SymplecticSpace:
 
     def all_lagrangians(self, cap: int = LAGRANGIAN_CAP) -> list["Lagrangian"]:
         """Every Lagrangian, by incremental isotropic extension with dedup."""
-        if self.lagrangian_count() > cap:
-            raise EnumerationTooLarge(
-                f"{self.lagrangian_count()} Lagrangians exceeds cap {cap}"
-            )
+        count = self.lagrangian_count()
+        if count > cap:
+            raise EnumerationTooLarge(f"{count} Lagrangians exceeds cap {cap}")
         if self._lagrangians is not None:
             return self._lagrangians
         level: set[Subspace] = {Subspace.zero(self.field, self.dim)}
@@ -131,7 +130,8 @@ class SymplecticSpace:
             (Lagrangian(self, sub) for sub in level),
             key=lambda l: l.sub.basis.a.tobytes(),
         )
-        assert len(out) == self.lagrangian_count()
+        if len(out) != count:
+            raise InvariantViolation(f"found {len(out)} Lagrangians, expected {count}")
         self._lagrangians = out
         return out
 
@@ -178,7 +178,8 @@ class SymplecticSpace:
             for a, b, c, d in _cartesian(range(p), repeat=4):
                 if (a * d - b * c) % p == 1:
                     out.append(self.element([[a, b], [c, d]]))
-            assert len(out) == order
+            if len(out) != order:
+                raise InvariantViolation(f"found {len(out)} elements of SL2, expected {order}")
             return out
         return self._bfs_elements(order)
 
@@ -207,7 +208,7 @@ class SymplecticSpace:
                         nxt.append(h)
             frontier = nxt
         if len(seen) != order:
-            raise RuntimeError(
+            raise InvariantViolation(
                 f"transvection closure found {len(seen)} elements, expected {order}"
             )
         return [self.element(m) for m in seen.values()]

@@ -1,11 +1,18 @@
 """End-to-end CLI behavior: output shapes and exit codes."""
 
+import ast
 import csv
 import io
 import json
 import math
+from pathlib import Path
 
+import pytest
+
+import weilchar
+import weilchar.cli
 from weilchar.cli import main
+from weilchar.errors import InvariantViolation
 
 
 def run(capsys, *argv):
@@ -196,3 +203,51 @@ def test_verify_csv_header(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["suite", "p", "n", "checked", "failed", "max_err",
                        "seconds", "ok"]
+
+
+def test_table_has_no_representation_cap(capsys):
+    code, out, _ = run(capsys, "table", "--p", "97", "--n", "2", "--samples", "5",
+                       "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)) == 5
+
+
+def test_gamma_refuses_sampling_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gamma", "--p", "5", "--a", "1", "--seed", "3"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("gamma", "--p", "4", "--a", "1"),
+    ("trace", "--p", "4", "--g", "1,0,0,1"),
+    ("table", "--p", "4"),
+    ("verify", "--p", "3,4"),
+    ("gamma", "--p", "5", "--a", "1", "--psi-scale", "5"),
+])
+def test_bad_field_input_exits_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("fault", [ValueError, InvariantViolation])
+def test_library_fault_exits_3(capsys, monkeypatch, fault):
+    def broken(*args, **kwargs):
+        raise fault("injected")
+
+    monkeypatch.setattr(weilchar.cli, "trace_oracle", broken)
+    code, _, err = run(capsys, "trace", "--p", "5", "--g", "2,0,0,3")
+    assert code == 3
+    assert "internal error" in err and "injected" in err
+
+
+def test_package_has_no_assert_statements():
+    src = Path(weilchar.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

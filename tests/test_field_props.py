@@ -1,0 +1,105 @@
+"""Property tests for the F_p elimination kernel behind rref, det, inv, kernel,
+RowSolver and Subspace.intersect, on small random matrices."""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from weilchar.field import Fp, FpMatrix, RowSolver, Subspace
+
+PROPS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def matrices(draw, p=None, rows=None, cols=None):
+    """(field, matrix) with p in {3, 5, 7} and shapes up to 5 x 5."""
+    p = draw(st.sampled_from([3, 5, 7])) if p is None else p
+    rows = draw(st.integers(0, 5)) if rows is None else rows
+    cols = draw(st.integers(0, 5)) if cols is None else cols
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols))
+    field = Fp(p)
+    return field, FpMatrix(field, np.array(entries, dtype=np.int64).reshape(rows, cols))
+
+
+@st.composite
+def squares(draw, count, min_n=0):
+    """(field, [A_1, ..., A_count]): same-size square matrices over one field."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(min_n, 5))
+    return Fp(p), [draw(matrices(p=p, rows=n, cols=n))[1] for _ in range(count)]
+
+
+@PROPS
+@given(matrices(), st.data())
+def test_rref_idempotent_and_row_mixing_invariant(fm, data):
+    field, a = fm
+    red, pivots = a.rref()
+    assert red.rref() == (red, pivots)
+    _, mix = data.draw(matrices(p=field.p, rows=a.nrows, cols=a.nrows))
+    assume(mix.det() != 0)
+    assert (mix @ a).rref() == (red, pivots)
+
+
+@PROPS
+@given(matrices())
+def test_kernel_is_annihilated_and_rank_nullity(fm):
+    field, a = fm
+    ker = a.kernel()
+    assert not np.any((a.a @ ker.basis.a.T) % field.p)
+    assert a.rank() + ker.dim == a.ncols
+
+
+@PROPS
+@given(squares(2))
+def test_det_multiplicative_and_zero_iff_singular(fab):
+    field, (a, b) = fab
+    assert (a @ b).det() == (a.det() * b.det()) % field.p
+    assert (a.det() == 0) == (a.rank() < a.nrows)
+
+
+@PROPS
+@given(squares(1, min_n=1))
+def test_inverse_is_two_sided(fa):
+    field, (a,) = fa
+    assume(a.det() != 0)
+    eye = FpMatrix.identity(field, a.nrows)
+    assert a.inv() @ a == eye
+    assert a @ a.inv() == eye
+
+
+@PROPS
+@given(matrices(), st.data())
+def test_solve_many_solutions_and_consistency(fm, data):
+    field, m = fm
+    p = field.p
+    rows = data.draw(st.lists(st.integers(0, p - 1), min_size=3 * m.ncols, max_size=3 * m.ncols))
+    coef = data.draw(st.lists(st.integers(0, p - 1), min_size=2 * m.nrows, max_size=2 * m.nrows))
+    # two right hand sides in the row space of M, three drawn freely
+    d = np.vstack([
+        np.array(coef, dtype=np.int64).reshape(2, m.nrows) @ m.a,
+        np.array(rows, dtype=np.int64).reshape(3, m.ncols),
+    ]) % p
+    solver = RowSolver(m)
+    y, ok = solver.solve_many(d)
+    span = Subspace.from_rows(field, m.ncols, m.a)
+    assert ok.tolist() == [span.contains(row) for row in d]
+    assert ok[:2].all()
+    assert np.array_equal((y[ok] @ m.a) % p, d[ok])
+    for i, row in enumerate(d):
+        one = solver.solve(row)
+        assert (one is None) == (not ok[i])
+        if one is not None:
+            assert np.array_equal(one, y[i])
+
+
+@PROPS
+@given(st.integers(1, 4).flatmap(
+    lambda amb: st.tuples(matrices(p=3, cols=amb), matrices(p=3, cols=amb))))
+def test_intersect_matches_brute_force(pair):
+    (field, a), (_, b) = pair
+    u = Subspace.from_rows(field, a.ncols, a.a)
+    w = Subspace.from_rows(field, b.ncols, b.a)
+    both = u.intersect(w)
+    brute = {tuple(v) for v in u.vectors().tolist()} & {tuple(v) for v in w.vectors().tolist()}
+    assert {tuple(v) for v in both.vectors().tolist()} == brute
+    assert both == w.intersect(u)
