@@ -28,6 +28,7 @@ from .quadform import QuadraticSpace, witt_invariants
 from .symplectic import (
     Lagrangian,
     SpElement,
+    _displacement_disc,
     diagonal_lagrangian,
     displacement_disc,
     kernel_of_displacement,
@@ -117,12 +118,18 @@ def diagonal_form(g: SpElement, l: Lagrangian) -> DiagonalForm:
     )
 
 
+def closed_form_data(char: AdditiveCharacter, g: SpElement) -> tuple[int, SquareClass, complex]:
+    """(dim ker(g-1), displacement disc, closed-form trace) from one kernel."""
+    ker = kernel_of_displacement(g)
+    disc = _displacement_disc(g, ker)
+    k = ker.dim
+    d = g.space.dim
+    return k, disc, math.sqrt(char.p) ** k * char.gamma(1) ** (d - k - 1) * char.gamma_class(disc)
+
+
 def trace_closed_form(char: AdditiveCharacter, g: SpElement) -> complex:
     """p^(dim ker(g-1)/2) * gamma(1)^(dim V - dim ker - 1) * gamma(disc)."""
-    d = g.space.dim
-    k = kernel_of_displacement(g).dim
-    disc = displacement_disc(g)
-    return math.sqrt(char.p) ** k * char.gamma(1) ** (d - k - 1) * char.gamma_class(disc)
+    return closed_form_data(char, g)[2]
 
 
 def trace_from_factor(e: MpElement, l: Lagrangian | None = None) -> complex:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -19,18 +20,12 @@ import traceback
 import numpy as np
 
 from .characters import AdditiveCharacter, approx_eq
-from .charformula import trace_closed_form, trace_from_factor
+from .charformula import closed_form_data, trace_closed_form, trace_from_factor
 from .errors import DimensionMismatch, EnumerationTooLarge, ZeroFormClass
 from .field import Fp
 from .metaplectic import split_lift
 from .schrodinger import trace_oracle
-from .symplectic import (
-    GROUP_CAP,
-    LAGRANGIAN_CAP,
-    SymplecticSpace,
-    displacement_disc,
-    kernel_of_displacement,
-)
+from .symplectic import GROUP_CAP, LAGRANGIAN_CAP, SymplecticSpace
 from .verify import MAX_REP_DIM, as_json_complex, run_verification
 
 CHECK_ERROR = 1
@@ -64,9 +59,13 @@ def _field_and_char(p: int, psi_scale: int) -> tuple[Fp, AdditiveCharacter]:
         raise InputError(str(exc)) from exc
 
 
-def _check_rep_size(p: int, n: int) -> None:
-    if p**n > MAX_REP_DIM:
-        raise InputError(f"p^n = {p**n} exceeds the size cap {MAX_REP_DIM}")
+def _check_oracle_rows(p: int, n: int) -> None:
+    """The oracle sums p^n kernel rows; allow as many as one dense operator has."""
+    if p**n > MAX_REP_DIM**2:
+        raise InputError(
+            f"p^n = {p**n} exceeds the oracle's row cap {MAX_REP_DIM**2} "
+            f"(the kernel diagonal has p^n rows)"
+        )
 
 
 def _emit(args, text_lines, json_obj, csv_rows=None, csv_header=None) -> None:
@@ -103,7 +102,7 @@ def cmd_gamma(args) -> int:
 
 def cmd_trace(args) -> int:
     field, char = _field_and_char(args.p, args.psi_scale)
-    _check_rep_size(args.p, args.n)
+    _check_oracle_rows(args.p, args.n)
     space = SymplecticSpace(field, args.n)
     d = space.dim
     try:
@@ -153,9 +152,7 @@ def _table_rows(args, char, space):
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, args.p, args.n]))
         elems = [space.random_element(rng) for _ in range(args.samples)]
     for g in elems:
-        k = kernel_of_displacement(g).dim
-        disc = displacement_disc(g)
-        tr = trace_closed_form(char, g)
+        k, disc, tr = closed_form_data(char, g)
         used = "closed-singular" if k else "closed"
         yield g, k, disc, tr, used
 
@@ -222,7 +219,10 @@ def cmd_verify(args) -> int:
     return 0 if ok else CHECK_ERROR
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Parsing leaves it as it
+    was, and `main` looks the command's handler up by name at call time."""
     ap = argparse.ArgumentParser(
         prog="weilchar",
         description="Weil representation over F_p: values, tables, verification.",
@@ -246,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--p", type=int, required=True)
     g.add_argument("--a", type=int, required=True, help="nonzero residue")
     common(g, with_n=False)
-    g.set_defaults(func=cmd_gamma)
 
     t = sub.add_parser("trace", help="character value of one lifted element, three ways")
     t.add_argument("--p", type=int, required=True)
@@ -256,13 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional Lagrangian: n rows of 2n comma-separated entries")
     t.add_argument("--lift", choices=("plus", "minus"), default="plus")
     common(t)
-    t.set_defaults(func=cmd_trace)
 
     tb = sub.add_parser("table", help="character table over the group (CSV)")
     tb.add_argument("--p", type=int, required=True)
     common(tb)
     sampling(tb)
-    tb.set_defaults(func=cmd_table)
 
     v = sub.add_parser("verify", help="run the invariant suites")
     v.add_argument("--p", type=str, default="3,5", help="comma-separated primes")
@@ -270,14 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(v, with_n=False)
     sampling(v)
     v.add_argument("--corrupt-cocycle", action="store_true", help=argparse.SUPPRESS)
-    v.set_defaults(func=cmd_verify)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (InputError, DimensionMismatch, EnumerationTooLarge, ZeroFormClass) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -28,7 +28,7 @@ def standard_gram(field: Fp, n: int) -> FpMatrix:
 class SymplecticSpace:
     """F_p^dim with a fixed invertible antisymmetric gram matrix."""
 
-    __slots__ = ("field", "gram", "_doubled", "_lagrangians")
+    __slots__ = ("field", "gram", "_doubled", "_lagrangians", "_darboux")
 
     def __init__(self, field: Fp, n: int | None = None, gram: FpMatrix | None = None) -> None:
         self.field = field
@@ -47,6 +47,7 @@ class SymplecticSpace:
         self.gram = gram
         self._doubled: SymplecticSpace | None = None
         self._lagrangians: list[Lagrangian] | None = None
+        self._darboux: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -135,9 +136,11 @@ class SymplecticSpace:
         self._lagrangians = out
         return out
 
-    def random_element(self, rng) -> "SpElement":
-        """Uniformly random group element via a random symplectic basis."""
-        rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    def _symplectic_basis(self, draw) -> np.ndarray:
+        """Columns (e_1..e_n, f_1..f_n) with form(e_i, f_j) = delta_ij and every
+        other pairing zero.  `draw(kb, accept)` returns a vector of the row span
+        of kb that `accept` allows; each pair is drawn from the symplectic
+        complement of the pairs before it."""
         p = self.field.p
         es: list[np.ndarray] = []
         fs: list[np.ndarray] = []
@@ -147,25 +150,43 @@ class SymplecticSpace:
                 self.field, self.dim
             )
             kb = ker.basis.a
-            while True:
-                e = (rng.integers(0, p, kb.shape[0]) @ kb) % p
-                if np.any(e):
-                    break
-            while True:
-                f = (rng.integers(0, p, kb.shape[0]) @ kb) % p
-                s = self.form(e, f)
-                if s:
-                    break
-            f = (f * self.field.inv(s)) % p
+            e = draw(kb, lambda v: bool(np.any(v)))
+            f = draw(kb, lambda v: self.form(e, v) != 0)
+            f = (f * self.field.inv(self.form(e, f))) % p
             es.append(e)
             fs.append(f)
             cons = np.vstack([cons, (e @ self.gram.a) % p, (f @ self.gram.a) % p])
-        mat = np.stack(es + fs, axis=1)
-        return self.element(mat)
+        return np.stack(es + fs, axis=1)
+
+    def _random_basis(self, rng) -> np.ndarray:
+        rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+        p = self.field.p
+
+        def draw(kb, accept):
+            while True:
+                v = (rng.integers(0, p, kb.shape[0]) @ kb) % p
+                if accept(v):
+                    return v
+
+        return self._symplectic_basis(draw)
+
+    def _darboux_inv(self) -> np.ndarray:
+        """B^-1 for the first symplectic basis B found from the canonical
+        basis of each complement: B^T gram B = J, and B = I for gram J."""
+        if self._darboux is None:
+            b = self._symplectic_basis(lambda kb, accept: next(v for v in kb if accept(v)))
+            self._darboux = FpMatrix(self.field, b).inv().a
+        return self._darboux
+
+    def random_element(self, rng) -> "SpElement":
+        """Uniformly random group element: a random symplectic basis M has
+        M^T gram M = J, so M B^-1 preserves the gram (B as in `_darboux_inv`)."""
+        m = self._random_basis(rng)
+        return self.element((m @ self._darboux_inv()) % self.field.p)
 
     def random_lagrangian(self, rng) -> "Lagrangian":
-        rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-        return self.random_element(rng).image(self.standard_lagrangian())
+        """The span of e_1..e_n of a random symplectic basis."""
+        return self.lagrangian(self._random_basis(rng)[:, : self.n].T)
 
     def elements(self, cap: int = GROUP_CAP) -> list["SpElement"]:
         """The whole group, exhaustively; guarded by the order formula."""
@@ -356,9 +377,15 @@ def displacement_disc(g: SpElement, complement: Subspace | None = None) -> Squar
     determinant mod squares does not depend on the chosen complement.  For the
     identity this is the class of 1.
     """
+    return _displacement_disc(g, kernel_of_displacement(g), complement)
+
+
+def _displacement_disc(
+    g: SpElement, ker: Subspace, complement: Subspace | None = None
+) -> SquareClass:
+    """`displacement_disc` for an already computed ker = ker(g - 1)."""
     space = g.space
     p = space.field.p
-    ker = kernel_of_displacement(g)
     if complement is None:
         complement = ker.complement_std()
     if complement.dim != space.dim - ker.dim:

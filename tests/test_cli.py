@@ -7,12 +7,17 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import weilchar
 import weilchar.cli
+from weilchar.characters import AdditiveCharacter
+from weilchar.charformula import trace_closed_form
 from weilchar.cli import main
 from weilchar.errors import InvariantViolation
+from weilchar.field import Fp
+from weilchar.symplectic import SymplecticSpace, displacement_disc, kernel_of_displacement
 
 
 def run(capsys, *argv):
@@ -107,11 +112,24 @@ def test_trace_rejects_non_integer_matrix(capsys):
     assert "comma-separated integers" in err
 
 
+def identity_flag(n):
+    return ",".join("1" if i % (2 * n + 1) == 0 else "0" for i in range(4 * n * n))
+
+
 def test_rep_size_cap(capsys):
-    code, _, err = run(capsys, "trace", "--p", "7", "--n", "4",
-                       "--g", ",".join(["1" if i % 9 == 0 else "0" for i in range(64)]))
+    code, _, err = run(capsys, "trace", "--p", "3", "--n", "11", "--g", identity_flag(11))
     assert code == 2
-    assert "exceeds" in err
+    assert "exceeds the oracle's row cap 117649" in err
+    assert "diagonal" in err
+
+
+@pytest.mark.parametrize("p,n", [(97, 2), (7, 4)])
+def test_trace_runs_past_the_dense_cap(capsys, p, n):
+    g = SymplecticSpace(Fp(p), n).random_element(np.random.default_rng(p * n)).mat.a
+    code, out, err = run(capsys, "trace", "--p", str(p), "--n", str(n),
+                         "--g", ",".join(str(x) for x in g.reshape(-1)), "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["agree"] is True
 
 
 def test_table_exhaustive_sl2_f3(capsys):
@@ -141,6 +159,25 @@ def test_table_json_schema(capsys):
         assert (row["dim_ker"] > 0) == (row["formula_used"] == "closed-singular")
     ident = [r for r in rows if r["g"] == [[1, 0], [0, 1]]]
     assert ident and ident[0]["det_sigma_class"]["is_square"] is True
+
+
+def test_table_rows_match_the_separate_closed_form_routes(capsys):
+    code, out, _ = run(capsys, "table", "--p", "7", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    char = AdditiveCharacter(Fp(7))
+    elems = SymplecticSpace(Fp(7), 1).elements()
+    assert [r["g"] for r in rows] == [g.mat.tolist() for g in elems]
+    for row, g in zip(rows, elems):
+        k = kernel_of_displacement(g).dim
+        tr = trace_closed_form(char, g)
+        assert row == {
+            "g": g.mat.tolist(),
+            "dim_ker": k,
+            "det_sigma_class": displacement_disc(g).as_dict(),
+            "trace": {"re": tr.real, "im": tr.imag},
+            "formula_used": "closed-singular" if k else "closed",
+        }
 
 
 def test_table_sampled_when_group_too_big(capsys):
@@ -240,6 +277,29 @@ def test_library_fault_exits_3(capsys, monkeypatch, fault):
     code, _, err = run(capsys, "trace", "--p", "5", "--g", "2,0,0,3")
     assert code == 3
     assert "internal error" in err and "injected" in err
+
+
+def test_cached_parser_carries_no_state(capsys):
+    """Back-to-back calls on the one cached parser print what a fresh parser
+    prints for each command line alone."""
+    sequence = [
+        ("trace", "--p", "5", "--g", "1,1,0,1", "--lift", "minus", "--format", "json"),
+        ("trace", "--p", "5", "--g", "1,1,0,1"),
+        ("gamma", "--p", "7", "--a", "3", "--format", "csv"),
+        ("table", "--p", "3", "--format", "json"),
+        ("gamma", "--p", "7", "--a", "3"),
+        ("table", "--p", "5", "--n", "2", "--samples", "2", "--seed", "4"),
+        ("trace", "--p", "5", "--g", "2,0,0,3", "--l", "0,1", "--psi-scale", "2"),
+        ("table", "--p", "3"),
+    ]
+    assert weilchar.cli.build_parser() is weilchar.cli.build_parser()
+    cached = [run(capsys, *argv) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        weilchar.cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert cached == fresh
+    assert len({out for _, out, _ in cached}) == len(sequence)
 
 
 def test_package_has_no_assert_statements():

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import weilchar.schrodinger
 from weilchar.characters import AdditiveCharacter, approx_eq
+from weilchar.charformula import diagonal_form
 from weilchar.errors import DimensionMismatch
 from weilchar.field import Fp
 from weilchar.metaplectic import mp_identity, split_lift
@@ -161,3 +163,54 @@ def test_diagonal_kernel_check_seeded():
             l = sp.random_lagrangian(rng)
             r = check_diagonal_kernel(split_lift(ch, g), l)
             assert r.ok, r.witness
+
+
+@pytest.mark.parametrize("p,n", [(97, 1), (17, 2), (7, 3), (3, 5)])
+def test_trace_oracle_equals_dense_trace(p, n):
+    """The diagonal sum is the trace of the dense operator, for both lifts and
+    for the base and a non-base model."""
+    ch, sp = setup(p, n)
+    rng = np.random.default_rng(p**n)
+    g = sp.random_element(rng)
+    l = sp.random_lagrangian(rng)
+    assert l != sp.standard_lagrangian()
+    for sign in (1, -1):
+        e = split_lift(ch, g, sign=sign)
+        for model in (None, l):
+            dense = np.trace(weil_operator(e, model))
+            assert abs(trace_oracle(e, model) - dense) < 1e-12 * p**n
+
+
+def test_diagonal_kernel_check_catches_a_dropped_norm(monkeypatch):
+    """Without the norm every support row is off by sqrt(p): the witness lists
+    exactly those rows, with the wanted values of a per-row reference loop."""
+    kernel_diagonal = weilchar.schrodinger._kernel_diagonal
+
+    def unnormalized(e, l):
+        pk = weilchar.schrodinger._pair_kernel(e.char, e.g.image(l), l)
+        return kernel_diagonal(e, l) / pk.norm
+
+    ch, sp = setup(5, 2)
+    rng = np.random.default_rng(8)
+    g = sp.random_element(rng)
+    l = sp.random_lagrangian(rng)
+    e = split_lift(ch, g)
+    assert check_diagonal_kernel(e, l).ok
+    monkeypatch.setattr(weilchar.schrodinger, "_kernel_diagonal", unnormalized)
+    r = check_diagonal_kernel(e, l)
+    assert not r.ok
+
+    df = diagonal_form(g, l)
+    inter = g.image(l).sub.intersect(l.sub).dim
+    norm = 5 ** (-(l.dim - inter) / 2)
+    assert norm < 1
+    want = {}
+    for x in SectionBasis(l).reps:
+        if df.support.contains(x):
+            want[tuple(x.tolist())] = ch.psi((ch.field.half * df.value(x)) % 5) * norm
+    assert want
+    assert {tuple(w["x"]) for w in r.witness} == set(want)
+    for w in r.witness:
+        assert set(w) == {"x", "got", "want"}
+        assert abs(w["want"] - want[tuple(w["x"])]) < 1e-12
+        assert abs(w["got"] - w["want"] / norm) < 1e-12

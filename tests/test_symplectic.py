@@ -130,6 +130,30 @@ def test_random_lagrangian_valid():
         assert l.dim == 2
 
 
+def test_random_element_frozen_standard_draw():
+    """Draws on the standard gram do not depend on the Darboux correction."""
+    g = space(5, 2).random_element(np.random.default_rng(0))
+    assert g.mat.tolist() == [[4, 0, 2, 1], [3, 4, 0, 3], [2, 0, 0, 0], [1, 3, 0, 0]]
+    assert space(7, 1).random_element(np.random.default_rng(0)).mat.tolist() == [[5, 5], [4, 0]]
+    l = space(5, 2).random_lagrangian(np.random.default_rng(0))
+    assert l.sub.basis.tolist() == [[1, 0, 3, 0], [0, 1, 0, 2]]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_random_draws_on_the_doubled_space(p):
+    w = space(p, 1).doubled()
+    gram = w.gram.a
+    rng = np.random.default_rng(p)
+    seen = set()
+    for _ in range(10):
+        g = w.random_element(rng)
+        assert not np.any((g.mat.a.T @ gram @ g.mat.a - gram) % p)
+        seen.add(g)
+        l = w.random_lagrangian(rng)
+        assert l.dim == 2 and w.is_isotropic(l.sub)
+    assert len(seen) == 10
+
+
 def test_element_apply_and_image():
     sp = space(5, 1)
     g = sp.element([[2, 0], [0, 3]])
