@@ -2,8 +2,11 @@
 
 The trace of the Weil operator of a lifted g has two closed forms: one through
 the discriminant of the displacement pairing of g, one through the Maslov
-index of (graph(g), diagonal, l + l) in the doubled space.  Both are checked
-against the brute-force operator trace elsewhere.
+index of (graph(g), diagonal, l + l) in the doubled space.  Both carry
+p^(k/2), k = dim ker(g - 1); a caller that needs both takes k from one
+`closed_form_data` call and passes it to `_factor_trace`, which
+`trace_from_factor` also evaluates.  Both are checked against the brute-force
+operator trace elsewhere.
 
 The diagonal support form (S_hat, q) describes where the diagonal of the
 operator kernel is supported in V/l and which phases appear there; its dual
@@ -132,10 +135,14 @@ def trace_closed_form(char: AdditiveCharacter, g: SpElement) -> complex:
     return closed_form_data(char, g)[2]
 
 
+def _factor_trace(e: MpElement, l: Lagrangian | None, k: int) -> complex:
+    """p^(k/2) * t(l) * gamma(tau(graph, diagonal, l + l)) for k = dim ker(g-1)."""
+    return math.sqrt(e.char.p) ** k * character_factor(e, l)
+
+
 def trace_from_factor(e: MpElement, l: Lagrangian | None = None) -> complex:
     """p^(dim ker(g-1)/2) * t(l) * gamma(tau(graph, diagonal, l + l))."""
-    k = kernel_of_displacement(e.g).dim
-    return math.sqrt(e.char.p) ** k * character_factor(e, l)
+    return _factor_trace(e, l, kernel_of_displacement(e.g).dim)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import traceback
 import numpy as np
 
 from .characters import AdditiveCharacter, approx_eq
-from .charformula import closed_form_data, trace_closed_form, trace_from_factor
+from .charformula import _factor_trace, closed_form_data
 from .errors import DimensionMismatch, EnumerationTooLarge, ZeroFormClass
 from .field import Fp
 from .metaplectic import split_lift
@@ -115,8 +115,9 @@ def cmd_trace(args) -> int:
     sign = 1 if args.lift == "plus" else -1
     e = split_lift(char, g, sign=sign)
     oracle = trace_oracle(e, lag)
-    factor = trace_from_factor(e, lag)
-    closed = sign * trace_closed_form(char, g)
+    k, _, closed = closed_form_data(char, g)
+    factor = _factor_trace(e, lag, k)
+    closed = sign * closed
     scale = float(args.p) ** args.n
     ok_of = approx_eq(oracle, factor, scale=scale)
     ok_oc = approx_eq(oracle, closed, scale=scale)

@@ -9,9 +9,21 @@ equals
 
 for any splitting v - w = a1 + a2 with a_i in l_i.  The operator of a lifted
 group element twists the (g l, l) kernel by g on the first slot and scales by
-the lift value.  The brute-force character oracle sums that kernel over the
-p^n diagonal pairs (g x, x) alone, without building the p^n x p^n matrix;
-`weil_operator` stays the dense reference whose trace it equals.
+the lift value.
+
+The kernel has two evaluation routes.  `_PairKernel.values` solves for
+(a1, a2) pair by pair; `kernel_value`, the diagonal behind `trace_oracle`
+and `check_diagonal_kernel` use it.  `_PairKernel.grid` uses that the
+solver's particular solution is linear in D = v - w, a_i = D L_i, so that
+with M_i = L_i J the phase splits as
+
+    q(v, w) = v M1 v - w M2 w + v (M2 - M1^T) w    (mod p)
+
+and the support test is an equality of the syndromes of v and w modulo
+l1 + l2; the dense `intertwiner` and `weil_operator` matrices come from it
+without a solve per entry.  The brute-force character oracle sums the kernel
+over the p^n diagonal pairs (g x, x) alone; `weil_operator` stays the dense
+reference whose trace it equals.
 """
 
 from __future__ import annotations
@@ -65,9 +77,10 @@ class SectionBasis:
 
 
 class _PairKernel:
-    """Cached solver and normalization for the (l1, l2) kernel."""
+    """Cached solver, normalization and split phase for the (l1, l2) kernel."""
 
-    __slots__ = ("char", "l1", "l2", "solver", "k1", "b1", "b2", "norm")
+    __slots__ = ("char", "l1", "l2", "solver", "k1", "b1", "b2", "norm",
+                 "m1", "m2", "cross", "syndrome", "weights")
 
     def __init__(self, char: AdditiveCharacter, l1: Lagrangian, l2: Lagrangian) -> None:
         if l1.space != l2.space:
@@ -78,9 +91,21 @@ class _PairKernel:
         self.b1 = l1.sub.basis.a
         self.b2 = l2.sub.basis.a
         self.k1 = self.b1.shape[0]
-        self.solver = RowSolver(FpMatrix(l1.space.field, np.vstack([self.b1, self.b2])))
+        self.solver = solver = RowSolver(FpMatrix(l1.space.field, np.vstack([self.b1, self.b2])))
         inter = l1.sub.intersect(l2.sub).dim
         self.norm = float(char.p) ** (-(l1.dim - inter) / 2)
+
+        # solve_many returns Y = D @ P, so a_i = D @ L_i and form(a_i, x) = D @ M_i @ x
+        p = char.p
+        j = l1.space.gram.a
+        P = np.zeros((l1.space.dim, solver.nrows), dtype=np.int64)
+        P[:, list(solver.pivots)] = solver.tableau[: solver.rank].T
+        self.m1 = (P[:, : self.k1] @ self.b1 % p) @ j % p
+        self.m2 = (P[:, self.k1 :] @ self.b2 % p) @ j % p
+        self.cross = (self.m2 - self.m1.T) % p
+        # v - w is in l1 + l2 iff v and w have one syndrome, packed base p
+        self.syndrome = solver.tableau[solver.rank :].T % p
+        self.weights = p ** np.arange(self.syndrome.shape[1], dtype=np.int64)
 
     def values(self, V: np.ndarray, W: np.ndarray) -> np.ndarray:
         """Kernel values row-wise for stacked first/second slot vectors."""
@@ -93,6 +118,19 @@ class _PairKernel:
         A2 = (Y[:, self.k1 :] @ self.b2) % p
         q = (np.einsum("ij,ij->i", A1 @ j % p, V) + np.einsum("ij,ij->i", A2 @ j % p, W)) % p
         return np.where(ok, self.char.psi_array((half * q) % p) * self.norm, 0.0)
+
+    def grid(self, V: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """The kernel matrix with entry [i, j] at (V[j], W[i]), from the split
+        phase a(v) + c(w) + v B w and a syndrome match, with no solve."""
+        p = self.char.p
+        half = self.char.field.half
+        a = ((V @ self.m1) % p * V).sum(axis=1) % p
+        c = -((W @ self.m2) % p * W).sum(axis=1) % p
+        q = ((W @ self.cross.T) % p @ V.T + a[None, :] + c[:, None]) % p
+        sv = (V @ self.syndrome) % p @ self.weights
+        sw = (W @ self.syndrome) % p @ self.weights
+        inside = sw[:, None] == sv[None, :]
+        return np.where(inside, self.char.psi_array((half * q) % p) * self.norm, 0.0)
 
     def value(self, v, w) -> complex:
         V = np.asarray(v, dtype=np.int64)[None, :]
@@ -116,12 +154,7 @@ def intertwiner(char: AdditiveCharacter, l1: Lagrangian, l2: Lagrangian) -> np.n
     Entry [y, x] is the kernel at (lift(x), lift(y)); composing two of these
     multiplies the matrices in codomain-first order.
     """
-    pk = _pair_kernel(char, l1, l2)
-    s1 = SectionBasis(l1)
-    s2 = SectionBasis(l2)
-    V = np.repeat(s1.reps[None, :, :], s2.size, axis=0).reshape(-1, l1.space.dim)
-    W = np.repeat(s2.reps[:, None, :], s1.size, axis=1).reshape(-1, l1.space.dim)
-    return pk.values(V, W).reshape(s2.size, s1.size)
+    return _pair_kernel(char, l1, l2).grid(SectionBasis(l1).reps, SectionBasis(l2).reps)
 
 
 def weil_operator(e: MpElement, l: Lagrangian | None = None) -> np.ndarray:
@@ -129,14 +162,11 @@ def weil_operator(e: MpElement, l: Lagrangian | None = None) -> np.ndarray:
     (g l, l) kernel, with entry [y, x] at (g lift(x), lift(y))."""
     if l is None:
         l = e.base
-    p = e.char.p
     g = e.g
     pk = _pair_kernel(e.char, g.image(l), l)
-    basis = SectionBasis(l)
-    moved = (basis.reps @ g.mat.a.T) % p
-    V = np.repeat(moved[None, :, :], basis.size, axis=0).reshape(-1, l.space.dim)
-    W = np.repeat(basis.reps[:, None, :], basis.size, axis=1).reshape(-1, l.space.dim)
-    return e.value_at(l) * pk.values(V, W).reshape(basis.size, basis.size)
+    reps = SectionBasis(l).reps
+    moved = (reps @ g.mat.a.T) % e.char.p
+    return e.value_at(l) * pk.grid(moved, reps)
 
 
 def _kernel_diagonal(e: MpElement, l: Lagrangian) -> np.ndarray:

@@ -19,12 +19,12 @@ import numpy as np
 
 from .characters import AdditiveCharacter
 from .charformula import (
+    _factor_trace,
     check_inverse_identity,
     check_kernel_dims,
     check_maslov_class,
     check_transfer_isometry,
-    trace_closed_form,
-    trace_from_factor,
+    closed_form_data,
 )
 from .errors import DimensionMismatch
 from .field import Fp, FpMatrix
@@ -264,11 +264,12 @@ def _suite_trace(char, space, rng, samples, max_enum, cocycle) -> _Tally:
     for _ in range(samples):
         elems.append(space.random_element(rng))
     for g in elems:
+        k, _, closed = closed_form_data(char, g)
         for sign in (1, -1):
             e = split_lift(char, g, sign=sign)
             to = trace_oracle(e)
-            tf = trace_from_factor(e)
-            tc = sign * trace_closed_form(char, g)
+            tf = _factor_trace(e, None, k)
+            tc = sign * closed
             err = max(abs(to - tf), abs(to - tc))
             t.add(err, tol, kind="three-way", g=_mat_list(g), sign=sign,
                   oracle=as_json_complex(to), factor=as_json_complex(tf),

@@ -13,6 +13,7 @@ from weilchar.field import Fp
 from weilchar.metaplectic import mp_identity, split_lift
 from weilchar.schrodinger import (
     SectionBasis,
+    _pair_kernel,
     check_diagonal_kernel,
     intertwiner,
     kernel_value,
@@ -214,3 +215,51 @@ def test_diagonal_kernel_check_catches_a_dropped_norm(monkeypatch):
         assert set(w) == {"x", "got", "want"}
         assert abs(w["want"] - want[tuple(w["x"])]) < 1e-12
         assert abs(w["got"] - w["want"] / norm) < 1e-12
+
+
+def _pairwise_grid(pk, V, W):
+    """Reference for `_PairKernel.grid`: every (V[j], W[i]) pair stacked and
+    solved one row at a time through `_PairKernel.values`."""
+    d = V.shape[1]
+    VV = np.repeat(V[None, :, :], len(W), axis=0).reshape(-1, d)
+    WW = np.repeat(W[:, None, :], len(V), axis=1).reshape(-1, d)
+    return pk.values(VV, WW).reshape(len(W), len(V))
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (97, 1), (3, 2), (5, 2), (17, 2),
+                                 (7, 3), (3, 5)])
+def test_grid_equals_pairwise_kernel(p, n):
+    """The split phase and syndrome match give the pairwise kernel exactly:
+    equal, transverse and partly meeting Lagrangians, the (g l, l) operator
+    twist for g = 1 and a random g, and a character with scale 2."""
+    f = Fp(p)
+    sp = SymplecticSpace(f, n)
+    rng = np.random.default_rng(1000 * p + n)
+    h = sp.random_element(rng)
+    g = sp.random_element(rng)
+    eye = np.eye(n, dtype=np.int64)
+    zero = np.zeros((n, n), dtype=np.int64)
+    l = h.image(sp.standard_lagrangian())
+    transverse = h.image(sp.lagrangian(np.hstack([zero, eye])))
+    pairs = [(l, l, n), (l, transverse, 0)]
+    if n > 1:
+        # e_1, f_2, ..., f_n meets e_1, ..., e_n in the line of e_1
+        rows = np.hstack([np.diag([1] + [0] * (n - 1)), np.diag([0] + [1] * (n - 1))])
+        pairs.append((l, h.image(sp.lagrangian(rows)), 1))
+    for scale in (1, 2):
+        ch = AdditiveCharacter(f, scale)
+        for l1, l2, inter in pairs:
+            assert l1.sub.intersect(l2.sub).dim == inter
+            pk = _pair_kernel(ch, l1, l2)
+            V, W = SectionBasis(l1).reps, SectionBasis(l2).reps
+            ref = _pairwise_grid(pk, V, W)
+            assert np.array_equal(pk.grid(V, W), ref)
+            assert np.array_equal(intertwiner(ch, l1, l2), ref)
+        for elem in (sp.identity(), g):
+            e = split_lift(ch, elem)
+            pk = _pair_kernel(ch, elem.image(l), l)
+            reps = SectionBasis(l).reps
+            moved = (reps @ elem.mat.a.T) % p
+            ref = _pairwise_grid(pk, moved, reps)
+            assert np.array_equal(pk.grid(moved, reps), ref)
+            assert np.max(np.abs(weil_operator(e, l) - e.value_at(l) * ref)) < 1e-12
