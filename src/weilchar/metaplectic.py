@@ -33,7 +33,7 @@ def mp_cocycle(char: AdditiveCharacter, g: SpElement, h: SpElement, l: Lagrangia
 class MpElement:
     """A metaplectic group element (g, t), anchored at a base Lagrangian."""
 
-    __slots__ = ("char", "g", "base", "t0")
+    __slots__ = ("char", "g", "base", "t0", "_gbase")
 
     def __init__(self, char: AdditiveCharacter, g: SpElement, base: Lagrangian, t0: complex) -> None:
         if base.space != g.space:
@@ -42,6 +42,7 @@ class MpElement:
         self.g = g
         self.base = base
         self.t0 = complex(t0)
+        self._gbase: Lagrangian | None = None
 
     @property
     def space(self) -> SymplecticSpace:
@@ -51,8 +52,9 @@ class MpElement:
         """t(l) = gamma(tau(base, g base, g l, l)) * t0."""
         if l == self.base:
             return self.t0
-        gb = self.g.image(self.base)
-        return maslov_gamma(self.char, self.base, gb, self.g.image(l), l) * self.t0
+        if self._gbase is None:
+            self._gbase = self.g.image(self.base)
+        return maslov_gamma(self.char, self.base, self._gbase, self.g.image(l), l) * self.t0
 
     def rebased(self, new_base: Lagrangian) -> "MpElement":
         return MpElement(self.char, self.g, new_base, self.value_at(new_base))

@@ -8,6 +8,7 @@ Lagrangians there.
 
 from __future__ import annotations
 
+from itertools import combinations
 from itertools import product as _cartesian
 
 import numpy as np
@@ -28,7 +29,7 @@ def standard_gram(field: Fp, n: int) -> FpMatrix:
 class SymplecticSpace:
     """F_p^dim with a fixed invertible antisymmetric gram matrix."""
 
-    __slots__ = ("field", "gram", "_doubled", "_lagrangians", "_darboux")
+    __slots__ = ("field", "gram", "_doubled", "_lagrangians", "_darboux", "_diagonal")
 
     def __init__(self, field: Fp, n: int | None = None, gram: FpMatrix | None = None) -> None:
         self.field = field
@@ -48,6 +49,7 @@ class SymplecticSpace:
         self._doubled: SymplecticSpace | None = None
         self._lagrangians: list[Lagrangian] | None = None
         self._darboux: np.ndarray | None = None
+        self._diagonal: Lagrangian | None = None
 
     @property
     def dim(self) -> int:
@@ -78,10 +80,6 @@ class SymplecticSpace:
         rows[:, : self.n] = np.eye(self.n, dtype=np.int64)
         return self.lagrangian(rows)
 
-    def symp_perp(self, sub: Subspace) -> Subspace:
-        """{v : form(b, v) = 0 for all basis vectors b}."""
-        return FpMatrix(self.field, (sub.basis.a @ self.gram.a) % self.field.p).kernel()
-
     def element(self, mat) -> "SpElement":
         return SpElement(self, FpMatrix(self.field, mat))
 
@@ -111,26 +109,35 @@ class SymplecticSpace:
         return out
 
     def all_lagrangians(self, cap: int = LAGRANGIAN_CAP) -> list["Lagrangian"]:
-        """Every Lagrangian, by incremental isotropic extension with dedup."""
+        """Every Lagrangian, sorted by the bytes of its rref basis.
+
+        Built from the affine charts of the Lagrangian Grassmannian.  In
+        Darboux coordinates (e, f) a Lagrangian L is fixed by U, its
+        projection onto the e-coordinates (rref basis B_U, dim k, pivots P),
+        and a symmetric k x k matrix S: L is spanned by the rows [B_U | Y]
+        with Y[:, P] = S and zero elsewhere, and by [0 | B_W] for the dot
+        annihilator W of U, which is L meet span(f).  Every pair (U, S) gives
+        a different L, so the p^(k(k+1)/2) matrices S summed over all U give
+        `lagrangian_count()` subspaces with no deduplication.
+        """
         count = self.lagrangian_count()
         if count > cap:
             raise EnumerationTooLarge(f"{count} Lagrangians exceeds cap {cap}")
         if self._lagrangians is not None:
             return self._lagrangians
-        level: set[Subspace] = {Subspace.zero(self.field, self.dim)}
-        for _ in range(self.n):
-            nxt: set[Subspace] = set()
-            for sub in level:
-                perp = self.symp_perp(sub)
-                for v in perp.vectors():
-                    if not np.any(v) or sub.contains(v):
-                        continue
-                    nxt.add(sub + Subspace.from_rows(self.field, self.dim, v[None, :]))
-            level = nxt
-        out = sorted(
-            (Lagrangian(self, sub) for sub in level),
-            key=lambda l: l.sub.basis.a.tobytes(),
-        )
+        field, n, dim = self.field, self.n, self.dim
+        # rows x of a J-Lagrangian map to rows x B^T of a gram-Lagrangian
+        to_gram = None
+        if self.gram != standard_gram(field, n):
+            to_gram = FpMatrix(field, self._darboux_inv()).inv().a.T
+        out = []
+        for basis, pivots in _chart_bases(field, n):
+            if to_gram is None:
+                sub = Subspace(field, dim, FpMatrix(field, basis), pivots)
+            else:
+                sub = self.subspace(basis @ to_gram)
+            out.append(Lagrangian(self, sub))
+        out.sort(key=lambda l: l.sub.basis.a.tobytes())
         if len(out) != count:
             raise InvariantViolation(f"found {len(out)} Lagrangians, expected {count}")
         self._lagrangians = out
@@ -258,10 +265,54 @@ class SymplecticSpace:
         return f"SymplecticSpace(p={self.field.p}, dim={self.dim})"
 
 
+def _rref_subspaces(field: Fp, n: int, k: int):
+    """(B_U, P) for every k-dimensional subspace U of F_p^n: its rref basis
+    has a 1 at (i, P[i]), free entries at (i, c) for c > P[i] off P, else 0."""
+    for piv in combinations(range(n), k):
+        free = [(i, c) for i, pc in enumerate(piv) for c in range(pc + 1, n) if c not in piv]
+        vals = Subspace.full(field, len(free)).vectors()
+        stack = np.zeros((len(vals), k, n), dtype=np.int64)
+        stack[:, range(k), list(piv)] = 1
+        if free:
+            rows, cols = zip(*free)
+            stack[:, rows, cols] = vals
+        for b in stack:
+            yield b, piv
+
+
+def _chart_bases(field: Fp, n: int):
+    """(rref basis, pivots) of every Lagrangian of the standard F_p^{2n}, one
+    chart (U, S) at a time as in `SymplecticSpace.all_lagrangians`.
+
+    The rows [B_U | S T[P]] and [0 | B_W] are already in rref: with Q the
+    pivots of B_W, T = I - I[:, Q] B_W turns Y into Y T, which is zero on
+    the columns Q and differs from Y row by row by vectors of W.
+    """
+    p = field.p
+    eye = np.eye(n, dtype=np.int64)
+    for k in range(n + 1):
+        m = k * (k + 1) // 2
+        iu = np.triu_indices(k)
+        sym = np.zeros((p**m, k, k), dtype=np.int64)
+        sym[:, iu[0], iu[1]] = Subspace.full(field, m).vectors()
+        sym[:, iu[1], iu[0]] = sym[:, iu[0], iu[1]]
+        for bu, piv in _rref_subspaces(field, n, k):
+            w = FpMatrix(field, bu).kernel()
+            bw = w.basis.a
+            t = (eye - eye[:, list(w.pivots)] @ bw) % p
+            stack = np.zeros((len(sym), n, 2 * n), dtype=np.int64)
+            stack[:, :k, :n] = bu
+            stack[:, :k, n:] = (sym @ t[list(piv)]) % p
+            stack[:, k:, n:] = bw
+            pivots = piv + tuple(n + q for q in w.pivots)
+            for b in stack:
+                yield b, pivots
+
+
 class Lagrangian:
     """A maximal isotropic subspace, canonicalized through its rref basis."""
 
-    __slots__ = ("space", "sub")
+    __slots__ = ("space", "sub", "_doubled")
 
     def __init__(self, space: SymplecticSpace, sub: Subspace) -> None:
         if sub.dim != space.n:
@@ -270,6 +321,7 @@ class Lagrangian:
             raise DimensionMismatch("subspace is not isotropic")
         self.space = space
         self.sub = sub
+        self._doubled: Lagrangian | None = None
 
     @property
     def basis(self) -> FpMatrix:
@@ -284,14 +336,16 @@ class Lagrangian:
         return Lagrangian(self.space, Subspace.from_rows(self.space.field, self.space.dim, rows))
 
     def doubled(self) -> "Lagrangian":
-        """The Lagrangian {(a, b) : a, b in self} of the doubled space."""
-        b = self.sub.basis.a
-        k, d = b.shape
-        rows = np.zeros((2 * k, 2 * d), dtype=np.int64)
-        rows[:k, :d] = b
-        rows[k:, d:] = b
-        w = self.space.doubled()
-        return Lagrangian(w, Subspace.from_rows(w.field, w.dim, rows))
+        """The Lagrangian {(a, b) : a, b in self} of the doubled space, built once."""
+        if self._doubled is None:
+            b = self.sub.basis.a
+            k, d = b.shape
+            rows = np.zeros((2 * k, 2 * d), dtype=np.int64)
+            rows[:k, :d] = b
+            rows[k:, d:] = b
+            w = self.space.doubled()
+            self._doubled = Lagrangian(w, Subspace.from_rows(w.field, w.dim, rows))
+        return self._doubled
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -310,7 +364,7 @@ class Lagrangian:
 class SpElement:
     """An element of Sp(V), validated at construction."""
 
-    __slots__ = ("space", "mat")
+    __slots__ = ("space", "mat", "_graph")
 
     def __init__(self, space: SymplecticSpace, mat: FpMatrix) -> None:
         p = space.field.p
@@ -320,6 +374,7 @@ class SpElement:
             raise DimensionMismatch("matrix does not preserve the symplectic form")
         self.space = space
         self.mat = mat
+        self._graph: Lagrangian | None = None
 
     def __mul__(self, other: "SpElement") -> "SpElement":
         if other.space != self.space:
@@ -339,11 +394,13 @@ class SpElement:
         return bool(np.array_equal(self.mat.a, np.eye(self.space.dim, dtype=np.int64)))
 
     def graph(self) -> Lagrangian:
-        """The graph {(x, gx)} as a Lagrangian of the doubled space."""
-        d = self.space.dim
-        rows = np.hstack([np.eye(d, dtype=np.int64), self.mat.a.T])
-        w = self.space.doubled()
-        return Lagrangian(w, Subspace.from_rows(w.field, w.dim, rows))
+        """The graph {(x, gx)} as a Lagrangian of the doubled space, built once."""
+        if self._graph is None:
+            d = self.space.dim
+            rows = np.hstack([np.eye(d, dtype=np.int64), self.mat.a.T])
+            w = self.space.doubled()
+            self._graph = Lagrangian(w, Subspace.from_rows(w.field, w.dim, rows))
+        return self._graph
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -360,8 +417,10 @@ class SpElement:
 
 
 def diagonal_lagrangian(space: SymplecticSpace) -> Lagrangian:
-    """The diagonal {(x, x)} inside the doubled space."""
-    return space.identity().graph()
+    """The diagonal {(x, x)} inside the doubled space, built once per space."""
+    if space._diagonal is None:
+        space._diagonal = space.identity().graph()
+    return space._diagonal
 
 
 def kernel_of_displacement(g: SpElement) -> Subspace:

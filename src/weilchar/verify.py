@@ -153,8 +153,12 @@ def _core_elements(space: SymplecticSpace) -> list[SpElement]:
     return out
 
 
-def _some_lagrangians(space: SymplecticSpace, rng, samples: int, max_enum: int) -> list[Lagrangian]:
-    if space.lagrangian_count() <= min(max_enum, LAGRANGIAN_CAP):
+def _some_lagrangians(
+    space: SymplecticSpace, rng, samples: int, max_enum: int, n_elems: int
+) -> list[Lagrangian]:
+    """Every Lagrangian when the n_elems * count character factors the theta
+    suite then evaluates fit the budget, else the standard three and samples."""
+    if space.lagrangian_count() * n_elems <= min(max_enum, LAGRANGIAN_CAP):
         return list(space.all_lagrangians())
     out = _standard_lagrangians(space)
     for _ in range(max(samples, 3)):
@@ -300,7 +304,7 @@ def _suite_theta(char, space, rng, samples, max_enum, cocycle) -> _Tally:
     elems = _core_elements(space)
     for _ in range(samples):
         elems.append(space.random_element(rng))
-    lags = _some_lagrangians(space, rng, samples, max_enum)
+    lags = _some_lagrangians(space, rng, samples, max_enum, len(elems))
     for g in elems:
         e = split_lift(char, g)
         vals = np.array([character_factor(e, l) for l in lags])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from weilchar.characters import AdditiveCharacter, approx_eq
-from weilchar.field import Fp
+from weilchar.field import Fp, Subspace
+from weilchar.maslov import maslov_gamma
 from weilchar.metaplectic import (
     MpElement,
     character_factor,
@@ -15,7 +16,7 @@ from weilchar.metaplectic import (
     split_lift,
     split_value,
 )
-from weilchar.symplectic import SymplecticSpace
+from weilchar.symplectic import Lagrangian, SymplecticSpace
 
 
 def setup(p, n):
@@ -152,6 +153,39 @@ def test_theta_independent_of_lagrangian():
             e = split_lift(ch, sp.random_element(rng))
             vals = [character_factor(e, l) for l in sp.all_lagrangians()]
             assert max(abs(v - vals[0]) for v in vals) < 1e-8
+
+
+def rebuilt_character_factor(e, l):
+    """character_factor with graph(g), the diagonal, l + l and g base built
+    afresh on every call."""
+    sp, w = e.space, e.space.doubled()
+    eye = np.eye(sp.dim, dtype=np.int64)
+
+    def doubled_lag(rows):
+        return Lagrangian(w, Subspace.from_rows(w.field, w.dim, rows))
+
+    b = l.sub.basis.a
+    z = np.zeros_like(b)
+    ll = doubled_lag(np.block([[b, z], [z, b]]))
+    gamma = maslov_gamma(e.char, doubled_lag(np.hstack([eye, e.g.mat.a.T])),
+                         doubled_lag(np.hstack([eye, eye])), ll)
+    if l == e.base:
+        t = e.t0
+    else:
+        t = maslov_gamma(e.char, e.base, e.g.image(e.base), e.g.image(l), l) * e.t0
+    return t * gamma
+
+
+def test_theta_values_equal_rebuilt_reference():
+    ch, sp = setup(3, 2)
+    rng = np.random.default_rng(7)
+    lags = sp.all_lagrangians()
+    for _ in range(3):
+        e = split_lift(ch, sp.random_element(rng))
+        for _ in range(2):  # the second pass reads the memoized graph, l + l, g base
+            assert [character_factor(e, l) for l in lags] == [
+                rebuilt_character_factor(e, l) for l in lags
+            ]
 
 
 def test_theta_doubled_route_agrees():

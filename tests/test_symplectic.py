@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from weilchar.errors import DimensionMismatch, EnumerationTooLarge
 from weilchar.field import Fp, FpMatrix, Subspace
@@ -61,15 +63,59 @@ def test_lagrangian_validation():
         sp2.lagrangian([[1, 0, 0, 0], [0, 0, 1, 0]])  # pairs to 1, not isotropic
 
 
-@pytest.mark.parametrize("p,n,count", [(3, 1, 4), (5, 1, 6), (3, 2, 40), (5, 2, 156)])
+def search_lagrangians(sp):
+    """Reference enumeration: grow isotropic subspaces one vector of the
+    symplectic perp at a time, dedup by canonical basis, sort by its bytes."""
+    f, d = sp.field, sp.dim
+    level = {Subspace.zero(f, d)}
+    for _ in range(sp.n):
+        nxt = set()
+        for sub in level:
+            perp = FpMatrix(f, (sub.basis.a @ sp.gram.a) % f.p).kernel()
+            for v in perp.vectors():
+                if np.any(v) and not sub.contains(v):
+                    nxt.add(sub + Subspace.from_rows(f, d, v[None, :]))
+        level = nxt
+    return sorted((Lagrangian(sp, sub) for sub in level), key=lambda l: l.sub.basis.a.tobytes())
+
+
+@pytest.mark.parametrize("p,n,count", [(3, 1, 4), (5, 1, 6), (3, 2, 40), (5, 2, 156),
+                                       (7, 2, 400), (3, 3, 1120)])
 def test_lagrangian_counts(p, n, count):
     sp = space(p, n)
     assert sp.lagrangian_count() == count
     lags = sp.all_lagrangians()
     assert len(lags) == count
     assert len({l for l in lags}) == count
-    for l in lags[:10]:
-        assert sp.is_isotropic(l.sub)
+    for l in lags:
+        assert l.dim == n and sp.is_isotropic(l.sub)
+
+
+@pytest.mark.parametrize("p,n,doubled", [(3, 1, False), (5, 1, False), (7, 1, False),
+                                         (3, 2, False), (5, 2, False), (3, 1, True)])
+def test_all_lagrangians_matches_reference_search(p, n, doubled):
+    sp = space(p, n).doubled() if doubled else space(p, n)
+    got = sp.all_lagrangians()
+    want = search_lagrangians(sp)
+    assert [l.sub.basis.a.tobytes() for l in got] == [l.sub.basis.a.tobytes() for l in want]
+    assert [l.sub.pivots for l in got] == [l.sub.pivots for l in want]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 2), st.data())
+def test_lagrangian_count_on_any_gram(p, n, data):
+    """On the gram M^T J M of a random basis change M the enumeration maps
+    the standard charts over; the count, distinctness and isotropy hold."""
+    f = Fp(p)
+    d = 2 * n
+    m = data.draw(st.lists(st.integers(0, p - 1), min_size=d * d, max_size=d * d))
+    m = FpMatrix(f, np.array(m, dtype=np.int64).reshape(d, d))
+    assume(m.det() != 0)
+    sp = SymplecticSpace(f, gram=m.T @ standard_gram(f, n) @ m)
+    lags = sp.all_lagrangians()
+    assert len(lags) == sp.lagrangian_count()
+    assert len(set(lags)) == len(lags)
+    assert all(sp.is_isotropic(l.sub) for l in lags)
 
 
 def test_all_lagrangians_cap():
@@ -186,6 +232,24 @@ def test_graph_and_diagonal_are_doubled_lagrangians():
         assert gr.space == dd
         assert dd.is_isotropic(gr.sub)
     assert sp.identity().graph() == diagonal_lagrangian(sp)
+
+
+def test_graph_doubled_and_diagonal_are_built_once():
+    sp = space(5, 2)
+    w = sp.doubled()
+    g = sp.random_element(np.random.default_rng(3))
+    gr = g.graph()
+    assert g.graph() is gr
+    rows = np.hstack([np.eye(4, dtype=np.int64), g.mat.a.T])
+    assert gr == Lagrangian(w, Subspace.from_rows(w.field, w.dim, rows))
+    l = sp.random_lagrangian(np.random.default_rng(4))
+    ld = l.doubled()
+    assert l.doubled() is ld
+    b = l.sub.basis.a
+    rows = np.block([[b, np.zeros_like(b)], [np.zeros_like(b), b]])
+    assert ld == Lagrangian(w, Subspace.from_rows(w.field, w.dim, rows))
+    assert diagonal_lagrangian(sp) is diagonal_lagrangian(sp)
+    assert diagonal_lagrangian(sp) == sp.identity().graph()
 
 
 def test_displacement_kernel_and_disc():

@@ -1,11 +1,16 @@
 """The verification runner: suites, determinism, fault injection."""
 
+import numpy as np
 import pytest
 
 from weilchar.errors import DimensionMismatch
+from weilchar.field import Fp
+from weilchar.symplectic import LAGRANGIAN_CAP, SymplecticSpace
 from weilchar.verify import (
     SUITE_ORDER,
     SuiteResult,
+    _core_elements,
+    _some_lagrangians,
     as_json_complex,
     resolve_threads,
     run_verification,
@@ -48,6 +53,21 @@ def test_samples_zero_still_checks_structural_cores():
     for r in results:
         assert r.ok, (r.suite, r.witness)
         assert r.checked > 0, r.suite
+
+
+@pytest.mark.parametrize("p,n,samples,exhaustive", [(7, 2, 0, True), (3, 3, 0, True),
+                                                   (5, 3, 5, False)])
+def test_theta_enumerates_only_within_budget(p, n, samples, exhaustive):
+    """The theta suite evaluates count * elements character factors when it
+    enumerates: 400 * 5 and 1120 * 5 fit the budget, 19656 * 10 does not."""
+    sp = SymplecticSpace(Fp(p), n)
+    n_elems = len(_core_elements(sp)) + samples
+    rng = np.random.default_rng(0)
+    lags = _some_lagrangians(sp, rng, samples, LAGRANGIAN_CAP, n_elems)
+    if exhaustive:
+        assert lags == sp.all_lagrangians()
+    else:
+        assert len(lags) == 3 + samples
 
 
 def test_determinism_for_fixed_seed():
