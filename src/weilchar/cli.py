@@ -243,8 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-enum", type=int, default=LAGRANGIAN_CAP,
                         help="budget for exhaustive work: table lists the whole group "
                              "when its order fits; verify's theta suite uses every "
-                             "Lagrangian when Lagrangians x elements fits, and its gamma "
-                             "suite sums a form directly when p^dim fits")
+                             "Lagrangian when its character factor evaluations "
+                             "(Lagrangians x elements) fit, at most 20000 whatever the "
+                             "budget, and its gamma suite sums a form directly when "
+                             "p^dim fits")
 
     g = sub.add_parser("gamma", help="normalized Gauss sum and quadratic character")
     g.add_argument("--p", type=int, required=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .characters import AdditiveCharacter
 from .errors import ArityError, DimensionMismatch, InvariantViolation
-from .field import FpMatrix, RowSolver, SquareClass, Subspace
+from .field import FpMatrix, SquareClass, Subspace, _null_rows
 from .quadform import QuadraticSpace, WittInvariants, weil_index, witt_invariants
 from .symplectic import Lagrangian, SpElement
 
@@ -42,8 +42,16 @@ class Orientation:
         self.obasis = ob
 
     @classmethod
+    def _spanning(cls, lag: Lagrangian, obasis: FpMatrix) -> "Orientation":
+        """An orientation whose basis spans lag by construction; no span check."""
+        o = cls.__new__(cls)
+        o.lag = lag
+        o.obasis = obasis
+        return o
+
+    @classmethod
     def default(cls, lag: Lagrangian) -> "Orientation":
-        return cls(lag, lag.sub.basis)
+        return cls._spanning(lag, lag.sub.basis)
 
     @classmethod
     def random(cls, lag: Lagrangian, rng) -> "Orientation":
@@ -57,9 +65,15 @@ class Orientation:
         return cls(lag, (c % field.p) @ lag.sub.basis.a % field.p)
 
     def transform(self, g: SpElement) -> "Orientation":
-        """The image orientation on g(l), transported by g."""
-        moved = (self.obasis.a @ g.mat.a.T) % g.space.field.p
-        return Orientation(self.lag.transform(g), moved)
+        """The image orientation on g(l), transported by g.
+
+        g l is built from the moved basis itself, which therefore spans it.
+        """
+        space = self.lag.space
+        moved = FpMatrix(space.field, self.obasis.a @ g.mat.a.T)
+        return Orientation._spanning(
+            Lagrangian(space, Subspace.from_rows(space.field, space.dim, moved.a)), moved
+        )
 
     def scaled(self, c: int) -> "Orientation":
         b = self.obasis.a.copy()
@@ -70,46 +84,66 @@ class Orientation:
         return f"Orientation(p={self.lag.space.field.p},\n{self.obasis.a})"
 
 
-def _extend_basis(inter: Subspace, lag: Lagrangian) -> np.ndarray:
-    """Rows of lag's basis completing a basis of the intersection."""
-    field = lag.space.field
-    cur = inter
-    out = []
-    for row in lag.sub.basis.a:
-        if not cur.contains(row):
-            out.append(row)
-            cur = cur + Subspace.from_rows(field, lag.space.dim, row[None, :])
-    return np.asarray(out, dtype=np.int64).reshape(-1, lag.space.dim)
+def _extend_basis(c: np.ndarray, lag: Lagrangian) -> np.ndarray:
+    """Rows of lag's basis completing the independent rows c, greedily in order.
+
+    The pivot columns of rref([c; basis]^T) are the first maximal independent
+    set of those rows: every row of c, then each basis row outside the span
+    of the rows before it.
+    """
+    b = lag.sub.basis.a
+    pivots = FpMatrix(lag.space.field, np.vstack([c, b]).T).rref()[1]
+    return b[[i - len(c) for i in pivots[len(c):]]]
 
 
-def orientation_pairing(o1: Orientation, o2: Orientation) -> SquareClass:
+def _orientation_det(o: Orientation, rows: np.ndarray) -> int:
+    """det Y up to squares, for Y the coordinates with Y @ o.obasis = rows.
+
+    With R the rref basis of o's Lagrangian and P its pivots, a member v of
+    the span is v[P] @ R.  So rows = X @ R and obasis = A @ R for X = rows[:, P]
+    and A = obasis[:, P], and det Y = det X / det A, which has the square class
+    of det X * det A.
+    """
+    sub = o.lag.sub
+    field = sub.field
+    both = np.vstack([rows, o.obasis.a])
+    coords = both[:, list(sub.pivots)]
+    if np.any((coords @ sub.basis.a - both) % field.p):
+        raise InvariantViolation("a basis vector lies outside its oriented Lagrangian")
+    k = len(rows)
+    a = coords[k:]
+    # A = I for the default orientation, whose basis is R itself
+    det_a = 1 if np.array_equal(a, np.eye(len(a), dtype=np.int64)) else FpMatrix(field, a).det()
+    if det_a == 0:
+        raise InvariantViolation("an orientation basis does not span its Lagrangian")
+    return FpMatrix(field, coords[:k]).det() * det_a
+
+
+def orientation_pairing(
+    o1: Orientation, o2: Orientation, inter: Subspace | None = None
+) -> SquareClass:
     """The square class pairing two oriented Lagrangians.
 
     Pick a basis c of the intersection and completions d_i inside each l_i.
     The symplectic form pairs the quotients l_1/c and l_2/c perfectly; the
     result is det(form(d1_a, d2_b)) corrected by the determinants relating
     (c, d_i) to the chosen orientation bases.  It scales linearly in each
-    orientation, so it is well defined on volume forms.
+    orientation, so it is well defined on volume forms.  `inter`, when given,
+    is the intersection l_1 ^ l_2 already computed by the caller.
     """
     l1, l2 = o1.lag, o2.lag
     if l1.space != l2.space:
         raise DimensionMismatch("orientations in different spaces")
     space = l1.space
     field = space.field
-    p = field.p
-    inter = l1.sub.intersect(l2.sub)
+    if inter is None:
+        inter = l1.sub.intersect(l2.sub)
     c = inter.basis.a
-    d1 = _extend_basis(inter, l1)
-    d2 = _extend_basis(inter, l2)
-    dets = []
-    for ori, d in ((o1, d1), (o2, d2)):
-        coords, ok = RowSolver(ori.obasis).solve_many(np.vstack([c, d]))
-        if not ok.all():
-            raise InvariantViolation("a basis vector lies outside its oriented Lagrangian")
-        dets.append(FpMatrix(field, coords).det())
-    pair = (d1 @ space.gram.a @ d2.T) % p
-    det_p = FpMatrix(field, pair).det() if len(d1) else 1
-    val = det_p * field.inv(dets[0]) * field.inv(dets[1])
+    d1 = _extend_basis(c, l1)
+    d2 = _extend_basis(c, l2)
+    val = _orientation_det(o1, np.vstack([c, d1])) * _orientation_det(o2, np.vstack([c, d2]))
+    if len(d1):
+        val *= FpMatrix(field, d1 @ space.gram.a @ d2.T).det()
     return SquareClass.of(field, val)
 
 
@@ -124,9 +158,10 @@ def maslov_form(*lags: Lagrangian) -> QuadraticSpace:
     p = field.p
     m, n = len(lags), space.n
     stacked = np.vstack([l.sub.basis.a for l in lags])
-    sol = FpMatrix(field, stacked.T).kernel()  # rows w with w @ stacked = 0
+    # rows w with w @ stacked = 0; any basis will do, as the gram only changes by congruence
+    sol = _null_rows(stacked.T, field)
     # x[r, i]: the i-th component vector w_r,i @ B_i; s[r, i]: the sum of those before it
-    x = np.einsum("rik,ikd->rid", sol.basis.a.reshape(sol.dim, m, n),
+    x = np.einsum("rik,ikd->rid", sol.reshape(len(sol), m, n),
                   stacked.reshape(m, n, space.dim)) % p
     s = (np.cumsum(x, axis=1) - x) % p
     # sum_{a<b} form(x_r,b, x_s,a) = A[r, s]; the polarization adds A[s, r]
@@ -166,14 +201,14 @@ def predicted_rank_disc(orients: Sequence[Orientation]) -> tuple[int, SquareClas
     field = space.field
     m = len(orients)
     subs = [o.lag.sub for o in orients]
-    pair_dims = [subs[i].intersect(subs[(i + 1) % m]).dim for i in range(m)]
+    pair_inters = [subs[i].intersect(subs[(i + 1) % m]) for i in range(m)]
     common = subs[0]
     for s in subs[1:]:
         common = common.intersect(s)
-    rank = ((m - 2) * space.dim) // 2 - sum(pair_dims) + 2 * common.dim
+    rank = ((m - 2) * space.dim) // 2 - sum(x.dim for x in pair_inters) + 2 * common.dim
     disc = SquareClass.of(field, pow(-1, space.n + common.dim, field.p))
     for i in range(m):
-        disc = disc * orientation_pairing(orients[i], orients[(i + 1) % m])
+        disc = disc * orientation_pairing(orients[i], orients[(i + 1) % m], pair_inters[i])
     return rank, disc
 
 
@@ -185,4 +220,4 @@ def edge_factor(char: AdditiveCharacter, o1: Orientation, o2: Orientation) -> co
     """
     inter = o1.lag.sub.intersect(o2.lag.sub)
     k = o1.lag.space.n - inter.dim - 1
-    return char.gamma(1) ** k * char.gamma_class(orientation_pairing(o1, o2))
+    return char.gamma(1) ** k * char.gamma_class(orientation_pairing(o1, o2, inter))

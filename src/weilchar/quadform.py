@@ -4,6 +4,14 @@ A quadratic space is carried by its symmetric gram matrix; the form value at v
 is v @ gram @ v, and psi(half * value) is the phase summed by the Weil index.
 Degenerate grams are allowed everywhere; invariants refer to the nondegenerate
 part obtained by splitting off the radical.
+
+The invariants come from one row reduction.  With I the pivot columns of
+rref(gram) and r = |I|, the principal minor gram[I, I] is nonsingular and
+spans a complement of the radical, so the nondegenerate part has rank r and
+discriminant the class of d = det gram[I, I].  Since gamma is a character of
+the Witt group with gamma(a) = gamma(1) * (a/p) (Lion-Vergne 1980), the Weil
+index is gamma(1)^(r-1) * gamma(d), and 1 when r = 0.  `diagonalize` and
+`diagonal_transform` keep the explicit congruence to a diagonal form.
 """
 
 from __future__ import annotations
@@ -94,12 +102,21 @@ class QuadraticSpace:
         entries += [0] * rad.dim
         return FpMatrix(self.field, rows), entries
 
+    def _rank_det(self) -> tuple[int, int]:
+        """(r, det gram[I, I]) for I the pivot columns of rref(gram); (0, 1) when r = 0.
+
+        For a symmetric gram the columns I span the column space, so no vector
+        of span(e_i : i in I) lies in the radical: gram[I, I] is the
+        nondegenerate part in those coordinates.
+        """
+        pivots = list(self.gram.rref()[1])
+        if not pivots:
+            return 0, 1
+        return len(pivots), FpMatrix(self.field, self.gram.a[np.ix_(pivots, pivots)]).det()
+
     def disc(self) -> SquareClass:
         """Discriminant of the nondegenerate part; class of 1 when rank is 0."""
-        d = 1
-        for e in self.diagonalize():
-            d = (d * e) % self.field.p
-        return SquareClass.of(self.field, d) if self.rank() else SquareClass.unit(self.field)
+        return SquareClass.of(self.field, self._rank_det()[1])
 
     def __add__(self, other: "QuadraticSpace") -> "QuadraticSpace":
         if other.field != self.field:
@@ -166,12 +183,15 @@ def _symmetric_diagonalize(gram: np.ndarray, field: Fp) -> tuple[np.ndarray, np.
     return g, ops
 
 
+def _gamma_of(char: AdditiveCharacter, rank: int, det: int) -> complex:
+    """gamma(1)^(rank-1) * gamma(det): the Weil index of any nondegenerate form
+    of that rank and determinant, multiplicative over a diagonalization."""
+    return char.gamma(1) ** (rank - 1) * char.gamma(det) if rank else 1 + 0j
+
+
 def weil_index(char: AdditiveCharacter, q: QuadraticSpace) -> complex:
-    """gamma(q), multiplicative over a diagonalization of the nondegenerate part."""
-    out = 1 + 0j
-    for e in q.diagonalize():
-        out *= char.gamma(e)
-    return out
+    """gamma(q) from the rank and determinant of the nondegenerate part."""
+    return _gamma_of(char, *q._rank_det())
 
 
 def weil_index_bruteforce(
@@ -229,7 +249,8 @@ class WittInvariants:
 
 
 def witt_invariants(char: AdditiveCharacter, q: QuadraticSpace) -> WittInvariants:
-    return WittInvariants(q.rank(), q.disc(), weil_index(char, q))
+    rank, det = q._rank_det()
+    return WittInvariants(rank, SquareClass.of(q.field, det), _gamma_of(char, rank, det))
 
 
 def hyperbolic_plane(field: Fp) -> QuadraticSpace:

@@ -252,7 +252,7 @@ class SymplecticSpace:
         return self._doubled
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return other is self or (
             isinstance(other, SymplecticSpace)
             and other.field == self.field
             and other.gram == self.gram

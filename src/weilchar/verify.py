@@ -41,6 +41,9 @@ from .schrodinger import check_diagonal_kernel, intertwiner, trace_oracle, weil_
 from .symplectic import LAGRANGIAN_CAP, Lagrangian, SpElement, SymplecticSpace
 
 MAX_REP_DIM = 343  # largest p^n a representation-building suite will touch
+# most character factors (Lagrangians x elements) the theta suite evaluates when
+# it enumerates every Lagrangian
+_THETA_FACTOR_BUDGET = 20_000
 
 SUITE_ORDER = (
     "gamma",
@@ -158,7 +161,7 @@ def _some_lagrangians(
 ) -> list[Lagrangian]:
     """Every Lagrangian when the n_elems * count character factors the theta
     suite then evaluates fit the budget, else the standard three and samples."""
-    if space.lagrangian_count() * n_elems <= min(max_enum, LAGRANGIAN_CAP):
+    if space.lagrangian_count() * n_elems <= min(max_enum, _THETA_FACTOR_BUDGET):
         return list(space.all_lagrangians())
     out = _standard_lagrangians(space)
     for _ in range(max(samples, 3)):

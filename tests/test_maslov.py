@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from weilchar.characters import AdditiveCharacter, approx_eq
-from weilchar.errors import ArityError
-from weilchar.field import Fp, Subspace
+from weilchar.errors import ArityError, InvariantViolation
+from weilchar.field import Fp, FpMatrix, RowSolver, SquareClass, Subspace
 from weilchar.maslov import (
     Orientation,
+    _extend_basis,
     edge_factor,
     maslov_class,
     maslov_form,
@@ -201,3 +202,94 @@ def test_maslov_class_carries_invariants():
     mc = maslov_class(ch, x, y, d)
     assert mc.inv.rank == 1
     assert approx_eq(mc.inv.gamma, maslov_gamma(ch, x, y, d), 1e-10)
+
+
+def extend_basis_by_loop(inter, lag):
+    """Reference: add each basis row of lag that is not yet in the span."""
+    field = lag.space.field
+    cur, out = inter, []
+    for row in lag.sub.basis.a:
+        if not cur.contains(row):
+            out.append(row)
+            cur = cur + Subspace.from_rows(field, lag.space.dim, row[None, :])
+    return np.asarray(out, dtype=np.int64).reshape(-1, lag.space.dim)
+
+
+def pairing_by_solver(o1, o2):
+    """Reference: solve for the coordinates of (c, d_i) in each orientation basis."""
+    space = o1.lag.space
+    field = space.field
+    inter = o1.lag.sub.intersect(o2.lag.sub)
+    c = inter.basis.a
+    d1 = extend_basis_by_loop(inter, o1.lag)
+    d2 = extend_basis_by_loop(inter, o2.lag)
+    dets = []
+    for ori, d in ((o1, d1), (o2, d2)):
+        coords, ok = RowSolver(ori.obasis).solve_many(np.vstack([c, d]))
+        if not ok.all():
+            raise InvariantViolation("a basis vector lies outside its oriented Lagrangian")
+        dets.append(FpMatrix(field, coords).det())
+    pair = (d1 @ space.gram.a @ d2.T) % field.p
+    det_p = FpMatrix(field, pair).det() if len(d1) else 1
+    return SquareClass.of(field, det_p * field.inv(dets[0]) * field.inv(dets[1]))
+
+
+def lagrangian_pairs(sp, rng, count):
+    """Random pairs, equal pairs, and pairs (l, t l) for a transvection t,
+    which meet in the hyperplane of l orthogonal to t's direction."""
+    for _ in range(count):
+        l1 = sp.random_lagrangian(rng)
+        v = rng.integers(0, sp.field.p, sp.dim)
+        yield l1, sp.random_lagrangian(rng)
+        yield l1, l1
+        yield l1, sp.transvection(v).image(l1)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 2), (7, 3)])
+def test_pairing_matches_solver_reference(p, n):
+    ch, sp = setup(p, n)
+    rng = np.random.default_rng(17 * p + n)
+    dims = set()
+    for l1, l2 in lagrangian_pairs(sp, rng, 8):
+        inter = l1.sub.intersect(l2.sub)
+        dims.add(inter.dim)
+        for lag in (l1, l2):
+            assert np.array_equal(_extend_basis(inter.basis.a, lag),
+                                  extend_basis_by_loop(inter, lag))
+        for o1, o2 in ((Orientation.default(l1), Orientation.default(l2)),
+                       (Orientation.random(l1, rng), Orientation.random(l2, rng))):
+            want = pairing_by_solver(o1, o2)
+            assert orientation_pairing(o1, o2) == want
+            assert orientation_pairing(o1, o2, inter) == want
+    assert {0, n} <= dims and len(dims) >= min(n, 2) + 1
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 2), (7, 3)])
+def test_transform_equals_checked_orientation(p, n):
+    ch, sp = setup(p, n)
+    rng = np.random.default_rng(23 * p + n)
+    for _ in range(6):
+        o = Orientation.random(sp.random_lagrangian(rng), rng)
+        g = sp.random_element(rng)
+        moved = (o.obasis.a @ g.mat.a.T) % p
+        want = Orientation(o.lag.transform(g), moved)
+        got = o.transform(g)
+        assert got.lag == want.lag
+        assert got.obasis == want.obasis
+
+
+def test_pairing_rejects_rows_outside_the_lagrangian():
+    ch, sp = setup(5, 2)
+    x, y, _ = standard_three(sp)
+    ox, oy = Orientation.default(x), Orientation.default(y)
+    # a claimed intersection that does not lie in x
+    outside = Subspace.from_rows(sp.field, sp.dim, y.sub.basis.a[:1])
+    with pytest.raises(InvariantViolation):
+        orientation_pairing(ox, oy, outside)
+    # an orientation whose basis leaves its Lagrangian, built without the span check
+    bad = Orientation._spanning(x, FpMatrix(sp.field, np.vstack([x.sub.basis.a[:1],
+                                                                y.sub.basis.a[:1]])))
+    with pytest.raises(InvariantViolation):
+        orientation_pairing(bad, oy)
+    with pytest.raises(InvariantViolation):
+        pairing_by_solver(bad, oy)

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weilchar.characters import AdditiveCharacter, approx_eq
 from weilchar.errors import EnumerationTooLarge
-from weilchar.field import Fp, FpMatrix
+from weilchar.field import Fp, FpMatrix, SquareClass
 from weilchar.quadform import (
     QuadraticSpace,
     WittInvariants,
@@ -177,3 +179,40 @@ def test_nondegenerate_part_preserves_index():
         assert nd.rank() == q.rank()
         assert approx_eq(weil_index(ch, q), weil_index(ch, nd), 1e-10)
         assert q.disc() == nd.disc()
+
+
+@st.composite
+def symmetric_grams(draw):
+    """(p, gram) with gram = B^T (S + S^T) B for a k x k matrix S and a k x dim
+    matrix B, so its rank is at most k: degenerate grams come up often."""
+    p = draw(st.sampled_from((3, 5, 7, 11)))
+    dim = draw(st.integers(0, 6))
+    k = draw(st.integers(0, dim))
+    entries = st.lists(st.integers(0, p - 1), min_size=k * (k + dim), max_size=k * (k + dim))
+    flat = np.array(draw(entries), dtype=np.int64)
+    s = flat[: k * k].reshape(k, k)
+    b = flat[k * k :].reshape(k, dim)
+    return p, (b.T @ (s + s.T) @ b) % p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(symmetric_grams())
+def test_witt_data_from_minor_equals_diagonalization(case):
+    """Rank, disc and gamma from det gram[I, I] equal those of the diagonal
+    form that `diagonalize` finds, and the Weil index equals the direct sum."""
+    p, gram = case
+    f = Fp(p)
+    ch = AdditiveCharacter(f)
+    q = QuadraticSpace(f, gram)
+    entries = q.diagonalize()
+    det, want = 1, 1 + 0j
+    for e in entries:
+        det = det * e % p
+        want *= ch.gamma(e)
+    inv = witt_invariants(ch, q)
+    assert inv.rank == len(entries) == q.rank()
+    assert inv.disc == q.disc() == SquareClass.of(f, det)
+    assert abs(inv.gamma - want) <= 1e-12
+    assert abs(weil_index(ch, q) - want) <= 1e-12
+    if p ** q.dim <= 10**4:
+        assert abs(weil_index_bruteforce(ch, q) - want) <= 1e-9

@@ -56,10 +56,11 @@ def test_samples_zero_still_checks_structural_cores():
 
 
 @pytest.mark.parametrize("p,n,samples,exhaustive", [(7, 2, 0, True), (3, 3, 0, True),
-                                                   (5, 3, 5, False)])
+                                                   (5, 3, 5, False), (5, 3, 0, False)])
 def test_theta_enumerates_only_within_budget(p, n, samples, exhaustive):
     """The theta suite evaluates count * elements character factors when it
-    enumerates: 400 * 5 and 1120 * 5 fit the budget, 19656 * 10 does not."""
+    enumerates: 400 * 5 and 1120 * 5 fit the factor budget, 19656 * 10 and
+    19656 * 5 do not, although the latter fits LAGRANGIAN_CAP."""
     sp = SymplecticSpace(Fp(p), n)
     n_elems = len(_core_elements(sp)) + samples
     rng = np.random.default_rng(0)
@@ -67,7 +68,7 @@ def test_theta_enumerates_only_within_budget(p, n, samples, exhaustive):
     if exhaustive:
         assert lags == sp.all_lagrangians()
     else:
-        assert len(lags) == 3 + samples
+        assert len(lags) == 3 + max(samples, 3)
 
 
 def test_determinism_for_fixed_seed():
