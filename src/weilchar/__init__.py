@@ -41,6 +41,7 @@ from .metaplectic import (
     MpElement,
     character_factor,
     character_factor_doubled,
+    character_factors,
     embed_doubled,
     mp_cocycle,
     mp_identity,
@@ -103,6 +104,7 @@ __all__ = [
     "approx_eq",
     "character_factor",
     "character_factor_doubled",
+    "character_factors",
     "check_diagonal_kernel",
     "check_inverse_identity",
     "check_kernel_dims",

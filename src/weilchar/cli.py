@@ -68,6 +68,13 @@ def _check_oracle_rows(p: int, n: int) -> None:
         )
 
 
+def _check_sampling(args) -> None:
+    """--samples and --max-enum count work to do; a negative count is bad input."""
+    for flag, value in (("--samples", args.samples), ("--max-enum", args.max_enum)):
+        if value < 0:
+            raise InputError(f"{flag} must be >= 0, got {value}")
+
+
 def _emit(args, text_lines, json_obj, csv_rows=None, csv_header=None) -> None:
     fmt = getattr(args, "format", "text")
     if fmt == "json":
@@ -159,6 +166,7 @@ def _table_rows(args, char, space):
 
 
 def cmd_table(args) -> int:
+    _check_sampling(args)
     field, char = _field_and_char(args.p, args.psi_scale)
     space = SymplecticSpace(field, args.n)
     header = ["g", "dim_ker", "det_sigma_class", "trace_re", "trace_im", "formula_used"]
@@ -180,6 +188,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_sampling(args)
     ps = _parse_ints(args.p)
     ns = _parse_ints(args.n)
     if not ps or not ns:

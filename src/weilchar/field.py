@@ -269,6 +269,53 @@ def _eliminate(a: np.ndarray, field: Fp, track: bool = False):
     return work, tuple(pivots), None, det
 
 
+def _eliminate_many(stack: np.ndarray, field: Fp):
+    """`_eliminate` for every matrix of a (B, r, c) stack, in one pivot loop.
+
+    Returns (reduced, pivots, ranks, dets): the (B, r, c) reduced row echelon
+    forms, a (B, c) mask of their pivot columns, and per matrix its rank and
+    determinant (0 unless square of full rank).  Each matrix takes the pivot
+    `_eliminate` takes, its first nonzero entry at or below its own current
+    row, so every output equals the single loop's bit for bit; the Python
+    loop runs once per column for the whole stack.
+    """
+    p = field.p
+    work = np.array(stack, dtype=np.int64) % p
+    nb, nrows, ncols = work.shape
+    row = np.zeros(nb, dtype=np.int64)
+    det = np.ones(nb, dtype=np.int64)
+    pivots = np.zeros((nb, ncols), dtype=bool)
+    inv = np.array([0] + [field.inv(a) for a in range(1, p)], dtype=np.int64)
+    below = np.arange(nrows)
+    for c in range(ncols):
+        cand = (work[:, :, c] != 0) & (below >= row[:, None])
+        has = cand.any(axis=1)
+        b = np.flatnonzero(has)
+        if b.size == 0:
+            continue
+        r = row[b]
+        pr = cand[b].argmax(axis=1)
+        top = work[b, pr]
+        work[b, pr] = work[b, r]
+        piv = top[:, c]
+        det[b] = np.where(pr != r, -det[b], det[b]) * piv % p
+        top = top * inv[piv][:, None] % p
+        work[b, r] = top
+        # clear column c in every other row; matrices without a pivot here stay.
+        # A pivot row is zero left of its pivot, so only columns c.. change.
+        col = work[:, :, c] * has[:, None]
+        col[b, r] = 0
+        tops = np.zeros((nb, ncols - c), dtype=np.int64)
+        tops[b] = top[:, c:]
+        rest = work[:, :, c:]
+        rest -= col[:, :, None] * tops[:, None, :]
+        rest %= p
+        pivots[b, c] = True
+        row[b] += 1
+    det[(row != nrows) | (nrows != ncols)] = 0
+    return work, pivots, row, det
+
+
 def _null_rows(a: np.ndarray, field: Fp) -> np.ndarray:
     """A basis of {x : a x = 0} as rows, one per free column, not yet reduced."""
     red, pivots, _, _ = _eliminate(a, field)
@@ -278,6 +325,24 @@ def _null_rows(a: np.ndarray, field: Fp) -> np.ndarray:
     rows[np.arange(len(free)), free] = 1
     rows[:, list(pivots)] = (-red[: len(pivots), free].T) % field.p
     return rows
+
+
+def _null_rows_many(stack: np.ndarray, field: Fp) -> np.ndarray:
+    """`_null_rows` for every matrix of a (B, r, c) stack, padded to (B, c, c).
+
+    For red the rref of a matrix and S the (r, c) selector of its pivot
+    entries, row j of I - red^T S is the null row `_null_rows` gives for a
+    free column j, and zero for a pivot column j, because the pivot columns
+    of an rref are unit vectors.  So the rows are that basis in column order,
+    padded with zero rows.
+    """
+    red, pivots, _, _ = _eliminate_many(stack, field)
+    nb, _, ncols = red.shape
+    rows = np.tile(np.eye(ncols, dtype=np.int64), (nb, 1, 1))
+    b, k = np.nonzero(pivots)
+    # the pivot of column k sits in row (number of pivots up to k) - 1
+    rows[b, :, k] -= red[b, np.cumsum(pivots, axis=1)[b, k] - 1]
+    return rows % field.p
 
 
 class RowSolver:

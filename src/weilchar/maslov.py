@@ -21,9 +21,15 @@ import numpy as np
 
 from .characters import AdditiveCharacter
 from .errors import ArityError, DimensionMismatch, InvariantViolation
-from .field import FpMatrix, SquareClass, Subspace, _null_rows
-from .quadform import QuadraticSpace, WittInvariants, weil_index, witt_invariants
-from .symplectic import Lagrangian, SpElement
+from .field import Fp, FpMatrix, SquareClass, Subspace, _null_rows, _null_rows_many
+from .quadform import (
+    QuadraticSpace,
+    WittInvariants,
+    _weil_indices,
+    weil_index,
+    witt_invariants,
+)
+from .symplectic import Lagrangian, SpElement, SymplecticSpace
 
 
 class Orientation:
@@ -154,20 +160,50 @@ def maslov_form(*lags: Lagrangian) -> QuadraticSpace:
     space = lags[0].space
     if any(l.space != space for l in lags):
         raise DimensionMismatch("Lagrangians live in different spaces")
+    return _bases_form(space, [l.sub.basis.a for l in lags])
+
+
+def _bases_form(space: SymplecticSpace, bases: Sequence[np.ndarray]) -> QuadraticSpace:
+    """`maslov_form` of the Lagrangians spanned by the given bases, any bases."""
     field = space.field
-    p = field.p
-    m, n = len(lags), space.n
-    stacked = np.vstack([l.sub.basis.a for l in lags])
+    stacked = np.vstack(bases)
     # rows w with w @ stacked = 0; any basis will do, as the gram only changes by congruence
     sol = _null_rows(stacked.T, field)
-    # x[r, i]: the i-th component vector w_r,i @ B_i; s[r, i]: the sum of those before it
-    x = np.einsum("rik,ikd->rid", sol.reshape(len(sol), m, n),
-                  stacked.reshape(m, n, space.dim)) % p
-    s = (np.cumsum(x, axis=1) - x) % p
+    gram = _polygon_grams(sol[None], stacked.reshape(1, len(bases), space.n, space.dim),
+                          space.gram.a, field)
+    return QuadraticSpace(field, gram[0])
+
+
+def _polygon_grams(sol: np.ndarray, bases: np.ndarray, form: np.ndarray, field: Fp) -> np.ndarray:
+    """The (B, R, R) grams of the polygon forms of a stack of tuples.
+
+    bases is (B, m, k, d): tuple b is the Lagrangians spanned by bases[b, i];
+    sol is (B, R, m k): rows w with w @ bases[b].reshape(m k, d) = 0, which
+    may include zero rows.  `form` is the symplectic gram.
+    """
+    p = field.p
+    nb, m, k, d = bases.shape
+    r = sol.shape[1]
+    # x[b, r, i]: the i-th component vector w_r,i @ B_i; s[b, r, i]: the sum of those before it
+    x = np.einsum("zrik,zikd->zrid", sol.reshape(nb, r, m, k), bases) % p
+    s = (np.cumsum(x, axis=2) - x) % p
     # sum_{a<b} form(x_r,b, x_s,a) = A[r, s]; the polarization adds A[s, r]
-    a = np.einsum("rbi,ij,sbj->rs", x, space.gram.a, s)
-    gram = (field.half * (a + a.T)) % p
-    return QuadraticSpace(field, gram)
+    a = (x @ form).reshape(nb, r, m * d) @ s.reshape(nb, r, m * d).transpose(0, 2, 1)
+    return (field.half * (a + a.transpose(0, 2, 1))) % p
+
+
+def _maslov_gammas(
+    char: AdditiveCharacter, space: SymplecticSpace, bases: np.ndarray
+) -> list[complex]:
+    """`maslov_gamma` of every tuple of a (B, m, k, d) stack of Lagrangian bases.
+
+    The null rows, the grams and their Weil indices come from stacked
+    eliminations, padded to one shape; the values equal those of
+    `maslov_gamma` on the same bases bit for bit.
+    """
+    nb, m, k, d = bases.shape
+    sol = _null_rows_many(bases.reshape(nb, m * k, d).transpose(0, 2, 1), space.field)
+    return _weil_indices(char, _polygon_grams(sol, bases, space.gram.a, space.field))
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,12 +9,15 @@ orientation pairing of (g l, l); its sign flip gives the other lift of g.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .characters import AdditiveCharacter, approx_eq
 from .errors import DimensionMismatch
 from .field import FpMatrix
-from .maslov import Orientation, edge_factor, maslov_gamma
+from .maslov import Orientation, _bases_form, _maslov_gammas, edge_factor, maslov_gamma
+from .quadform import weil_index
 from .symplectic import Lagrangian, SpElement, SymplecticSpace, diagonal_lagrangian
 
 
@@ -48,13 +51,25 @@ class MpElement:
     def space(self) -> SymplecticSpace:
         return self.g.space
 
-    def value_at(self, l: Lagrangian) -> complex:
-        """t(l) = gamma(tau(base, g base, g l, l)) * t0."""
-        if l == self.base:
-            return self.t0
+    def _moved_base(self) -> Lagrangian:
+        """g base, built once."""
         if self._gbase is None:
             self._gbase = self.g.image(self.base)
-        return maslov_gamma(self.char, self.base, self._gbase, self.g.image(l), l) * self.t0
+        return self._gbase
+
+    def value_at(self, l: Lagrangian) -> complex:
+        """t(l) = gamma(tau(base, g base, g l, l)) * t0.
+
+        The form takes the moved basis of l as the basis of g l, with no rref.
+        """
+        if l == self.base:
+            return self.t0
+        if l.space != self.space:
+            raise DimensionMismatch("Lagrangian not in g's space")
+        b = l.sub.basis.a
+        moved = (b @ self.g.mat.a.T) % self.space.field.p
+        bases = [self.base.sub.basis.a, self._moved_base().sub.basis.a, moved, b]
+        return weil_index(self.char, _bases_form(self.space, bases)) * self.t0
 
     def rebased(self, new_base: Lagrangian) -> "MpElement":
         return MpElement(self.char, self.g, new_base, self.value_at(new_base))
@@ -126,6 +141,38 @@ def character_factor(e: MpElement, l: Lagrangian | None = None) -> complex:
         l = e.base
     gamma = maslov_gamma(e.char, e.g.graph(), diagonal_lagrangian(e.space), l.doubled())
     return e.value_at(l) * gamma
+
+
+def character_factors(e: MpElement, lags: Sequence[Lagrangian]) -> np.ndarray:
+    """`character_factor(e, l)` for every l of lags, each equal to it (`==`).
+
+    The (graph, diagonal, l + l) and (base, g base, g l, l) forms of all the
+    Lagrangians are each built, reduced and evaluated as one stack.
+    """
+    space = e.space
+    if any(l.space != space for l in lags):
+        raise DimensionMismatch("Lagrangian not in g's space")
+    if not lags:
+        return np.zeros(0, dtype=complex)
+    p = space.field.p
+    n, d = space.n, space.dim
+    b = np.stack([l.sub.basis.a for l in lags])
+    nb = len(b)
+    # l + l: the rows (b, 0) and (0, b) are in rref because b is
+    ll = np.zeros((nb, 1, d, 2 * d), dtype=np.int64)
+    ll[:, 0, :n, :d] = b
+    ll[:, 0, n:, d:] = b
+    fixed = np.stack([e.g.graph().sub.basis.a, diagonal_lagrangian(space).sub.basis.a])
+    doubled = np.concatenate([np.broadcast_to(fixed, (nb, 2, d, 2 * d)), ll], axis=1)
+    gammas = _maslov_gammas(e.char, space.doubled(), doubled)
+    ends = np.stack([e.base.sub.basis.a, e._moved_base().sub.basis.a])
+    four = np.concatenate([np.broadcast_to(ends, (nb, 2, n, d)),
+                           ((b @ e.g.mat.a.T) % p)[:, None], b[:, None]], axis=1)
+    # At l = base the form of (base, g base, g base, base) is zero, since
+    # q = form(x2 + x3, x1 - x4) = -form(x1 + x4, x1 - x4) = 0 on x1, x4 in base;
+    # its index is exactly 1 + 0j, so t(base) = t0 needs no special case.
+    moves = _maslov_gammas(e.char, space, four)
+    return np.array([t * e.t0 * gamma for t, gamma in zip(moves, gammas)])
 
 
 def character_factor_doubled(e: MpElement) -> complex:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .characters import AdditiveCharacter, approx_eq
 from .errors import DimensionMismatch, EnumerationTooLarge
-from .field import Fp, FpMatrix, SquareClass, Subspace
+from .field import Fp, FpMatrix, SquareClass, Subspace, _eliminate_many
 
 BRUTE_CAP = 10**6
 
@@ -192,6 +192,21 @@ def _gamma_of(char: AdditiveCharacter, rank: int, det: int) -> complex:
 def weil_index(char: AdditiveCharacter, q: QuadraticSpace) -> complex:
     """gamma(q) from the rank and determinant of the nondegenerate part."""
     return _gamma_of(char, *q._rank_det())
+
+
+def _weil_indices(char: AdditiveCharacter, grams: np.ndarray) -> list[complex]:
+    """`weil_index` of every form of a (B, r, r) stack of symmetric grams.
+
+    One stacked elimination gives each rank and pivot set I; a second, of the
+    grams with every entry outside I x I replaced by the identity's, gives
+    det gram[I, I].  Zero rows and columns in a gram only enlarge its radical.
+    """
+    field = char.field
+    _, pivots, ranks, _ = _eliminate_many(grams, field)
+    eye = np.eye(grams.shape[1], dtype=np.int64)
+    minors = np.where(pivots[:, :, None] & pivots[:, None, :], grams, eye)
+    dets = _eliminate_many(minors, field)[3]
+    return [_gamma_of(char, int(r), int(d)) for r, d in zip(ranks, dets)]
 
 
 def weil_index_bruteforce(

@@ -32,6 +32,7 @@ from .maslov import Orientation, edge_factor, maslov_form, maslov_gamma, predict
 from .metaplectic import (
     character_factor,
     character_factor_doubled,
+    character_factors,
     mp_cocycle,
     split_lift,
     split_value,
@@ -310,10 +311,10 @@ def _suite_theta(char, space, rng, samples, max_enum, cocycle) -> _Tally:
     lags = _some_lagrangians(space, rng, samples, max_enum, len(elems))
     for g in elems:
         e = split_lift(char, g)
-        vals = np.array([character_factor(e, l) for l in lags])
-        err = float(np.max(np.abs(vals - vals[0])))
+        one = character_factor(e, lags[0])
+        err = float(np.max(np.abs(character_factors(e, lags) - one)))
         t.add(err, 1e-8, kind="theta-constancy", g=_mat_list(g))
-        err2 = abs(vals[0] - character_factor_doubled(e))
+        err2 = abs(one - character_factor_doubled(e))
         t.add(err2, 1e-8, kind="theta-doubled", g=_mat_list(g))
     return t
 

@@ -268,6 +268,20 @@ def test_bad_field_input_exits_2(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--p", "3", "--samples", "-2"),
+    ("verify", "--p", "3", "--max-enum", "-1"),
+    ("verify", "--p", "3", "--samples", "-2", "--max-enum", "-1"),
+    ("table", "--p", "97", "--n", "2", "--samples", "-3"),
+    ("table", "--p", "3", "--max-enum", "-1"),
+])
+def test_negative_sampling_counts_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "must be >= 0" in err
+
+
 @pytest.mark.parametrize("fault", [ValueError, InvariantViolation])
 def test_library_fault_exits_3(capsys, monkeypatch, fault):
     def broken(*args, **kwargs):

@@ -1,11 +1,21 @@
 """Property tests for the F_p elimination kernel behind rref, det, inv, kernel,
-RowSolver and Subspace.intersect, on small random matrices."""
+RowSolver and Subspace.intersect, on small random matrices, and for its
+stacked form against a per-matrix loop."""
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weilchar.field import Fp, FpMatrix, RowSolver, Subspace
+from weilchar.field import (
+    Fp,
+    FpMatrix,
+    RowSolver,
+    Subspace,
+    _eliminate,
+    _eliminate_many,
+    _null_rows,
+    _null_rows_many,
+)
 
 PROPS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -103,3 +113,43 @@ def test_intersect_matches_brute_force(pair):
     brute = {tuple(v) for v in u.vectors().tolist()} & {tuple(v) for v in w.vectors().tolist()}
     assert {tuple(v) for v in both.vectors().tolist()} == brute
     assert both == w.intersect(u)
+
+
+@st.composite
+def stacks(draw):
+    """(field, (B, r, c) stack) with p in {3, 5, 7, 97}, B in {0, 1, 6} and
+    wide, tall and square shapes up to 5 x 5.  Matrix i is L_i @ R_i with
+    inner dimension k_i <= 5, so k_i = 0 gives an all-zero matrix and
+    k_i < min(r, c) a rank-deficient one."""
+    p = draw(st.sampled_from([3, 5, 7, 97]))
+    nb = draw(st.sampled_from([0, 1, 6]))
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    out = np.zeros((nb, rows, cols), dtype=np.int64)
+    for i in range(nb):
+        k = draw(st.integers(0, 5))
+        ent = draw(st.lists(st.integers(0, p - 1), min_size=k * (rows + cols),
+                            max_size=k * (rows + cols)))
+        lr = np.array(ent, dtype=np.int64)
+        out[i] = lr[: rows * k].reshape(rows, k) @ lr[rows * k :].reshape(k, cols) % p
+    return Fp(p), out
+
+
+@PROPS
+@given(stacks())
+def test_eliminate_many_equals_the_single_loop(fs):
+    field, stack = fs
+    nb, rows, cols = stack.shape
+    red, pivots, ranks, dets = _eliminate_many(stack, field)
+    assert red.shape == stack.shape and pivots.shape == (nb, cols)
+    assert ranks.shape == dets.shape == (nb,)
+    null = _null_rows_many(stack, field)
+    assert null.shape == (nb, cols, cols)
+    for i, a in enumerate(stack):
+        one_red, one_piv, _, one_det = _eliminate(a, field)
+        assert np.array_equal(red[i], one_red)
+        assert tuple(np.flatnonzero(pivots[i])) == one_piv
+        assert ranks[i] == len(one_piv)
+        assert dets[i] == one_det
+        free = [c for c in range(cols) if c not in one_piv]
+        assert np.array_equal(null[i][free], _null_rows(a, field))
+        assert not null[i][list(one_piv)].any()

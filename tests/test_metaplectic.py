@@ -10,6 +10,7 @@ from weilchar.metaplectic import (
     MpElement,
     character_factor,
     character_factor_doubled,
+    character_factors,
     embed_doubled,
     mp_cocycle,
     mp_identity,
@@ -17,6 +18,7 @@ from weilchar.metaplectic import (
     split_value,
 )
 from weilchar.symplectic import Lagrangian, SymplecticSpace
+from weilchar.verify import _core_elements
 
 
 def setup(p, n):
@@ -186,6 +188,24 @@ def test_theta_values_equal_rebuilt_reference():
             assert [character_factor(e, l) for l in lags] == [
                 rebuilt_character_factor(e, l) for l in lags
             ]
+
+
+@pytest.mark.parametrize("p,n,scale", [(3, 1, 1), (11, 1, 1), (3, 2, 1), (5, 2, 1), (5, 1, 2),
+                                       (3, 2, 2)])
+def test_stacked_character_factors_equal_single_calls(p, n, scale):
+    f = Fp(p)
+    ch, sp = AdditiveCharacter(f, scale), SymplecticSpace(f, n)
+    rng = np.random.default_rng(13 * p + n)
+    lags = sp.all_lagrangians()
+    elems = [split_lift(ch, g, sign=s) for g in _core_elements(sp) for s in (1, -1)]
+    elems += [split_lift(ch, sp.random_element(rng), sign=s) for s in (1, -1)]
+    # anchored off the standard Lagrangian, at a Lagrangian in the middle of the list
+    elems.append(split_lift(ch, sp.random_element(rng)).rebased(lags[len(lags) // 2]))
+    for e in elems:
+        assert character_factors(e, lags).tolist() == [character_factor(e, l) for l in lags]
+    assert character_factors(elems[0], []).shape == (0,)
+    with pytest.raises(ValueError):
+        character_factors(elems[0], [SymplecticSpace(f, n + 1).standard_lagrangian()])
 
 
 def test_theta_doubled_route_agrees():
