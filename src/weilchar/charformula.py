@@ -1,12 +1,20 @@
 """Closed-form character values and the diagonal support form of (g, l).
 
 The trace of the Weil operator of a lifted g has two closed forms: one through
-the discriminant of the displacement pairing of g, one through the Maslov
-index of (graph(g), diagonal, l + l) in the doubled space.  Both carry
-p^(k/2), k = dim ker(g - 1); a caller that needs both takes k from one
+the discriminant of the displacement pairing form((g-1)v, w) of g, one through
+the Maslov index of (graph(g), diagonal, l + l) in the doubled space.  Both
+carry p^(k/2), k = dim ker(g - 1); a caller that needs both takes k from one
 `closed_form_data` call and passes it to `_factor_trace`, which
 `trace_from_factor` also evaluates.  Both are checked against the brute-force
 operator trace elsewhere.
+
+The displacement pairing is not symmetric unless (g-1)^2 = 0, but its gram
+G = (g-1)^T J has ker(g-1) as both its left and its right radical.  So with I
+the pivot columns of rref(G), the minor G[I, I] is the pairing on a complement
+of ker(g-1): k = dim V - |I|, and det G[I, I] has the class of the
+discriminant.  `closed_form_data` takes both from two eliminations, and
+`closed_form_data_many` from two stacked eliminations of a whole stack of
+elements; `symplectic.displacement_disc` keeps the complement route.
 
 The diagonal support form (S_hat, q) describes where the diagonal of the
 operator kernel is supported in V/l and which phases appear there; its dual
@@ -24,14 +32,14 @@ import numpy as np
 
 from .characters import AdditiveCharacter, approx_eq
 from .errors import InvariantViolation, SingularGMinusOne
-from .field import FpMatrix, RowSolver, SquareClass, Subspace
+from .field import FpMatrix, RowSolver, SquareClass, Subspace, _rank_det, _rank_dets_many
 from .maslov import Orientation, maslov_class, orientation_pairing
 from .metaplectic import MpElement, character_factor
 from .quadform import QuadraticSpace, witt_invariants
 from .symplectic import (
     Lagrangian,
     SpElement,
-    _displacement_disc,
+    SymplecticSpace,
     diagonal_lagrangian,
     displacement_disc,
     kernel_of_displacement,
@@ -121,13 +129,41 @@ def diagonal_form(g: SpElement, l: Lagrangian) -> DiagonalForm:
     )
 
 
-def closed_form_data(char: AdditiveCharacter, g: SpElement) -> tuple[int, SquareClass, complex]:
-    """(dim ker(g-1), displacement disc, closed-form trace) from one kernel."""
-    ker = kernel_of_displacement(g)
-    disc = _displacement_disc(g, ker)
-    k = ker.dim
-    d = g.space.dim
+def _displacement_grams(mats: np.ndarray, gram: np.ndarray, p: int) -> np.ndarray:
+    """(g - 1)^T J for each g of a (..., d, d) array: entry (i, j) is form((g-1)e_i, e_j)."""
+    return (np.swapaxes(mats, -1, -2) - np.eye(gram.shape[0], dtype=np.int64)) @ gram % p
+
+
+def _closed_form(
+    char: AdditiveCharacter, d: int, r: int, det: int
+) -> tuple[int, SquareClass, complex]:
+    """(k, disc, trace) from the rank r and pivot-minor det of the displacement gram."""
+    k = d - r
+    disc = SquareClass.of(char.field, det)
     return k, disc, math.sqrt(char.p) ** k * char.gamma(1) ** (d - k - 1) * char.gamma_class(disc)
+
+
+def closed_form_data(char: AdditiveCharacter, g: SpElement) -> tuple[int, SquareClass, complex]:
+    """(dim ker(g-1), displacement disc, closed-form trace) from two eliminations."""
+    space = g.space
+    gram = _displacement_grams(g.mat.a, space.gram.a, char.p)
+    return _closed_form(char, space.dim, *_rank_det(gram, char.field))
+
+
+def closed_form_data_many(
+    char: AdditiveCharacter, space: SymplecticSpace, mats: np.ndarray
+) -> list[tuple[int, SquareClass, complex]]:
+    """`closed_form_data` for every element of Sp(space) in a (B, d, d) stack.
+
+    Two stacked eliminations serve the whole stack, and each tuple equals the
+    single route's under `==`; the tail is evaluated once per distinct
+    (rank, det) pair.
+    """
+    grams = _displacement_grams(np.asarray(mats, dtype=np.int64), space.gram.a, char.p)
+    ranks, dets = _rank_dets_many(grams, char.field)
+    keys = list(zip(ranks.tolist(), dets.tolist()))
+    data = {key: _closed_form(char, space.dim, *key) for key in set(keys)}
+    return [data[key] for key in keys]
 
 
 def trace_closed_form(char: AdditiveCharacter, g: SpElement) -> complex:

@@ -20,7 +20,7 @@ import traceback
 import numpy as np
 
 from .characters import AdditiveCharacter, approx_eq
-from .charformula import _factor_trace, closed_form_data
+from .charformula import _factor_trace, closed_form_data, closed_form_data_many
 from .errors import DimensionMismatch, EnumerationTooLarge, ZeroFormClass
 from .field import Fp
 from .metaplectic import split_lift
@@ -159,8 +159,9 @@ def _table_rows(args, char, space):
     else:
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, args.p, args.n]))
         elems = [space.random_element(rng) for _ in range(args.samples)]
-    for g in elems:
-        k, disc, tr = closed_form_data(char, g)
+    d = space.dim
+    mats = np.array([g.mat.a for g in elems], dtype=np.int64).reshape(-1, d, d)
+    for g, (k, disc, tr) in zip(elems, closed_form_data_many(char, space, mats)):
         used = "closed-singular" if k else "closed"
         yield g, k, disc, tr, used
 
@@ -169,21 +170,30 @@ def cmd_table(args) -> int:
     _check_sampling(args)
     field, char = _field_and_char(args.p, args.psi_scale)
     space = SymplecticSpace(field, args.n)
+    table = _table_rows(args, char, space)
+    if args.format == "json":
+        json_rows = [
+            {
+                "g": g.mat.a.tolist(),
+                "dim_ker": k,
+                "det_sigma_class": disc.as_dict(),
+                "trace": as_json_complex(tr),
+                "formula_used": used,
+            }
+            for g, k, disc, tr, used in table
+        ]
+        _emit(args, [], json_rows)
+        return 0
     header = ["g", "dim_ker", "det_sigma_class", "trace_re", "trace_im", "formula_used"]
-    rows = []
-    json_rows = []
-    for g, k, disc, tr, used in _table_rows(args, char, space):
-        flat = " ".join(str(x) for x in g.mat.a.reshape(-1))
-        rows.append([flat, k, disc.rep, f"{tr.real:.12g}", f"{tr.imag:.12g}", used])
-        json_rows.append({
-            "g": g.mat.a.tolist(),
-            "dim_ker": k,
-            "det_sigma_class": disc.as_dict(),
-            "trace": as_json_complex(tr),
-            "formula_used": used,
-        })
-    text = [",".join(header)] + [",".join(str(c) for c in r) for r in rows]
-    _emit(args, text, json_rows, csv_rows=rows, csv_header=header)
+    rows = [
+        [" ".join(str(x) for x in g.mat.a.reshape(-1)), k, disc.rep,
+         f"{tr.real:.12g}", f"{tr.imag:.12g}", used]
+        for g, k, disc, tr, used in table
+    ]
+    if args.format == "text":
+        _emit(args, [",".join(header)] + [",".join(str(c) for c in r) for r in rows], None)
+    else:
+        _emit(args, [], None, csv_rows=rows, csv_header=header)
     return 0
 
 

@@ -316,6 +316,36 @@ def _eliminate_many(stack: np.ndarray, field: Fp):
     return work, pivots, row, det
 
 
+def _rank_det(a: np.ndarray, field: Fp) -> tuple[int, int]:
+    """(r, det a[I, I]) for I the pivot columns of rref(a); (0, 1) when r = 0.
+
+    The columns I of a square a span its column space, so span(e_i : i in I)
+    has dimension r and meets the right radical {w : a w = 0} only in 0.
+    When the left radical {v : v a = 0} is that same subspace, as for a
+    symmetric gram or the displacement gram (g - 1)^T J of a symplectic g,
+    a is a nondegenerate pairing on V / radical and a[I, I] is that pairing
+    on the complement span(e_i : i in I): nonsingular, and its determinant
+    changes by a square under a change of complement.
+    """
+    pivots = list(_eliminate(a, field)[1])
+    if not pivots:
+        return 0, 1
+    return len(pivots), _eliminate(a[np.ix_(pivots, pivots)], field)[3]
+
+
+def _rank_dets_many(stack: np.ndarray, field: Fp) -> tuple[np.ndarray, np.ndarray]:
+    """`_rank_det` for every matrix of a (B, r, r) stack: (ranks, dets).
+
+    One stacked elimination gives each rank and pivot set I; a second, of the
+    stack with every entry outside I x I replaced by the identity's, gives
+    det a[I, I], which is 1 when r = 0.
+    """
+    _, pivots, ranks, _ = _eliminate_many(stack, field)
+    eye = np.eye(stack.shape[1], dtype=np.int64)
+    minors = np.where(pivots[:, :, None] & pivots[:, None, :], stack, eye)
+    return ranks, _eliminate_many(minors, field)[3]
+
+
 def _null_rows(a: np.ndarray, field: Fp) -> np.ndarray:
     """A basis of {x : a x = 0} as rows, one per free column, not yet reduced."""
     red, pivots, _, _ = _eliminate(a, field)

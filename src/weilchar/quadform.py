@@ -10,7 +10,8 @@ rref(gram) and r = |I|, the principal minor gram[I, I] is nonsingular and
 spans a complement of the radical, so the nondegenerate part has rank r and
 discriminant the class of d = det gram[I, I].  Since gamma is a character of
 the Witt group with gamma(a) = gamma(1) * (a/p) (Lion-Vergne 1980), the Weil
-index is gamma(1)^(r-1) * gamma(d), and 1 when r = 0.  `diagonalize` and
+index is gamma(1)^(r-1) * gamma(d), and 1 when r = 0; gamma(d) is read at the
+class representative of d, so congruent forms give one float.  `diagonalize` and
 `diagonal_transform` keep the explicit congruence to a diagonal form.
 """
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .characters import AdditiveCharacter, approx_eq
 from .errors import DimensionMismatch, EnumerationTooLarge
-from .field import Fp, FpMatrix, SquareClass, Subspace, _eliminate_many
+from .field import Fp, FpMatrix, SquareClass, Subspace, _rank_det, _rank_dets_many
 
 BRUTE_CAP = 10**6
 
@@ -103,16 +104,8 @@ class QuadraticSpace:
         return FpMatrix(self.field, rows), entries
 
     def _rank_det(self) -> tuple[int, int]:
-        """(r, det gram[I, I]) for I the pivot columns of rref(gram); (0, 1) when r = 0.
-
-        For a symmetric gram the columns I span the column space, so no vector
-        of span(e_i : i in I) lies in the radical: gram[I, I] is the
-        nondegenerate part in those coordinates.
-        """
-        pivots = list(self.gram.rref()[1])
-        if not pivots:
-            return 0, 1
-        return len(pivots), FpMatrix(self.field, self.gram.a[np.ix_(pivots, pivots)]).det()
+        """(r, det gram[I, I]) for I the pivot columns of rref(gram); (0, 1) when r = 0."""
+        return _rank_det(self.gram.a, self.field)
 
     def disc(self) -> SquareClass:
         """Discriminant of the nondegenerate part; class of 1 when rank is 0."""
@@ -185,8 +178,12 @@ def _symmetric_diagonalize(gram: np.ndarray, field: Fp) -> tuple[np.ndarray, np.
 
 def _gamma_of(char: AdditiveCharacter, rank: int, det: int) -> complex:
     """gamma(1)^(rank-1) * gamma(det): the Weil index of any nondegenerate form
-    of that rank and determinant, multiplicative over a diagonalization."""
-    return char.gamma(1) ** (rank - 1) * char.gamma(det) if rank else 1 + 0j
+    of that rank and determinant, multiplicative over a diagonalization.  It
+    reads gamma at the class representative of det, so the value is one float
+    per (rank, class) whatever basis gave det."""
+    if not rank:
+        return 1 + 0j
+    return char.gamma(1) ** (rank - 1) * char.gamma_class(SquareClass.of(char.field, det))
 
 
 def weil_index(char: AdditiveCharacter, q: QuadraticSpace) -> complex:
@@ -197,15 +194,9 @@ def weil_index(char: AdditiveCharacter, q: QuadraticSpace) -> complex:
 def _weil_indices(char: AdditiveCharacter, grams: np.ndarray) -> list[complex]:
     """`weil_index` of every form of a (B, r, r) stack of symmetric grams.
 
-    One stacked elimination gives each rank and pivot set I; a second, of the
-    grams with every entry outside I x I replaced by the identity's, gives
-    det gram[I, I].  Zero rows and columns in a gram only enlarge its radical.
+    Zero rows and columns in a gram only enlarge its radical.
     """
-    field = char.field
-    _, pivots, ranks, _ = _eliminate_many(grams, field)
-    eye = np.eye(grams.shape[1], dtype=np.int64)
-    minors = np.where(pivots[:, :, None] & pivots[:, None, :], grams, eye)
-    dets = _eliminate_many(minors, field)[3]
+    ranks, dets = _rank_dets_many(grams, char.field)
     return [_gamma_of(char, int(r), int(d)) for r, d in zip(ranks, dets)]
 
 

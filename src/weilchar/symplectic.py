@@ -432,19 +432,18 @@ def kernel_of_displacement(g: SpElement) -> Subspace:
 def displacement_disc(g: SpElement, complement: Subspace | None = None) -> SquareClass:
     """Discriminant of (v, w) -> form((g-1)v, w) on a complement of ker(g-1).
 
-    The induced pairing on V / ker(g-1) is symmetric and nondegenerate; its
-    determinant mod squares does not depend on the chosen complement.  For the
-    identity this is the class of 1.
+    The pairing is symmetric only when (g-1)^2 = 0, but its left and right
+    radicals are both ker(g-1), since (g-1)^T J = -J g^(-1) (g-1) for
+    symplectic g.  So it is nondegenerate on V / ker(g-1), and its gram on
+    any complement is nonsingular.  A change of complement acts by the same
+    basis change on both sides, so it scales the determinant by a square and
+    the class does not depend on the chosen complement.  For the identity
+    this is the class of 1.  `charformula.closed_form_data` reads the same
+    class off the pivot minor of (g-1)^T J; this route is its check.
     """
-    return _displacement_disc(g, kernel_of_displacement(g), complement)
-
-
-def _displacement_disc(
-    g: SpElement, ker: Subspace, complement: Subspace | None = None
-) -> SquareClass:
-    """`displacement_disc` for an already computed ker = ker(g - 1)."""
     space = g.space
     p = space.field.p
+    ker = kernel_of_displacement(g)
     if complement is None:
         complement = ker.complement_std()
     if complement.dim != space.dim - ker.dim:

@@ -11,14 +11,16 @@ from weilchar.charformula import (
     check_kernel_dims,
     check_maslov_class,
     check_transfer_isometry,
+    closed_form_data,
+    closed_form_data_many,
     diagonal_form,
     trace_closed_form,
     trace_from_factor,
 )
 from weilchar.errors import SingularGMinusOne
-from weilchar.field import Fp, FpMatrix
+from weilchar.field import Fp, FpMatrix, SquareClass
 from weilchar.metaplectic import split_lift
-from weilchar.symplectic import SymplecticSpace
+from weilchar.symplectic import SymplecticSpace, displacement_disc, kernel_of_displacement
 
 
 def setup(p, n):
@@ -144,3 +146,85 @@ def test_trace_from_factor_lagrangian_independent():
         e = split_lift(ch, sp.random_element(rng))
         vals = [trace_from_factor(e, l) for l in sp.all_lagrangians()]
         assert max(abs(v - vals[0]) for v in vals) < 1e-8
+
+
+def assert_closed_form_routes_agree(ch, sp, elems):
+    """Stacked == single route under `==`, and k and disc equal the complement
+    route: dim ker(g-1) and the disc on the standard complement of ker(g-1)."""
+    mats = np.array([g.mat.a for g in elems], dtype=np.int64).reshape(-1, sp.dim, sp.dim)
+    many = closed_form_data_many(ch, sp, mats)
+    assert len(many) == len(elems)
+    for g, got in zip(elems, many):
+        single = closed_form_data(ch, g)
+        assert got == single
+        k, disc, tr = single
+        assert k == kernel_of_displacement(g).dim
+        assert disc == displacement_disc(g)
+        assert tr == trace_closed_form(ch, g)
+    return many
+
+
+def _nonsymmetric(sp, g):
+    eye = np.eye(sp.dim, dtype=np.int64)
+    gram = (g.mat.a - eye).T @ sp.gram.a % sp.field.p
+    return bool(np.any((gram - gram.T) % sp.field.p))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_closed_form_routes_agree_on_all_of_sl2(p):
+    ch, sp = setup(p, 1)
+    elems = sp.elements()
+    many = assert_closed_form_routes_agree(ch, sp, elems)
+    # sum of |chi|^2 over the group is 2|G|: the lift is a sum of two irreducibles
+    assert abs(sum(abs(tr) ** 2 for _, _, tr in many) - 2 * len(elems)) < 1e-6 * len(elems)
+
+
+@pytest.mark.parametrize("scale", [1, 2])
+@pytest.mark.parametrize("p, n", [(97, 1), (17, 2), (7, 3), (3, 5)])
+def test_closed_form_routes_agree_on_random_elements(p, n, scale):
+    f = Fp(p)
+    ch, sp = AdditiveCharacter(f, scale), SymplecticSpace(f, n)
+    rng = np.random.default_rng([p, n, scale])
+    elems = [sp.random_element(rng) for _ in range(30)]
+    assert_closed_form_routes_agree(ch, sp, elems)
+    # the displacement pairing is not symmetric for most elements
+    assert sum(_nonsymmetric(sp, g) for g in elems) > len(elems) // 2
+
+
+@pytest.mark.parametrize("p, n", [(5, 1), (3, 2), (7, 3)])
+def test_closed_form_routes_on_identity_and_transvections(p, n):
+    ch, sp = setup(p, n)
+    rng = np.random.default_rng([p, n])
+    ident = sp.identity()
+    v = rng.integers(0, p, sp.dim)
+    v[0] = 1
+    trans = [sp.transvection(v, lam) for lam in range(1, p)]
+    many = assert_closed_form_routes_agree(ch, sp, [ident, *trans, ident])
+    k, disc, tr = many[0]
+    assert (k, disc) == (2 * n, SquareClass.unit(ch.field))
+    assert approx_eq(tr, float(p) ** n, 1e-9, scale=p**n)
+    assert [k for k, _, _ in many[1:-1]] == [2 * n - 1] * (p - 1)
+    # a transvection's displacement form has rank 1, so its disc runs over both classes
+    assert {disc.is_square for _, disc, _ in many[1:-1]} == {True, False}
+
+
+def test_closed_form_data_many_of_an_empty_stack():
+    for n in (1, 3):
+        ch, sp = setup(5, n)
+        assert closed_form_data_many(ch, sp, np.zeros((0, 2 * n, 2 * n), dtype=np.int64)) == []
+
+
+@pytest.mark.parametrize("p, n", [(5, 1), (7, 2), (3, 3)])
+def test_closed_form_routes_agree_on_a_nonstandard_gram(p, n):
+    f = Fp(p)
+    rng = np.random.default_rng([p, n, 5])
+    std = SymplecticSpace(f, n).gram.a
+    while True:
+        a = rng.integers(0, p, (2 * n, 2 * n))
+        if FpMatrix(f, a).det():
+            break
+    sp = SymplecticSpace(f, gram=FpMatrix(f, a.T @ std @ a))
+    assert sp.gram != SymplecticSpace(f, n).gram
+    ch = AdditiveCharacter(f)
+    elems = [sp.random_element(rng) for _ in range(25)] + [sp.identity()]
+    assert_closed_form_routes_agree(ch, sp, elems)

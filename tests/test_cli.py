@@ -180,6 +180,13 @@ def test_table_rows_match_the_separate_closed_form_routes(capsys):
         }
 
 
+def test_table_with_no_rows_prints_an_empty_list(capsys):
+    code, out, err = run(capsys, "table", "--p", "5", "--samples", "0", "--max-enum", "1",
+                         "--format", "json")
+    assert code == 0, err
+    assert json.loads(out) == []
+
+
 def test_table_sampled_when_group_too_big(capsys):
     code, out, _ = run(capsys, "table", "--p", "11", "--max-enum", "100",
                        "--samples", "7", "--format", "csv")

@@ -11,6 +11,7 @@ from weilchar.field import Fp, FpMatrix, SquareClass
 from weilchar.quadform import (
     QuadraticSpace,
     WittInvariants,
+    _weil_indices,
     hyperbolic_plane,
     weil_index,
     weil_index_bruteforce,
@@ -216,3 +217,29 @@ def test_witt_data_from_minor_equals_diagonalization(case):
     assert abs(weil_index(ch, q) - want) <= 1e-12
     if p ** q.dim <= 10**4:
         assert abs(weil_index_bruteforce(ch, q) - want) <= 1e-9
+
+
+@pytest.mark.parametrize("scale", [1, 2])
+def test_weil_index_is_one_float_per_congruence_class(scale):
+    """At p = 97 the Gauss sums of the 48 squares differ in their last bits,
+    yet the Weil index of B^T G B is the same float for every invertible B,
+    on the single and the stacked route."""
+    p = 97
+    f = Fp(p)
+    ch = AdditiveCharacter(f, scale)
+    rng = np.random.default_rng([p, scale])
+    for dim in (1, 2, 3, 4):
+        gram = rand_sym(rng, p, dim)
+        if dim > 2:
+            gram[-1] = gram[:, -1] = 0  # a radical direction as well
+        want = weil_index(ch, QuadraticSpace(f, gram))
+        congruent = []
+        while len(congruent) < 30:
+            b = rng.integers(0, p, (dim, dim))
+            if FpMatrix(f, b).det():
+                congruent.append((b.T @ gram @ b) % p)
+        for c in congruent:
+            q = QuadraticSpace(f, c)
+            assert weil_index(ch, q) == want
+            assert witt_invariants(ch, q).gamma == want
+        assert _weil_indices(ch, np.array(congruent)) == [want] * len(congruent)
