@@ -1,18 +1,17 @@
 """Cross-checking harness tying the three routes to the character together.
 
 Each suite runs on one (p, n) cell with its own deterministically derived
-RNG, so results do not depend on thread scheduling.  Every suite has a small
-fixed core that runs even with samples=0; the sampled part scales with the
-samples argument.  A corrupt_cocycle hook flips the sign of the two-cocycle
-on non-identity pairs, which must make the splitting suite fail with a
-witness; it exists to prove the harness can catch a wrong cocycle.
+RNG, so a suite's draws do not depend on which other suites run.  Every
+suite has a small fixed core that runs even with samples=0; the sampled part
+scales with the samples argument.  A corrupt_cocycle hook flips the sign of
+the two-cocycle on non-identity pairs, which must make the splitting suite
+fail with a witness; it exists to prove the harness can catch a wrong
+cocycle.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,17 +44,6 @@ MAX_REP_DIM = 343  # largest p^n a representation-building suite will touch
 # most character factors (Lagrangians x elements) the theta suite evaluates when
 # it enumerates every Lagrangian
 _THETA_FACTOR_BUDGET = 20_000
-
-SUITE_ORDER = (
-    "gamma",
-    "polygon",
-    "cocycle",
-    "trace",
-    "loops",
-    "theta",
-    "structural",
-    "homomorphism",
-)
 
 
 def as_json_complex(z: complex) -> dict:
@@ -374,6 +362,7 @@ _SUITES = {
     "structural": _suite_structural,
     "homomorphism": _suite_homomorphism,
 }
+SUITE_ORDER = tuple(_SUITES)
 
 
 def corrupted_cocycle(char, g, h, l):
@@ -384,18 +373,6 @@ def corrupted_cocycle(char, g, h, l):
     return v
 
 
-def resolve_threads(threads: int | None = None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("WEILCHAR_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def run_verification(
     ps,
     ns,
@@ -404,45 +381,39 @@ def run_verification(
     psi_scale: int = 1,
     max_enum: int = LAGRANGIAN_CAP,
     corrupt_cocycle: bool = False,
-    threads: int | None = None,
     suites=SUITE_ORDER,
 ) -> list[SuiteResult]:
-    """Run the suites on every (p, n) cell; deterministic for a fixed seed."""
-    cells = [(int(p), int(n)) for p in ps for n in ns]
+    """Run the suites on every (p, n) cell; deterministic for a fixed seed.
+
+    Results come cell by cell in (p, n) order, each cell's suites in the
+    order of `suites`.
+    """
+    unknown = [name for name in suites if name not in _SUITES]
+    if unknown:
+        raise ValueError(f"unknown suites {unknown}; valid: {', '.join(SUITE_ORDER)}")
+    cells = sorted((int(p), int(n)) for p in ps for n in ns)
     for p, n in cells:
         if p**n > MAX_REP_DIM:
             raise DimensionMismatch(f"p^n = {p**n} exceeds {MAX_REP_DIM}")
     cocycle = corrupted_cocycle if corrupt_cocycle else mp_cocycle
-    jobs = []
+    results = []
     for p, n in cells:
-        for si, name in enumerate(suites):
-            jobs.append((p, n, si, name))
-
-    def run_one(job):
-        p, n, si, name = job
         field = Fp(p)
         char = AdditiveCharacter(field, psi_scale)
         space = SymplecticSpace(field, n)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, p, n, si]))
-        start = time.perf_counter()
-        tally = _SUITES[name](char, space, rng, samples, max_enum, cocycle)
-        return SuiteResult(
-            suite=name,
-            p=p,
-            n=n,
-            checked=tally.checked,
-            failed=tally.failed,
-            max_err=tally.max_err,
-            seconds=time.perf_counter() - start,
-            witness=tally.witness,
-        )
-
-    workers = resolve_threads(threads)
-    if workers == 1:
-        results = [run_one(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(run_one, jobs))
-    order = {name: i for i, name in enumerate(suites)}
-    results.sort(key=lambda r: (r.p, r.n, order[r.suite]))
+        for name in suites:
+            si = SUITE_ORDER.index(name)  # not the index in `suites`
+            rng = np.random.default_rng(np.random.SeedSequence([seed, p, n, si]))
+            start = time.perf_counter()
+            tally = _SUITES[name](char, space, rng, samples, max_enum, cocycle)
+            results.append(SuiteResult(
+                suite=name,
+                p=p,
+                n=n,
+                checked=tally.checked,
+                failed=tally.failed,
+                max_err=tally.max_err,
+                seconds=time.perf_counter() - start,
+                witness=tally.witness,
+            ))
     return results

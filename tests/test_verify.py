@@ -1,8 +1,11 @@
 """The verification runner: suites, determinism, fault injection."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from weilchar import verify
 from weilchar.errors import DimensionMismatch
 from weilchar.field import Fp
 from weilchar.symplectic import LAGRANGIAN_CAP, SymplecticSpace
@@ -12,7 +15,6 @@ from weilchar.verify import (
     _core_elements,
     _some_lagrangians,
     as_json_complex,
-    resolve_threads,
     run_verification,
 )
 
@@ -78,11 +80,40 @@ def test_determinism_for_fixed_seed():
     assert [strip(r) for r in a] == [strip(r) for r in b]
 
 
-def test_threaded_run_matches_serial():
-    a = run_verification([3], [1, 2], seed=3, samples=4, threads=1)
-    b = run_verification([3], [1, 2], seed=3, samples=4, threads=4)
-    strip = lambda r: (r.suite, r.p, r.n, r.checked, r.failed)
-    assert [strip(r) for r in a] == [strip(r) for r in b]
+def _strip(r):
+    return (r.suite, r.p, r.n, r.checked, r.failed, r.max_err, r.witness)
+
+
+def test_suite_run_alone_matches_its_row_in_full_run():
+    full = run_verification([5], [2], seed=1, samples=5)
+    for row in full:
+        alone = run_verification([5], [2], seed=1, samples=5, suites=(row.suite,))
+        assert [_strip(r) for r in alone] == [_strip(row)]
+
+
+def test_unknown_suite_rejected_before_any_cell_runs(monkeypatch):
+    ran = []
+    monkeypatch.setitem(verify._SUITES, "gamma",
+                        lambda *a: ran.append("gamma") or verify._Tally())
+    with pytest.raises(ValueError, match="gama") as exc:
+        run_verification([5], [1], samples=1, suites=("gamma", "gama"))
+    assert not ran
+    assert all(name in str(exc.value) for name in SUITE_ORDER)
+
+
+def test_threads_variable_is_ignored(monkeypatch):
+    monkeypatch.delenv("WEILCHAR_THREADS", raising=False)
+    plain = run_verification([3], [1, 2], seed=3, samples=4)
+    seen = []
+    for name, suite in list(verify._SUITES.items()):
+        def recording(*args, _suite=suite):
+            seen.append(threading.current_thread())
+            return _suite(*args)
+        monkeypatch.setitem(verify._SUITES, name, recording)
+    monkeypatch.setenv("WEILCHAR_THREADS", "4")
+    threaded = run_verification([3], [1, 2], seed=3, samples=4)
+    assert seen and all(t is threading.current_thread() for t in seen)
+    assert [_strip(r) for r in threaded] == [_strip(r) for r in plain]
 
 
 def test_dimension_cap_enforced():
@@ -91,19 +122,6 @@ def test_dimension_cap_enforced():
         run_verification([11], [3], samples=1)
     with pytest.raises(DimensionMismatch):
         run_verification([7], [4], samples=1)
-
-
-def test_resolve_threads_precedence(monkeypatch):
-    monkeypatch.delenv("WEILCHAR_THREADS", raising=False)
-    assert resolve_threads() == 1
-    assert resolve_threads(3) == 3
-    monkeypatch.setenv("WEILCHAR_THREADS", "5")
-    assert resolve_threads() == 5
-    assert resolve_threads(2) == 2
-    monkeypatch.setenv("WEILCHAR_THREADS", "junk")
-    assert resolve_threads() == 1
-    monkeypatch.setenv("WEILCHAR_THREADS", "-4")
-    assert resolve_threads() == 1
 
 
 def test_suite_result_json_shape():
