@@ -19,7 +19,9 @@ elements; `symplectic.displacement_disc` keeps the complement route.
 The diagonal support form (S_hat, q) describes where the diagonal of the
 operator kernel is supported in V/l and which phases appear there; its dual
 form lives on l ^ (g-1)V.  The structural checks of this module tie their
-dimensions, Witt invariants and transfer isometry to closed formulas.
+dimensions, Witt invariants and transfer isometry to closed formulas.  They
+take one `DiagonalForm` per (g, l), which also carries ker(g - 1) and
+g l ^ l, so each pair's form and subspaces are built once for all checks.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .symplectic import (
     SpElement,
     SymplecticSpace,
     diagonal_lagrangian,
-    displacement_disc,
     kernel_of_displacement,
 )
 
@@ -62,12 +63,13 @@ class DiagonalForm:
     dual_support: Subspace
     #: gram of q'(a, b) = form(a, y) with b = (g-1)y, on the dual basis
     dual_gram: FpMatrix
+    #: ker(g - 1)
+    ker: Subspace
+    #: g l ^ l
+    inter: Subspace
 
     def form_space(self) -> QuadraticSpace:
         return QuadraticSpace(self.l.space.field, self.gram)
-
-    def dual_form_space(self) -> QuadraticSpace:
-        return QuadraticSpace(self.l.space.field, self.dual_gram)
 
     def value(self, x) -> int:
         """q(x, x) for a vector x of the support (in ambient coordinates)."""
@@ -126,6 +128,8 @@ def diagonal_form(g: SpElement, l: Lagrangian) -> DiagonalForm:
         transfer=FpMatrix(field, transfer),
         dual_support=dual_support,
         dual_gram=FpMatrix(field, dual_gram),
+        ker=kernel_of_displacement(g),
+        inter=gl.sub.intersect(l.sub),
     )
 
 
@@ -189,19 +193,17 @@ class CheckReport:
     witness: Any = None
 
 
-def check_kernel_dims(g: SpElement, l: Lagrangian) -> CheckReport:
+def check_kernel_dims(df: DiagonalForm) -> CheckReport:
     """Radical and rank of the support form against their closed formulas."""
-    df = diagonal_form(g, l)
-    space = g.space
-    ker = kernel_of_displacement(g)
-    lker = l.sub.intersect(ker).dim
-    gll = g.image(l).sub.intersect(l.sub).dim
+    n = df.g.space.n
+    ker = df.ker
+    lker = df.l.sub.intersect(ker).dim
     q = df.form_space()
     want_rad = ker.dim - lker
-    want_rank = space.n - ker.dim - gll + 2 * lker
-    got_rad = q.dim - q.rank()
+    want_rank = n - ker.dim - df.inter.dim + 2 * lker
     got_rank = q.rank()
-    want_dual = space.n - ker.dim + lker
+    got_rad = q.dim - got_rank
+    want_dual = n - ker.dim + lker
     dual_ok = df.dual_support.dim == want_dual
     ok = got_rad == want_rad and got_rank == want_rank and dual_ok
     return CheckReport(
@@ -216,10 +218,10 @@ def check_kernel_dims(g: SpElement, l: Lagrangian) -> CheckReport:
     )
 
 
-def check_maslov_class(char: AdditiveCharacter, g: SpElement, l: Lagrangian) -> CheckReport:
+def check_maslov_class(char: AdditiveCharacter, df: DiagonalForm) -> CheckReport:
     """Witt data of the support form vs the Maslov index of (graph, diag, l+l),
     and its discriminant vs (-1)^dim(l ^ (g-1)l) * pairing(gl, l) * disp disc."""
-    df = diagonal_form(g, l)
+    g, l = df.g, df.l
     inv_q = witt_invariants(char, df.form_space())
     mc = maslov_class(char, g.graph(), diagonal_lagrangian(g.space), l.doubled())
     same = inv_q.same(mc.inv)
@@ -229,9 +231,9 @@ def check_maslov_class(char: AdditiveCharacter, g: SpElement, l: Lagrangian) -> 
     gm1 = (g.mat.a - np.eye(space.dim, dtype=np.int64)) % p
     moved_l = Subspace.from_rows(space.field, space.dim, (l.sub.basis.a @ gm1.T) % p)
     o = Orientation.default(l)
-    pair = orientation_pairing(o.transform(g), o)
+    pair = orientation_pairing(o.transform(g), o, df.inter)
     sign = pow(-1, l.sub.intersect(moved_l).dim, p)
-    want_disc = SquareClass.of(space.field, sign) * pair * displacement_disc(g)
+    want_disc = SquareClass.of(space.field, sign) * pair * closed_form_data(char, g)[1]
     disc_ok = inv_q.disc == want_disc
     ok = same and disc_ok
     return CheckReport(
@@ -245,10 +247,9 @@ def check_maslov_class(char: AdditiveCharacter, g: SpElement, l: Lagrangian) -> 
     )
 
 
-def check_transfer_isometry(g: SpElement, l: Lagrangian) -> CheckReport:
+def check_transfer_isometry(df: DiagonalForm) -> CheckReport:
     """The transfer x -> a + b carries the support form to the dual form."""
-    df = diagonal_form(g, l)
-    p = g.space.field.p
+    p = df.g.space.field.p
     coords = []
     for row in df.transfer.a:
         c = df.dual_support.coordinates(row)
@@ -264,19 +265,19 @@ def check_transfer_isometry(g: SpElement, l: Lagrangian) -> CheckReport:
                        details={"pulled": pulled.tolist(), "gram": df.gram.tolist()})
 
 
-def check_inverse_identity(g: SpElement, l: Lagrangian) -> CheckReport:
+def check_inverse_identity(df: DiagonalForm) -> CheckReport:
     """For invertible g - 1: the dual form equals form(a, (g-1)^(-1) b) and
     -form(a, (g^(-1)-1)^(-1) b), two independent inverse computations."""
+    if df.ker.dim:
+        raise SingularGMinusOne("g - 1 is singular")
+    g = df.g
     space = g.space
     field = space.field
     p = field.p
     eye = np.eye(space.dim, dtype=np.int64)
-    gm1 = FpMatrix(field, g.mat.a - eye)
-    if gm1.det() == 0:
-        raise SingularGMinusOne("g - 1 is singular")
-    df = diagonal_form(g, l)
     b = df.dual_support.basis.a
     j = space.gram.a
+    gm1 = FpMatrix(field, g.mat.a - eye)
     first = (b @ j @ gm1.inv().a @ b.T) % p
     ginv = g.inv()
     hm1 = FpMatrix(field, ginv.mat.a - eye)

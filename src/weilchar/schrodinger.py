@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .characters import AdditiveCharacter
-from .charformula import CheckReport, diagonal_form
+from .charformula import CheckReport, DiagonalForm
 from .errors import DimensionMismatch
 from .field import FpMatrix, RowSolver
 from .metaplectic import MpElement
@@ -187,19 +187,18 @@ def trace_oracle(e: MpElement, l: Lagrangian | None = None) -> complex:
     return complex(e.value_at(l) * _kernel_diagonal(e, l).sum())
 
 
-def check_diagonal_kernel(e: MpElement, l: Lagrangian | None = None) -> CheckReport:
-    """Diagonal of the untwisted operator kernel against the support form:
-    psi(half q(x, x)) * p^(-dim(l / gl^l)/2) on the support, zero elsewhere."""
-    if l is None:
-        l = e.base
+def check_diagonal_kernel(e: MpElement, df: DiagonalForm) -> CheckReport:
+    """Diagonal of the untwisted operator kernel of e at df.l against the
+    support form df of (e.g, df.l): psi(half q(x, x)) * p^(-dim(l / gl^l)/2)
+    on the support, zero elsewhere."""
+    if e.g != df.g:
+        raise DimensionMismatch("diagonal form was built for another element")
+    l = df.l
     char = e.char
     p = char.p
-    g = e.g
-    df = diagonal_form(g, l)
     reps = SectionBasis(l).reps
     diag = _kernel_diagonal(e, l)
-    inter = g.image(l).sub.intersect(l.sub).dim
-    norm = float(p) ** (-(l.dim - inter) / 2)
+    norm = float(p) ** (-(l.dim - df.inter.dim) / 2)
     coords, inside = RowSolver(df.support.basis).solve_many(reps)
     q = np.einsum("ij,jk,ik->i", coords, df.gram.a, coords) % p
     want = np.where(inside, char.psi_array((char.field.half * q) % p) * norm, 0.0)

@@ -9,7 +9,6 @@ Lagrangians there.
 from __future__ import annotations
 
 from itertools import combinations
-from itertools import product as _cartesian
 
 import numpy as np
 
@@ -202,10 +201,10 @@ class SymplecticSpace:
             raise EnumerationTooLarge(f"group order {order} exceeds cap {cap}")
         if self.n == 1 and self.gram == standard_gram(self.field, 1):
             p = self.field.p
-            out = []
-            for a, b, c, d in _cartesian(range(p), repeat=4):
-                if (a * d - b * c) % p == 1:
-                    out.append(self.element([[a, b], [c, d]]))
+            a, b, c, d = np.indices((p,) * 4)
+            # argwhere lists indices in C order: lexicographic in (a, b, c, d)
+            quads = np.argwhere((a * d - b * c) % p == 1)
+            out = [self.element(q.reshape(2, 2)) for q in quads]
             if len(out) != order:
                 raise InvariantViolation(f"found {len(out)} elements of SL2, expected {order}")
             return out

@@ -362,13 +362,13 @@ def test_9_support_form_structure():
         sym = sym and not np.any((df.dual_gram.a - df.dual_gram.a.T) % field.p)
         reports = {
             "symmetry": sym,
-            "transfer-isometry": check_transfer_isometry(g, l).ok,
-            "witt-class": check_maslov_class(char, g, l).ok,
-            "kernel-dims": check_kernel_dims(g, l).ok,
+            "transfer-isometry": check_transfer_isometry(df).ok,
+            "witt-class": check_maslov_class(char, df).ok,
+            "kernel-dims": check_kernel_dims(df).ok,
         }
         eye = np.eye(g.space.dim, dtype=np.int64)
         if FpMatrix(field, g.mat.a - eye).det() != 0:
-            reports["inverse-scalar"] = check_inverse_identity(g, l).ok
+            reports["inverse-scalar"] = check_inverse_identity(df).ok
         checked += 1
         for name, good in reports.items():
             if not good and witness is None:

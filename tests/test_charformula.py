@@ -1,6 +1,7 @@
 """Closed character values and the diagonal support form machinery."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,9 +88,10 @@ def test_structural_checks_sl2_exhaustive_p3():
     ch, sp = setup(3, 1)
     for g in sp.elements():
         for l in sp.all_lagrangians():
-            assert check_kernel_dims(g, l).ok
-            assert check_transfer_isometry(g, l).ok
-            assert check_maslov_class(ch, g, l).ok
+            df = diagonal_form(g, l)
+            assert check_kernel_dims(df).ok
+            assert check_transfer_isometry(df).ok
+            assert check_maslov_class(ch, df).ok
 
 
 def test_structural_checks_seeded_sp4():
@@ -99,17 +101,44 @@ def test_structural_checks_seeded_sp4():
     for _ in range(40):
         g = sp.random_element(rng)
         l = lags[int(rng.integers(0, len(lags)))]
-        assert check_kernel_dims(g, l).ok
-        assert check_transfer_isometry(g, l).ok
-        assert check_maslov_class(ch, g, l).ok
+        df = diagonal_form(g, l)
+        assert check_kernel_dims(df).ok
+        assert check_transfer_isometry(df).ok
+        assert check_maslov_class(ch, df).ok
 
 
 def test_inverse_identity_applies_only_when_invertible():
     ch, sp = setup(5, 1)
+    l = sp.standard_lagrangian()
     with pytest.raises(SingularGMinusOne):
-        check_inverse_identity(sp.identity(), sp.standard_lagrangian())
+        check_inverse_identity(diagonal_form(sp.identity(), l))
     with pytest.raises(SingularGMinusOne):
-        check_inverse_identity(sp.element([[1, 1], [0, 1]]), sp.standard_lagrangian())
+        check_inverse_identity(diagonal_form(sp.element([[1, 1], [0, 1]]), l))
+
+
+def test_structural_checks_fail_on_a_corrupted_form():
+    """Each check holds the form against an independent route, so a form with
+    one corrupted field fails it.  Here g - 1 is invertible and the support
+    form has rank 1, so a nonsquare scale changes its class."""
+    ch, sp = setup(5, 1)
+    g = sp.element([[2, 0], [0, 3]])
+    df = diagonal_form(g, sp.lagrangian([[1, 1]]))
+    assert df.form_space().rank() == 1 and df.ker.dim == 0
+    for r in (check_kernel_dims(df), check_transfer_isometry(df),
+              check_maslov_class(ch, df), check_inverse_identity(df)):
+        assert r.ok, r.label
+
+    scaled = replace(df, gram=FpMatrix(sp.field, 2 * df.gram.a))
+    assert not check_transfer_isometry(scaled).ok
+    assert not check_maslov_class(ch, scaled).ok
+
+    scaled_dual = replace(df, dual_gram=FpMatrix(sp.field, 2 * df.dual_gram.a))
+    assert not check_inverse_identity(scaled_dual).ok
+
+    wrong_ker = replace(df, ker=kernel_of_displacement(sp.identity()))
+    assert not check_kernel_dims(wrong_ker).ok
+    with pytest.raises(SingularGMinusOne):
+        check_inverse_identity(wrong_ker)
 
 
 def test_inverse_identity_seeded():
@@ -123,7 +152,7 @@ def test_inverse_identity_seeded():
             if (g.mat - eye).det() == 0:
                 continue
             l = sp.random_lagrangian(rng)
-            assert check_inverse_identity(g, l).ok
+            assert check_inverse_identity(diagonal_form(g, l)).ok
             done += 1
 
 

@@ -220,6 +220,19 @@ def test_verify_json_schema(capsys):
     assert {r["suite"] for r in d["results"]} >= {"gamma", "trace", "loops"}
 
 
+def test_verify_runs_a_repeated_cell_once(capsys):
+    def rows(primes):
+        code, out, _ = run(capsys, "verify", "--p", primes, "--n", "1",
+                           "--samples", "1", "--format", "json")
+        assert code == 0
+        return [{k: v for k, v in r.items() if k != "seconds"}
+                for r in json.loads(out)["results"]]
+
+    once = rows("3")
+    assert len(once) == 8
+    assert rows("3,3") == once
+
+
 def test_verify_detects_corrupted_cocycle(capsys):
     code, out, _ = run(capsys, "verify", "--p", "5", "--n", "1",
                        "--samples", "6", "--corrupt-cocycle")

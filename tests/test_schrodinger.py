@@ -1,6 +1,7 @@
 """Operator matrices of the lattice model and their kernels."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import weilchar.schrodinger
 from weilchar.characters import AdditiveCharacter, approx_eq
 from weilchar.charformula import diagonal_form
 from weilchar.errors import DimensionMismatch
-from weilchar.field import Fp
+from weilchar.field import Fp, FpMatrix
 from weilchar.metaplectic import mp_identity, split_lift
 from weilchar.schrodinger import (
     SectionBasis,
@@ -162,8 +163,22 @@ def test_diagonal_kernel_check_seeded():
         for _ in range(12):
             g = sp.random_element(rng)
             l = sp.random_lagrangian(rng)
-            r = check_diagonal_kernel(split_lift(ch, g), l)
+            r = check_diagonal_kernel(split_lift(ch, g), diagonal_form(g, l))
             assert r.ok, r.witness
+
+
+def test_diagonal_kernel_check_fails_on_a_corrupted_form():
+    ch, sp = setup(5, 1)
+    g = sp.element([[2, 0], [0, 3]])
+    l = sp.lagrangian([[1, 1]])
+    e = split_lift(ch, g)
+    df = diagonal_form(g, l)
+    assert check_diagonal_kernel(e, df).ok
+    # a nonsquare scale of the rank-1 support form moves every nonzero phase
+    r = check_diagonal_kernel(e, replace(df, gram=FpMatrix(sp.field, 2 * df.gram.a)))
+    assert not r.ok and r.witness
+    with pytest.raises(DimensionMismatch):
+        check_diagonal_kernel(e, diagonal_form(g.inv(), l))
 
 
 @pytest.mark.parametrize("p,n", [(97, 1), (17, 2), (7, 3), (3, 5)])
@@ -196,12 +211,12 @@ def test_diagonal_kernel_check_catches_a_dropped_norm(monkeypatch):
     g = sp.random_element(rng)
     l = sp.random_lagrangian(rng)
     e = split_lift(ch, g)
-    assert check_diagonal_kernel(e, l).ok
+    df = diagonal_form(g, l)
+    assert check_diagonal_kernel(e, df).ok
     monkeypatch.setattr(weilchar.schrodinger, "_kernel_diagonal", unnormalized)
-    r = check_diagonal_kernel(e, l)
+    r = check_diagonal_kernel(e, df)
     assert not r.ok
 
-    df = diagonal_form(g, l)
     inter = g.image(l).sub.intersect(l.sub).dim
     norm = 5 ** (-(l.dim - inter) / 2)
     assert norm < 1

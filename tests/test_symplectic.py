@@ -1,5 +1,7 @@
 """Symplectic spaces, Lagrangian enumeration, group element generation."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -130,6 +132,18 @@ def test_sl2_enumeration_matches_order():
     assert len(els) == 24 == sp.order()
     seen = {e for e in els}
     assert len(seen) == 24
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_sl2_enumeration_keeps_the_lexicographic_loop_order(p):
+    """Reference: every quadruple (a, b, c, d) in lexicographic order, kept
+    when ad - bc = 1."""
+    sp = space(p, 1)
+    want = []
+    for a, b, c, d in product(range(p), repeat=4):
+        if (a * d - b * c) % p == 1:
+            want.append(sp.element([[a, b], [c, d]]))
+    assert sp.elements() == want
 
 
 def test_sp4_f3_order_formula():
