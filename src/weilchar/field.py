@@ -39,12 +39,6 @@ class Fp:
         self.half = (p + 1) // 2
         self.nonsquare = next(a for a in range(2, p) if self.legendre(a) == -1)
 
-    def el(self, x: int) -> int:
-        return x % self.p
-
-    def neg(self, x: int) -> int:
-        return (-x) % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
@@ -142,10 +136,6 @@ class FpMatrix:
     def identity(cls, field: Fp, n: int) -> "FpMatrix":
         return cls(field, np.eye(n, dtype=np.int64))
 
-    @classmethod
-    def zeros(cls, field: Fp, nrows: int, ncols: int) -> "FpMatrix":
-        return cls(field, np.zeros((nrows, ncols), dtype=np.int64))
-
     @property
     def shape(self) -> tuple[int, int]:
         return self.a.shape
@@ -182,9 +172,6 @@ class FpMatrix:
         if self.ncols != other.nrows:
             raise DimensionMismatch("inner dimensions differ")
         return FpMatrix(self.field, self.a @ other.a)
-
-    def scale(self, c: int) -> "FpMatrix":
-        return FpMatrix(self.field, self.a * (c % self.field.p))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -344,6 +331,17 @@ def _rank_dets_many(stack: np.ndarray, field: Fp) -> tuple[np.ndarray, np.ndarra
     eye = np.eye(stack.shape[1], dtype=np.int64)
     minors = np.where(pivots[:, :, None] & pivots[:, None, :], stack, eye)
     return ranks, _eliminate_many(minors, field)[3]
+
+
+def _inverses_many(stack: np.ndarray, field: Fp) -> tuple[np.ndarray, np.ndarray]:
+    """(ok, inverses) for a (B, n, n) stack: the mask of its invertible
+    matrices, and their inverses in order, read off the rref [I | A^-1] of
+    [A | I], whose first n columns are all pivots exactly when det A != 0."""
+    n = stack.shape[1]
+    eye = np.broadcast_to(np.eye(n, dtype=np.int64), stack.shape)
+    red, pivots, _, _ = _eliminate_many(np.concatenate([stack, eye], axis=2), field)
+    ok = pivots[:, :n].all(axis=1)
+    return ok, red[ok, :, n:]
 
 
 def _null_rows(a: np.ndarray, field: Fp) -> np.ndarray:

@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionMismatch, EnumerationTooLarge, InvariantViolation
-from .field import Fp, FpMatrix, SquareClass, Subspace
+from .field import Fp, FpMatrix, SquareClass, Subspace, _inverses_many
 
 LAGRANGIAN_CAP = 100_000
 GROUP_CAP = 100_000
@@ -107,7 +107,7 @@ class SymplecticSpace:
             out *= p**i + 1
         return out
 
-    def all_lagrangians(self, cap: int = LAGRANGIAN_CAP) -> list["Lagrangian"]:
+    def all_lagrangians(self) -> list["Lagrangian"]:
         """Every Lagrangian, sorted by the bytes of its rref basis.
 
         Built from the affine charts of the Lagrangian Grassmannian.  In
@@ -120,8 +120,8 @@ class SymplecticSpace:
         `lagrangian_count()` subspaces with no deduplication.
         """
         count = self.lagrangian_count()
-        if count > cap:
-            raise EnumerationTooLarge(f"{count} Lagrangians exceeds cap {cap}")
+        if count > LAGRANGIAN_CAP:
+            raise EnumerationTooLarge(f"{count} Lagrangians exceeds cap {LAGRANGIAN_CAP}")
         if self._lagrangians is not None:
             return self._lagrangians
         field, n, dim = self.field, self.n, self.dim
@@ -194,51 +194,36 @@ class SymplecticSpace:
         """The span of e_1..e_n of a random symplectic basis."""
         return self.lagrangian(self._random_basis(rng)[:, : self.n].T)
 
-    def elements(self, cap: int = GROUP_CAP) -> list["SpElement"]:
-        """The whole group, exhaustively; guarded by the order formula."""
-        order = self.order()
-        if order > cap:
-            raise EnumerationTooLarge(f"group order {order} exceeds cap {cap}")
-        if self.n == 1 and self.gram == standard_gram(self.field, 1):
-            p = self.field.p
-            a, b, c, d = np.indices((p,) * 4)
-            # argwhere lists indices in C order: lexicographic in (a, b, c, d)
-            quads = np.argwhere((a * d - b * c) % p == 1)
-            out = [self.element(q.reshape(2, 2)) for q in quads]
-            if len(out) != order:
-                raise InvariantViolation(f"found {len(out)} elements of SL2, expected {order}")
-            return out
-        return self._bfs_elements(order)
+    def elements(self) -> list["SpElement"]:
+        """The whole group, sorted by matrix bytes, built with no search.
 
-    def _bfs_elements(self, order: int) -> list["SpElement"]:
-        p = self.field.p
-        dirs: list[np.ndarray] = []
-        eye = np.eye(self.dim, dtype=np.int64)
-        for i in range(self.dim):
-            dirs.append(eye[i])
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                dirs.append((eye[i] + eye[j]) % p)
-                dirs.append((eye[i] - eye[j]) % p)
-        gens = [self.transvection(v).mat.a for v in dirs]
-        start = np.eye(self.dim, dtype=np.int64)
-        seen = {start.tobytes(): start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for g in gens:
-                    h = (g @ m) % p
-                    key = h.tobytes()
-                    if key not in seen:
-                        seen[key] = h
-                        nxt.append(h)
-            frontier = nxt
-        if len(seen) != order:
-            raise InvariantViolation(
-                f"transvection closure found {len(seen)} elements, expected {order}"
-            )
-        return [self.element(m) for m in seen.values()]
+        For (e, f) the symplectic basis B of `_darboux_inv`, g is fixed by
+        the transverse Lagrangians L = g span(e), L' = g span(f) and a in
+        GL_n.  With R, R' their rref bases and P = R gram R'^T, the columns
+        of M = g B are g e = (a R)^T and g f = (b R')^T, where
+        b = (a P)^-T = a^-T P^-T is forced by M^T gram M = J.  The transverse
+        ordered pairs times |GL_n| give `order()` elements; g = M B^-1.
+        """
+        order = self.order()
+        if order > GROUP_CAP:
+            raise EnumerationTooLarge(f"group order {order} exceeds cap {GROUP_CAP}")
+        p, n = self.field.p, self.n
+        square = np.indices((p,) * (n * n)).reshape(n * n, -1).T.reshape(-1, n, n)
+        invertible, gl_inv = _inverses_many(square, self.field)
+        gl = square[invertible]
+        bases = np.array([l.sub.basis.a for l in self.all_lagrangians()])
+        first, second = np.divmod(np.arange(len(bases) ** 2), len(bases))
+        pairing = bases[first] @ self.gram.a @ bases[second].swapaxes(1, 2) % p
+        transverse, pairing_inv = _inverses_many(pairing, self.field)
+        g_e = np.einsum("aij,tjc->taic", gl, bases[first[transverse]])
+        q = pairing_inv.swapaxes(1, 2) @ bases[second[transverse]]  # P^-T R'
+        g_f = np.einsum("aji,tjc->taic", gl_inv, q)
+        m = np.concatenate([g_e, g_f], axis=2).reshape(-1, self.dim, self.dim)
+        mats = m.swapaxes(1, 2) @ self._darboux_inv() % p
+        out = [self.element(g) for g in sorted(mats, key=lambda g: g.tobytes())]
+        if len(out) != order:
+            raise InvariantViolation(f"built {len(out)} group elements, expected {order}")
+        return out
 
     def doubled(self) -> "SymplecticSpace":
         """The same space squared, with gram diag(-J, J)."""

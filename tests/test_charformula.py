@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weilchar.characters import AdditiveCharacter, approx_eq
 from weilchar.charformula import (
@@ -21,6 +23,7 @@ from weilchar.charformula import (
 from weilchar.errors import SingularGMinusOne
 from weilchar.field import Fp, FpMatrix, SquareClass
 from weilchar.metaplectic import split_lift
+from weilchar.schrodinger import trace_oracle
 from weilchar.symplectic import SymplecticSpace, displacement_disc, kernel_of_displacement
 
 
@@ -166,6 +169,21 @@ def test_trace_from_factor_matches_closed_form():
             assert approx_eq(trace_from_factor(e), trace_closed_form(ch, g), 1e-8, scale=p**n)
             m = split_lift(ch, g, sign=-1)
             assert approx_eq(trace_from_factor(m), -trace_closed_form(ch, g), 1e-8, scale=p**n)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_three_trace_routes_agree(p, n, seed):
+    """Oracle, closed form and factor form agree on a seeded random element,
+    for both lifts; the other lift negates the closed form."""
+    ch, sp = setup(p, n)
+    g = sp.random_element(np.random.default_rng(seed))
+    closed = trace_closed_form(ch, g)
+    for sign in (1, -1):
+        e = split_lift(ch, g, sign=sign)
+        oracle = trace_oracle(e)
+        assert approx_eq(oracle, sign * closed, 1e-8, scale=p**n)
+        assert approx_eq(oracle, trace_from_factor(e), 1e-8, scale=p**n)
 
 
 def test_trace_from_factor_lagrangian_independent():

@@ -13,6 +13,7 @@ from weilchar.field import (
     Subspace,
     _eliminate,
     _eliminate_many,
+    _inverses_many,
     _null_rows,
     _null_rows_many,
 )
@@ -137,6 +138,8 @@ def stacks(draw):
 @PROPS
 @given(stacks())
 def test_eliminate_many_equals_the_single_loop(fs):
+    """Stacked elimination, null rows and (square stacks) inverses match the
+    per-matrix routes."""
     field, stack = fs
     nb, rows, cols = stack.shape
     red, pivots, ranks, dets = _eliminate_many(stack, field)
@@ -153,3 +156,9 @@ def test_eliminate_many_equals_the_single_loop(fs):
         free = [c for c in range(cols) if c not in one_piv]
         assert np.array_equal(null[i][free], _null_rows(a, field))
         assert not null[i][list(one_piv)].any()
+    if rows == cols:
+        ok, inverses = _inverses_many(stack, field)
+        assert np.array_equal(ok, dets != 0)
+        assert len(inverses) == ok.sum()
+        for a, a_inv in zip(stack[ok], inverses):
+            assert np.array_equal(a_inv, FpMatrix(field, a).inv().a)

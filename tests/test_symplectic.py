@@ -103,17 +103,22 @@ def test_all_lagrangians_matches_reference_search(p, n, doubled):
     assert [l.sub.pivots for l in got] == [l.sub.pivots for l in want]
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from([3, 5, 7]), st.integers(1, 2), st.data())
-def test_lagrangian_count_on_any_gram(p, n, data):
-    """On the gram M^T J M of a random basis change M the enumeration maps
-    the standard charts over; the count, distinctness and isotropy hold."""
+def draw_gram_space(p, n, data):
+    """The space with gram M^T J M for a drawn invertible basis change M."""
     f = Fp(p)
     d = 2 * n
     m = data.draw(st.lists(st.integers(0, p - 1), min_size=d * d, max_size=d * d))
     m = FpMatrix(f, np.array(m, dtype=np.int64).reshape(d, d))
     assume(m.det() != 0)
-    sp = SymplecticSpace(f, gram=m.T @ standard_gram(f, n) @ m)
+    return SymplecticSpace(f, gram=m.T @ standard_gram(f, n) @ m)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 2), st.data())
+def test_lagrangian_count_on_any_gram(p, n, data):
+    """On the gram M^T J M of a random basis change M the enumeration maps
+    the standard charts over; the count, distinctness and isotropy hold."""
+    sp = draw_gram_space(p, n, data)
     lags = sp.all_lagrangians()
     assert len(lags) == sp.lagrangian_count()
     assert len(set(lags)) == len(lags)
@@ -123,7 +128,7 @@ def test_lagrangian_count_on_any_gram(p, n, data):
 def test_all_lagrangians_cap():
     sp = space(97, 2)  # (97+1)(97^2+1) = 922580 subspaces
     with pytest.raises(EnumerationTooLarge):
-        sp.all_lagrangians(cap=1000)
+        sp.all_lagrangians()
 
 
 def test_sl2_enumeration_matches_order():
@@ -150,9 +155,29 @@ def test_sp4_f3_order_formula():
     assert space(3, 2).order() == SP4_F3_ORDER
 
 
-def test_sp4_f3_bfs_enumeration():
-    els = space(3, 2).elements()
+def assert_whole_group(sp, els):
+    """A list of validated elements that is distinct and of length order()
+    is the whole group; it must also be sorted by matrix bytes."""
+    keys = [g.mat.a.tobytes() for g in els]
+    assert len(els) == sp.order()
+    assert len(set(keys)) == len(keys)
+    assert keys == sorted(keys)
+
+
+def test_sp4_f3_enumeration():
+    sp = space(3, 2)
+    els = sp.elements()
     assert len(els) == SP4_F3_ORDER
+    assert_whole_group(sp, els)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2)])
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_enumeration_on_any_gram(p, n, data):
+    """The (transverse pair, GL_n) construction serves any gram M^T J M."""
+    sp = draw_gram_space(p, n, data)
+    assert_whole_group(sp, sp.elements())
 
 
 def test_group_cap_enforced():
