@@ -250,15 +250,10 @@ def check_maslov_class(char: AdditiveCharacter, df: DiagonalForm) -> CheckReport
 def check_transfer_isometry(df: DiagonalForm) -> CheckReport:
     """The transfer x -> a + b carries the support form to the dual form."""
     p = df.g.space.field.p
-    coords = []
-    for row in df.transfer.a:
-        c = df.dual_support.coordinates(row)
-        if c is None:
-            return CheckReport(label="transfer-isometry", ok=False, witness=row.tolist())
-        coords.append(c)
-    if df.support.dim == 0:
-        return CheckReport(label="transfer-isometry", ok=True)
-    c = np.asarray(coords, dtype=np.int64)
+    c, inside = df.dual_support.coordinates_many(df.transfer.a)
+    if not inside.all():
+        witness = df.transfer.a[np.argmin(inside)].tolist()
+        return CheckReport(label="transfer-isometry", ok=False, witness=witness)
     pulled = (c @ df.dual_gram.a @ c.T) % p
     ok = bool(np.array_equal(pulled, df.gram.a))
     return CheckReport(label="transfer-isometry", ok=ok,

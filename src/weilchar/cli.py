@@ -24,9 +24,9 @@ from .charformula import _factor_trace, closed_form_data, closed_form_data_many
 from .errors import DimensionMismatch, EnumerationTooLarge, ZeroFormClass
 from .field import Fp
 from .metaplectic import split_lift
-from .schrodinger import trace_oracle
+from .schrodinger import MAX_REP_DIM, trace_oracle
 from .symplectic import GROUP_CAP, LAGRANGIAN_CAP, SymplecticSpace
-from .verify import MAX_REP_DIM, as_json_complex, run_verification
+from .verify import as_json_complex, run_verification
 
 CHECK_ERROR = 1
 USAGE_ERROR = 2

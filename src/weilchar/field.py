@@ -380,13 +380,13 @@ class RowSolver:
     product plus a consistency check on the non-pivot rows.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "tableau", "reduced", "pivots", "rank")
+    __slots__ = ("field", "nrows", "ncols", "tableau", "pivots", "rank")
 
     def __init__(self, M: FpMatrix) -> None:
         self.field = M.field
         self.nrows = M.nrows  # length of the unknown y
         self.ncols = M.ncols  # length of the right hand side d
-        self.reduced, self.pivots, self.tableau, _ = _eliminate(M.a.T, M.field, track=True)
+        _, self.pivots, self.tableau, _ = _eliminate(M.a.T, M.field, track=True)
         self.rank = len(self.pivots)
 
     def solve(self, d) -> np.ndarray | None:
@@ -408,14 +408,13 @@ class RowSolver:
 class Subspace:
     """A subspace of F_p^ambient held as its canonical rref basis (rows)."""
 
-    __slots__ = ("field", "ambient", "basis", "pivots", "_solver")
+    __slots__ = ("field", "ambient", "basis", "pivots")
 
     def __init__(self, field: Fp, ambient: int, basis: FpMatrix, pivots: tuple[int, ...]) -> None:
         self.field = field
         self.ambient = ambient
         self.basis = basis
         self.pivots = pivots
-        self._solver: RowSolver | None = None
 
     @classmethod
     def from_rows(cls, field: Fp, ambient: int, rows) -> "Subspace":
@@ -439,24 +438,28 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.nrows
 
-    def coset_rep(self, v) -> np.ndarray:
-        """The canonical representative of v + self: zeros at pivot coordinates."""
+    def coordinates_many(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """(C, inside) for an (N, ambient) array: C = rows[:, pivots].  The rref
+        basis has unit pivot columns, so row i lies in self iff it equals
+        C[i] @ basis, and then C[i] is its coefficient vector."""
         p = self.field.p
-        v = np.asarray(v, dtype=np.int64) % p
-        for row, c in zip(self.basis.a, self.pivots):
-            coef = int(v[c])
-            if coef:
-                v = (v - coef * row) % p
-        return v
+        rows = np.asarray(rows, dtype=np.int64) % p
+        coords = rows[:, list(self.pivots)]
+        return coords, ~np.any((coords @ self.basis.a - rows) % p, axis=1)
+
+    def coset_rep(self, v) -> np.ndarray:
+        """The canonical representative of v + self, zeros at the pivots; row-wise for a stack."""
+        v = np.asarray(v, dtype=np.int64)
+        coords, _ = self.coordinates_many(np.atleast_2d(v))
+        return (v - (coords @ self.basis.a).reshape(v.shape)) % self.field.p
 
     def contains(self, v) -> bool:
-        return not np.any(self.coset_rep(v))
+        return self.coordinates(v) is not None
 
     def coordinates(self, v) -> np.ndarray | None:
         """Coefficients of v in the canonical basis, or None if v is outside."""
-        if self._solver is None:
-            self._solver = RowSolver(self.basis)
-        return self._solver.solve(v)
+        coords, inside = self.coordinates_many(np.atleast_2d(v))
+        return coords[0] if inside[0] else None
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check(other)
@@ -496,7 +499,7 @@ class Subspace:
 
     def __le__(self, other: "Subspace") -> bool:
         self._check(other)
-        return all(other.contains(row) for row in self.basis.a)
+        return bool(other.coordinates_many(self.basis.a)[1].all())
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -42,7 +42,8 @@ class Orientation:
         ob = obasis if isinstance(obasis, FpMatrix) else FpMatrix(field, obasis)
         if ob.shape != (lag.dim, lag.space.dim):
             raise DimensionMismatch("orientation basis has the wrong shape")
-        if Subspace.from_rows(field, lag.space.dim, ob.a) != lag.sub:
+        coords, inside = lag.sub.coordinates_many(ob.a)
+        if not inside.all() or FpMatrix(field, coords).det() == 0:
             raise DimensionMismatch("orientation basis does not span the Lagrangian")
         self.lag = lag
         self.obasis = ob
@@ -90,39 +91,30 @@ class Orientation:
         return f"Orientation(p={self.lag.space.field.p},\n{self.obasis.a})"
 
 
-def _extend_basis(c: np.ndarray, lag: Lagrangian) -> np.ndarray:
-    """Rows of lag's basis completing the independent rows c, greedily in order.
+def _completion(o: Orientation, c: np.ndarray) -> tuple[np.ndarray, int]:
+    """(d, det) for independent rows c of o's Lagrangian: d the rows of its
+    rref basis R completing c, greedily in order, and det the square class
+    of det Y for Y @ o.obasis = [c; d].
 
-    The pivot columns of rref([c; basis]^T) are the first maximal independent
-    set of those rows: every row of c, then each basis row outside the span
-    of the rows before it.
-    """
-    b = lag.sub.basis.a
-    pivots = FpMatrix(lag.space.field, np.vstack([c, b]).T).rref()[1]
-    return b[[i - len(c) for i in pivots[len(c):]]]
-
-
-def _orientation_det(o: Orientation, rows: np.ndarray) -> int:
-    """det Y up to squares, for Y the coordinates with Y @ o.obasis = rows.
-
-    With R the rref basis of o's Lagrangian and P its pivots, a member v of
-    the span is v[P] @ R.  So rows = X @ R and obasis = A @ R for X = rows[:, P]
-    and A = obasis[:, P], and det Y = det X / det A, which has the square class
-    of det X * det A.
+    Coordinates in R are injective and send R to I, c to U and o.obasis to A,
+    so the pivot columns of rref([U; I]^T) after U pick d, and det Y is
+    det X / det A for the coordinates X = [U; I[rows]] of [c; d].
     """
     sub = o.lag.sub
     field = sub.field
-    both = np.vstack([rows, o.obasis.a])
-    coords = both[:, list(sub.pivots)]
-    if np.any((coords @ sub.basis.a - both) % field.p):
+    k = len(c)
+    coords, inside = sub.coordinates_many(np.vstack([c, o.obasis.a]))
+    if not inside.all():
         raise InvariantViolation("a basis vector lies outside its oriented Lagrangian")
-    k = len(rows)
-    a = coords[k:]
+    u, a = coords[:k], coords[k:]
+    eye = np.eye(len(a), dtype=np.int64)
+    pivots = FpMatrix(field, np.vstack([u, eye]).T).rref()[1]
+    rows = [i - k for i in pivots[k:]]
     # A = I for the default orientation, whose basis is R itself
-    det_a = 1 if np.array_equal(a, np.eye(len(a), dtype=np.int64)) else FpMatrix(field, a).det()
+    det_a = 1 if np.array_equal(a, eye) else FpMatrix(field, a).det()
     if det_a == 0:
         raise InvariantViolation("an orientation basis does not span its Lagrangian")
-    return FpMatrix(field, coords[:k]).det() * det_a
+    return sub.basis.a[rows], FpMatrix(field, np.vstack([u, eye[rows]])).det() * det_a
 
 
 def orientation_pairing(
@@ -145,9 +137,9 @@ def orientation_pairing(
     if inter is None:
         inter = l1.sub.intersect(l2.sub)
     c = inter.basis.a
-    d1 = _extend_basis(c, l1)
-    d2 = _extend_basis(c, l2)
-    val = _orientation_det(o1, np.vstack([c, d1])) * _orientation_det(o2, np.vstack([c, d2]))
+    d1, det1 = _completion(o1, c)
+    d2, det2 = _completion(o2, c)
+    val = det1 * det2
     if len(d1):
         val *= FpMatrix(field, d1 @ space.gram.a @ d2.T).det()
     return SquareClass.of(field, val)

@@ -88,12 +88,12 @@ class MpElement:
     def __neg__(self) -> "MpElement":
         return MpElement(self.char, self.g, self.base, -self.t0)
 
-    def close_to(self, other: "MpElement", tol: float = 1e-8) -> bool:
+    def close_to(self, other: "MpElement") -> bool:
         return (
             self.char == other.char
             and self.g == other.g
             and self.base == other.base
-            and approx_eq(self.t0, other.t0, tol)
+            and approx_eq(self.t0, other.t0)
         )
 
     def __repr__(self) -> str:

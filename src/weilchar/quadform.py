@@ -231,7 +231,7 @@ class WittInvariants:
         return WittInvariants(self.rank + other.rank, self.disc * other.disc,
                               self.gamma * other.gamma)
 
-    def witt_equal(self, other: "WittInvariants", tol: float = 1e-8) -> bool:
+    def witt_equal(self, other: "WittInvariants") -> bool:
         """Same Witt class: rank parity, Weil index, and compatible disc.
 
         Representatives of one class whose ranks differ by 2k have
@@ -239,18 +239,18 @@ class WittInvariants:
         """
         if (self.rank - other.rank) % 2:
             return False
-        if not approx_eq(self.gamma, other.gamma, tol):
+        if not approx_eq(self.gamma, other.gamma):
             return False
         k = (self.rank - other.rank) // 2
         want = other.disc.times(pow(-1, abs(k), self.disc.field.p))
         return self.disc == want
 
-    def same(self, other: "WittInvariants", tol: float = 1e-8) -> bool:
+    def same(self, other: "WittInvariants") -> bool:
         """Exactly equal rank and disc, approximately equal gamma."""
         return (
             self.rank == other.rank
             and self.disc == other.disc
-            and approx_eq(self.gamma, other.gamma, tol)
+            and approx_eq(self.gamma, other.gamma)
         )
 
 

@@ -34,10 +34,19 @@ import numpy as np
 
 from .characters import AdditiveCharacter
 from .charformula import CheckReport, DiagonalForm
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, EnumerationTooLarge
 from .field import FpMatrix, RowSolver
 from .metaplectic import MpElement
 from .symplectic import Lagrangian
+
+MAX_REP_DIM = 343  # largest p^n at which a dense p^n x p^n matrix is built
+
+
+def _check_dense(l: Lagrangian) -> None:
+    """Refuse, before building anything, a dense matrix over l's space past the cap."""
+    size = l.space.field.p ** l.space.n
+    if size > MAX_REP_DIM:
+        raise EnumerationTooLarge(f"p^n = {size} exceeds the dense matrix cap {MAX_REP_DIM}")
 
 
 class SectionBasis:
@@ -154,6 +163,7 @@ def intertwiner(char: AdditiveCharacter, l1: Lagrangian, l2: Lagrangian) -> np.n
     Entry [y, x] is the kernel at (lift(x), lift(y)); composing two of these
     multiplies the matrices in codomain-first order.
     """
+    _check_dense(l1)
     return _pair_kernel(char, l1, l2).grid(SectionBasis(l1).reps, SectionBasis(l2).reps)
 
 
@@ -162,6 +172,7 @@ def weil_operator(e: MpElement, l: Lagrangian | None = None) -> np.ndarray:
     (g l, l) kernel, with entry [y, x] at (g lift(x), lift(y))."""
     if l is None:
         l = e.base
+    _check_dense(l)
     g = e.g
     pk = _pair_kernel(e.char, g.image(l), l)
     reps = SectionBasis(l).reps
@@ -199,7 +210,7 @@ def check_diagonal_kernel(e: MpElement, df: DiagonalForm) -> CheckReport:
     reps = SectionBasis(l).reps
     diag = _kernel_diagonal(e, l)
     norm = float(p) ** (-(l.dim - df.inter.dim) / 2)
-    coords, inside = RowSolver(df.support.basis).solve_many(reps)
+    coords, inside = df.support.coordinates_many(reps)
     q = np.einsum("ij,jk,ik->i", coords, df.gram.a, coords) % p
     want = np.where(inside, char.psi_array((char.field.half * q) % p) * norm, 0.0)
     bad = [

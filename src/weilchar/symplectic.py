@@ -268,9 +268,10 @@ def _chart_bases(field: Fp, n: int):
     """(rref basis, pivots) of every Lagrangian of the standard F_p^{2n}, one
     chart (U, S) at a time as in `SymplecticSpace.all_lagrangians`.
 
-    The rows [B_U | S T[P]] and [0 | B_W] are already in rref: with Q the
-    pivots of B_W, T = I - I[:, Q] B_W turns Y into Y T, which is zero on
-    the columns Q and differs from Y row by row by vectors of W.
+    The rows [B_U | S T] and [0 | B_W] are already in rref: T holds the
+    coset representatives modulo W of the unit vectors e_i, i in P, which
+    are zero on the pivot columns of B_W, so each row of S T is zero there
+    and differs from the matching row of Y by a vector of W.
     """
     p = field.p
     eye = np.eye(n, dtype=np.int64)
@@ -282,12 +283,10 @@ def _chart_bases(field: Fp, n: int):
         sym[:, iu[1], iu[0]] = sym[:, iu[0], iu[1]]
         for bu, piv in _rref_subspaces(field, n, k):
             w = FpMatrix(field, bu).kernel()
-            bw = w.basis.a
-            t = (eye - eye[:, list(w.pivots)] @ bw) % p
             stack = np.zeros((len(sym), n, 2 * n), dtype=np.int64)
             stack[:, :k, :n] = bu
-            stack[:, :k, n:] = (sym @ t[list(piv)]) % p
-            stack[:, k:, n:] = bw
+            stack[:, :k, n:] = (sym @ w.coset_rep(eye[list(piv)])) % p
+            stack[:, k:, n:] = w.basis.a
             pivots = piv + tuple(n + q for q in w.pivots)
             for b in stack:
                 yield b, pivots

@@ -38,10 +38,9 @@ from .metaplectic import (
     split_value,
 )
 from .quadform import QuadraticSpace, weil_index, weil_index_bruteforce
-from .schrodinger import check_diagonal_kernel, intertwiner, trace_oracle, weil_operator
+from .schrodinger import MAX_REP_DIM, check_diagonal_kernel, intertwiner, trace_oracle, weil_operator
 from .symplectic import LAGRANGIAN_CAP, Lagrangian, SpElement, SymplecticSpace
 
-MAX_REP_DIM = 343  # largest p^n a representation-building suite will touch
 # most character factors (Lagrangians x elements) the theta suite evaluates when
 # it enumerates every Lagrangian
 _THETA_FACTOR_BUDGET = 20_000
@@ -206,11 +205,11 @@ def _suite_polygon(char, space, rng, samples, max_enum, cocycle) -> _Tally:
         tuples.append(tuple(space.random_lagrangian(rng) for _ in range(m)))
     for lags in tuples:
         q = maslov_form(*lags)
-        orients = [Orientation.default(l) for l in lags]
-        want_rank, want_disc = predicted_rank_disc(orients)
-        t.add_flag(q.rank() == want_rank, kind="rank", got=q.rank(), want=want_rank,
+        rank = q.rank()
+        want_rank, want_disc = predicted_rank_disc([Orientation.default(l) for l in lags])
+        t.add_flag(rank == want_rank, kind="rank", got=rank, want=want_rank,
                    lags=[_lag_list(l) for l in lags])
-        if q.rank() == want_rank:
+        if rank == want_rank:
             t.add_flag(q.disc() == want_disc, kind="disc", got=q.disc().rep,
                        want=want_disc.rep, lags=[_lag_list(l) for l in lags])
         # edge-factor product equals the polygon index, randomized orientations
@@ -218,7 +217,7 @@ def _suite_polygon(char, space, rng, samples, max_enum, cocycle) -> _Tally:
         prod = 1.0 + 0.0j
         for o1, o2 in zip(ro, ro[1:] + ro[:1]):
             prod *= edge_factor(char, o1, o2)
-        err = abs(prod - maslov_gamma(char, *lags))
+        err = abs(prod - weil_index(char, q))
         t.add(err, 1e-8, kind="edge-product", lags=[_lag_list(l) for l in lags])
     return t
 

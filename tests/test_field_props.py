@@ -116,6 +116,55 @@ def test_intersect_matches_brute_force(pair):
     assert both == w.intersect(u)
 
 
+def coset_rep_by_loop(sub, v):
+    """Reference: clear each pivot coordinate of v with its basis row, in order."""
+    p = sub.field.p
+    v = np.asarray(v, dtype=np.int64) % p
+    for row, c in zip(sub.basis.a, sub.pivots):
+        v = (v - int(v[c]) * row) % p
+    return v
+
+
+@st.composite
+def subspace_rows(draw):
+    """(subspace, rows): ambient 0..6, dim 0..ambient, and rows that are
+    members (combinations of the basis) or drawn freely."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    amb = draw(st.integers(0, 6))
+    dim = draw(st.integers(0, amb))
+    field = Fp(p)
+    _, gen = draw(matrices(p=p, rows=dim, cols=amb))
+    sub = Subspace.from_rows(field, amb, gen.a)
+    _, coef = draw(matrices(p=p, rows=3, cols=sub.dim))
+    _, free = draw(matrices(p=p, rows=3, cols=amb))
+    return sub, np.vstack([coef.a @ sub.basis.a % p, free.a])
+
+
+@PROPS
+@given(subspace_rows())
+def test_coordinates_many_equals_the_solver(sr):
+    """Coordinates read off the rref basis agree with a RowSolver on it, in the
+    inside flags and in the coordinates of inside rows; coset_rep agrees with
+    the per-pivot loop."""
+    sub, rows = sr
+    coords, inside = sub.coordinates_many(rows)
+    y, ok = RowSolver(sub.basis).solve_many(rows)
+    assert coords.shape == (len(rows), sub.dim)
+    assert np.array_equal(inside, ok)
+    assert inside[:3].all()
+    assert np.array_equal(coords[inside], y[ok])
+    for i, row in enumerate(rows):
+        assert sub.contains(row) == ok[i]
+        one = sub.coordinates(row)
+        assert (one is None) == (not ok[i])
+        if one is not None:
+            assert np.array_equal(one, y[i])
+        assert np.array_equal(sub.coset_rep(row), coset_rep_by_loop(sub, row))
+        line = Subspace.from_rows(sub.field, sub.ambient, row)
+        assert (line <= sub) == ok[i]
+    assert np.array_equal(sub.coset_rep(rows), [coset_rep_by_loop(sub, row) for row in rows])
+
+
 @st.composite
 def stacks(draw):
     """(field, (B, r, c) stack) with p in {3, 5, 7, 97}, B in {0, 1, 6} and

@@ -8,7 +8,7 @@ from weilchar.errors import ArityError, InvariantViolation
 from weilchar.field import Fp, FpMatrix, RowSolver, SquareClass, Subspace
 from weilchar.maslov import (
     Orientation,
-    _extend_basis,
+    _completion,
     edge_factor,
     maslov_class,
     maslov_form,
@@ -254,7 +254,7 @@ def test_pairing_matches_solver_reference(p, n):
         inter = l1.sub.intersect(l2.sub)
         dims.add(inter.dim)
         for lag in (l1, l2):
-            assert np.array_equal(_extend_basis(inter.basis.a, lag),
+            assert np.array_equal(_completion(Orientation.default(lag), inter.basis.a)[0],
                                   extend_basis_by_loop(inter, lag))
         for o1, o2 in ((Orientation.default(l1), Orientation.default(l2)),
                        (Orientation.random(l1, rng), Orientation.random(l2, rng))):

@@ -9,10 +9,11 @@ import pytest
 import weilchar.schrodinger
 from weilchar.characters import AdditiveCharacter, approx_eq
 from weilchar.charformula import diagonal_form
-from weilchar.errors import DimensionMismatch
+from weilchar.errors import DimensionMismatch, EnumerationTooLarge
 from weilchar.field import Fp, FpMatrix
 from weilchar.metaplectic import mp_identity, split_lift
 from weilchar.schrodinger import (
+    MAX_REP_DIM,
     SectionBasis,
     _pair_kernel,
     check_diagonal_kernel,
@@ -195,6 +196,27 @@ def test_trace_oracle_equals_dense_trace(p, n):
         for model in (None, l):
             dense = np.trace(weil_operator(e, model))
             assert abs(trace_oracle(e, model) - dense) < 1e-12 * p**n
+
+
+def test_dense_matrices_refuse_past_the_cap(monkeypatch):
+    """(3, 6) has p^n = 729 > MAX_REP_DIM: both dense builders refuse before
+    any kernel is built; (7, 3) at the cap still builds."""
+    def no_kernel(*args):
+        raise AssertionError("kernel built past the cap")
+
+    ch, sp = setup(3, 6)
+    assert 3**6 > MAX_REP_DIM
+    l1, l2 = sp.standard_lagrangian(), sp.random_lagrangian(np.random.default_rng(6))
+    with monkeypatch.context() as m:
+        m.setattr(weilchar.schrodinger, "_pair_kernel", no_kernel)
+        with pytest.raises(EnumerationTooLarge):
+            intertwiner(ch, l1, l2)
+        with pytest.raises(EnumerationTooLarge):
+            weil_operator(mp_identity(ch, sp))
+    ch, sp = setup(7, 3)
+    assert 7**3 == MAX_REP_DIM
+    assert intertwiner(ch, sp.standard_lagrangian(), sp.standard_lagrangian()).shape == (343, 343)
+    assert weil_operator(mp_identity(ch, sp)).shape == (343, 343)
 
 
 def test_diagonal_kernel_check_catches_a_dropped_norm(monkeypatch):
