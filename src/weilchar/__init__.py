@@ -44,9 +44,11 @@ from .metaplectic import (
     character_factors,
     embed_doubled,
     mp_cocycle,
+    mp_cocycles,
     mp_identity,
     split_lift,
     split_value,
+    split_values,
 )
 from .quadform import (
     BRUTE_CAP,
@@ -123,11 +125,13 @@ __all__ = [
     "maslov_form",
     "maslov_gamma",
     "mp_cocycle",
+    "mp_cocycles",
     "mp_identity",
     "orientation_pairing",
     "predicted_rank_disc",
     "split_lift",
     "split_value",
+    "split_values",
     "standard_gram",
     "trace_closed_form",
     "trace_from_factor",

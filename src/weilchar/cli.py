@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 a verification or agreement check failed,
 2 bad usage or invalid input, 3 an internal error such as a failed invariant
-(a fault in the library, never in the input).  Complex numbers serialize to
-JSON as {"re": ..., "im": ...}; square classes as {"rep": ..., "is_square": ...}.
+(a fault in the library, never in the input), 141 (128 + SIGPIPE, as a shell
+reports) when the reader closed stdout early, as `| head` does.  Complex
+numbers serialize to JSON as {"re": ..., "im": ...}; square classes as
+{"rep": ..., "is_square": ...}.
 Matrices on the command line are row-major comma-separated residues.
 """
 
@@ -14,6 +16,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 import traceback
 
@@ -31,6 +34,7 @@ from .verify import as_json_complex, run_verification
 CHECK_ERROR = 1
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
+PIPE_CLOSED = 141
 
 
 class InputError(Exception):
@@ -295,10 +299,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _drop_stdout() -> None:
+    """Point the stdout descriptor at the null device, so the output still
+    buffered is discarded when the interpreter flushes it at exit."""
+    try:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+    except (AttributeError, OSError, io.UnsupportedOperation):
+        pass  # stdout is no file descriptor, so nothing flushes to a pipe
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        _drop_stdout()
+        return PIPE_CLOSED
     except (InputError, DimensionMismatch, EnumerationTooLarge, ZeroFormClass) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -29,7 +29,7 @@ def _is_prime(m: int) -> bool:
 class Fp:
     """The field Z/pZ for an odd prime p with 3 <= p <= 97."""
 
-    __slots__ = ("p", "half", "nonsquare")
+    __slots__ = ("p", "half", "nonsquare", "inverses")
 
     def __init__(self, p: int) -> None:
         if not isinstance(p, int) or not _is_prime(p) or not 3 <= p <= 97:
@@ -38,6 +38,9 @@ class Fp:
         #: the field element 1/2, used for all half-form evaluations
         self.half = (p + 1) // 2
         self.nonsquare = next(a for a in range(2, p) if self.legendre(a) == -1)
+        #: 1/a at index a, and 0 at 0, for the stacked eliminations
+        self.inverses = np.array([0] + [self.inv(a) for a in range(1, p)], dtype=np.int64)
+        self.inverses.setflags(write=False)
 
     def inv(self, a: int) -> int:
         a %= self.p
@@ -269,10 +272,15 @@ def _eliminate_many(stack: np.ndarray, field: Fp):
     p = field.p
     work = np.array(stack, dtype=np.int64) % p
     nb, nrows, ncols = work.shape
+    if nb == 1:  # the single loop does fewer numpy calls per column
+        red, piv, _, det = _eliminate(work[0], field)
+        mask = np.zeros((1, ncols), dtype=bool)
+        mask[0, list(piv)] = True
+        return red[None], mask, np.array([len(piv)]), np.array([det])
     row = np.zeros(nb, dtype=np.int64)
     det = np.ones(nb, dtype=np.int64)
     pivots = np.zeros((nb, ncols), dtype=bool)
-    inv = np.array([0] + [field.inv(a) for a in range(1, p)], dtype=np.int64)
+    inv = field.inverses
     below = np.arange(nrows)
     for c in range(ncols):
         cand = (work[:, :, c] != 0) & (below >= row[:, None])
@@ -299,6 +307,8 @@ def _eliminate_many(stack: np.ndarray, field: Fp):
         rest %= p
         pivots[b, c] = True
         row[b] += 1
+        if row.min() == nrows:
+            break
     det[(row != nrows) | (nrows != ncols)] = 0
     return work, pivots, row, det
 

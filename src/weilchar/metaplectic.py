@@ -3,8 +3,34 @@
 An element is a symplectic map g together with the value t0 of its lift
 function at a base Lagrangian; values at every other Lagrangian follow from
 the four-gon coherence rule, and multiplication twists by the cocycle
-gamma(tau(l, g l, g h l)).  The canonical split lift takes t0 from the
-orientation pairing of (g l, l); its sign flip gives the other lift of g.
+gamma(tau(l, g l, g h l)).  The canonical split lift takes t0 = m_g(l), the
+edge factor of the orientation pairing of (g l, l); its sign flip gives the
+other lift of g.
+
+m_g(l) is read off the Bruhat cell of g, with no Lagrangian intersections
+(Rao's normalized cocycle, Pacific J. Math. 157 (1993); Kudla's x(g),
+Israel J. Math. 87 (1994)).  For the standard Lagrangian l = span(e) and
+g = [[A, B], [C, D]] with n x n blocks acting on columns, let r = rank C and
+reduce [C^T | A^T | I] to its rref [E | F' | Q], so Q is invertible with
+Q C^T = E.  Its last n - r rows U0 have U0 C^T = 0, and F = U0 A^T is in
+rref; U1 are its first r rows and U = [U0; U1].  W holds the unit rows e_j
+for j off the pivot columns of F.  The rows of U [A^T | C^T] are a basis
+[F | 0] of g l meet l followed by a completion inside g l, the rows
+[F; W] [I | 0] the same basis completed inside l, and the form pairs the
+two completions by -U1 C^T W^T.  So the orientation pairing is the class of
+
+    x(g) = det U * det [F; W] * det(-U1 C^T W^T),
+
+and m_g(l) = gamma(1)^(r - 1) * gamma(x(g)), the float `maslov.edge_factor`
+evaluates.  x(g) has the class of (-1)^n det C when r = n, and of det A
+when r = 0.
+
+Every other Lagrangian reduces to the standard one, because m_g(l) does not
+depend on the orientation chosen on l and the pairing is invariant under
+symplectic maps: m_g(F std) = m_(F^-1 g F)(std) for any F carrying std to l
+(`_standard_frame`).  The cocycle takes the moved bases b g^T and b (g h)^T
+of the rref basis b of l as they are; any bases give congruent Maslov forms,
+so the Weil index is the same float.
 """
 
 from __future__ import annotations
@@ -15,22 +41,139 @@ import numpy as np
 
 from .characters import AdditiveCharacter, approx_eq
 from .errors import DimensionMismatch
-from .field import FpMatrix
-from .maslov import Orientation, _bases_form, _maslov_gammas, edge_factor, maslov_gamma
+from .field import FpMatrix, SquareClass, _eliminate_many
+from .maslov import _bases_form, _maslov_gammas, maslov_gamma
 from .quadform import weil_index
-from .symplectic import Lagrangian, SpElement, SymplecticSpace, diagonal_lagrangian
+from .symplectic import (
+    Lagrangian,
+    SpElement,
+    SymplecticSpace,
+    diagonal_lagrangian,
+    standard_gram,
+)
+
+
+def _standard_frame(l: Lagrangian) -> tuple[np.ndarray, np.ndarray] | None:
+    """(F, F^-1) with F^T gram F = J and F std = l; None when F = I.
+
+    In Darboux coordinates (B^T gram B = J, B^-1 from `_darboux_inv`) l has
+    the rref basis R of the rows of l times B^-T.  For P the pivots of R
+    below n, the coordinate Lagrangian K spanned by e_j (j not in P) and f_i
+    (i in P) meets l in 0: a vector of l off e_P has no e-part, and a
+    vector of l meet span(f) supported on f_P is zero.  So R J K^T is
+    invertible, R' = (R J K^T)^-T K spans a Lagrangian paired to l by I, and
+    M = [R^T | R'^T] is symplectic with M std = l.  F = B M, and
+    F^-1 = -J F^T gram.
+    """
+    space = l.space
+    field, n = space.field, space.n
+    p = field.p
+    binv = space._darboux_inv()
+    standard = np.array_equal(binv, np.eye(space.dim, dtype=np.int64))
+    r = l.sub
+    if standard and r.pivots == tuple(range(n)) and not r.basis.a[:, n:].any():
+        return None
+    if not standard:
+        r = space.subspace(r.basis.a @ binv.T)
+    j = standard_gram(field, n).a
+    low = [c for c in r.pivots if c < n]
+    k = np.eye(space.dim, dtype=np.int64)[[c for c in range(n) if c not in low]
+                                          + [n + c for c in low]]
+    dual = FpMatrix(field, r.basis.a @ j @ k.T).inv().a.T @ k % p
+    frame = np.vstack([r.basis.a, dual]).T
+    if not standard:
+        frame = FpMatrix(field, binv).inv().a @ frame % p
+    return frame, -j @ frame.T @ space.gram.a % p
+
+
+def _std_classes(mats: np.ndarray, field) -> tuple[np.ndarray, np.ndarray]:
+    """(r, x) for a (B, 2n, 2n) stack of g in Sp(J): r = rank C and the
+    residue x(g) of the module docstring, from two stacked eliminations."""
+    p = field.p
+    nb, d, _ = mats.shape
+    n = d // 2
+    eye = np.eye(n, dtype=np.int64)
+    c_t = mats[:, n:, :n].swapaxes(1, 2)
+    a_t = mats[:, :n, :n].swapaxes(1, 2)
+    # [C^T | A^T] has rank n, so all n pivots fall left of the I block
+    red, pivots, _, _ = _eliminate_many(
+        np.concatenate([c_t, a_t, np.broadcast_to(eye, c_t.shape)], axis=2), field)
+    r = pivots[:, :n].sum(axis=1)
+    b = np.arange(nb)[:, None]
+    # row i of U is row i + r (mod n) of Q, so U = [U0; U1]; the same rows of
+    # F' give F in rows i < n - r, where i + r < n
+    rows = (np.arange(n) + r[:, None]) % n
+    u = red[b, rows, 2 * n:]
+    # the r columns off the pivots of F, ascending, then its pivot columns;
+    # row n - r + k of [F; W] is the unit row at off[k]
+    off = np.argsort(pivots[:, n:2 * n], axis=1, kind="stable")
+    fw = np.where((rows < r[:, None])[:, :, None], eye[off[b, rows]], red[b, rows, n:2 * n])
+    # -U1 C^T W^T = -E[:r, off[:r]] with E = U1 C^T, padded with the identity
+    top = np.arange(n) < r[:, None]
+    e_w = red[b[:, :, None], np.arange(n)[:, None], off[:, None, :]]
+    z = np.where(top[:, :, None] & top[:, None, :], -e_w, eye)
+    return r, _eliminate_many(u @ fw % p @ z, field)[3]
+
+
+def split_values(char: AdditiveCharacter, mats, l: Lagrangian) -> list[complex]:
+    """`split_value(char, g, l)` for every g of a (B, 2n, 2n) stack of
+    matrices of Sp(l.space), each the same float.  Two stacked eliminations
+    do the whole stack, after one n x n inverse when l is not std."""
+    space = l.space
+    p = space.field.p
+    mats = np.asarray(mats, dtype=np.int64).reshape(-1, space.dim, space.dim) % p
+    gram = space.gram.a
+    if np.any((mats.swapaxes(1, 2) @ gram @ mats - gram) % p):
+        raise DimensionMismatch("matrix does not preserve the symplectic form")
+    frame = _standard_frame(l)
+    if frame is not None:
+        f, f_inv = frame
+        mats = f_inv @ mats % p @ f % p
+    return [_lift_value(char, int(r), int(x)) for r, x in zip(*_std_classes(mats, space.field))]
+
+
+def _lift_value(char: AdditiveCharacter, r: int, x: int) -> complex:
+    """gamma(1)^(r - 1) * gamma(x), the float `maslov.edge_factor` gives for
+    a pairing of class x across an intersection of codimension r."""
+    return char.gamma(1) ** (r - 1) * char.gamma_class(SquareClass.of(char.field, x))
 
 
 def split_value(char: AdditiveCharacter, g: SpElement, l: Lagrangian) -> complex:
     """The canonical lift value m_g(l): edge factor of (g l, l), orientation
-    on g l transported from l.  Independent of the orientation chosen on l."""
-    o = Orientation.default(l)
-    return edge_factor(char, o.transform(g), o)
+    on g l transported from l.  Independent of the orientation chosen on l;
+    read off the Bruhat cell of g (module docstring)."""
+    if g.space != l.space:
+        raise DimensionMismatch("Lagrangian not in g's space")
+    return split_values(char, g.mat.a[None], l)[0]
+
+
+def _moved_bases(l: Lagrangian, gmats: np.ndarray, hmats: np.ndarray) -> np.ndarray:
+    """The (B, 3, n, 2n) bases b, b g^T, b (g h)^T for b the rref basis of l."""
+    p = l.space.field.p
+    b = l.sub.basis.a
+    g_t = gmats.swapaxes(1, 2)
+    bg = b @ g_t % p
+    bgh = b @ hmats.swapaxes(1, 2) % p @ g_t % p
+    return np.stack([np.broadcast_to(b, bg.shape), bg, bgh], axis=1)
 
 
 def mp_cocycle(char: AdditiveCharacter, g: SpElement, h: SpElement, l: Lagrangian) -> complex:
     """gamma(tau(l, g l, g h l)), the multiplication twist at base l."""
-    return maslov_gamma(char, l, g.image(l), (g * h).image(l))
+    if g.space != l.space or h.space != l.space:
+        raise DimensionMismatch("cocycle needs g, h and l in one space")
+    bases = _moved_bases(l, g.mat.a[None], h.mat.a[None])[0]
+    return weil_index(char, _bases_form(l.space, list(bases)))
+
+
+def mp_cocycles(char: AdditiveCharacter, gmats, hmats, l: Lagrangian) -> list[complex]:
+    """`mp_cocycle(char, g, h, l)` for (B, 2n, 2n) stacks of g and h, each
+    equal to it (`==`), from stacked eliminations."""
+    d = l.space.dim
+    gmats = np.asarray(gmats, dtype=np.int64).reshape(-1, d, d)
+    hmats = np.asarray(hmats, dtype=np.int64).reshape(-1, d, d)
+    if not len(gmats):
+        return []
+    return _maslov_gammas(char, l.space, _moved_bases(l, gmats, hmats))
 
 
 class MpElement:

@@ -32,10 +32,13 @@ class SymplecticSpace:
 
     def __init__(self, field: Fp, n: int | None = None, gram: FpMatrix | None = None) -> None:
         self.field = field
+        # B^-1 of `_darboux_inv`, known up front for the gram J: B = I
+        self._darboux: np.ndarray | None = None
         if gram is None:
             if n is None or n < 1:
                 raise DimensionMismatch("need n >= 1 or an explicit gram matrix")
             gram = standard_gram(field, n)
+            self._darboux = FpMatrix.identity(field, 2 * n).a
         p = field.p
         a = gram.a
         if a.shape[0] != a.shape[1] or a.shape[0] % 2:
@@ -47,7 +50,6 @@ class SymplecticSpace:
         self.gram = gram
         self._doubled: SymplecticSpace | None = None
         self._lagrangians: list[Lagrangian] | None = None
-        self._darboux: np.ndarray | None = None
         self._diagonal: Lagrangian | None = None
 
     @property

@@ -26,16 +26,16 @@ from .charformula import (
     closed_form_data,
     diagonal_form,
 )
-from .errors import DimensionMismatch
+from .errors import EnumerationTooLarge
 from .field import Fp, FpMatrix
 from .maslov import Orientation, edge_factor, maslov_form, maslov_gamma, predicted_rank_disc
 from .metaplectic import (
     character_factor,
     character_factor_doubled,
     character_factors,
-    mp_cocycle,
+    mp_cocycles,
     split_lift,
-    split_value,
+    split_values,
 )
 from .quadform import QuadraticSpace, weil_index, weil_index_bruteforce
 from .schrodinger import MAX_REP_DIM, check_diagonal_kernel, intertwiner, trace_oracle, weil_operator
@@ -224,6 +224,7 @@ def _suite_polygon(char, space, rng, samples, max_enum, cocycle) -> _Tally:
 
 def _suite_cocycle(char, space, rng, samples, max_enum, cocycle) -> _Tally:
     t = _Tally()
+    p = char.p
     core = _core_elements(space)
     pairs = [(a, b) for a in core for b in core]
     for _ in range(samples):
@@ -231,11 +232,20 @@ def _suite_cocycle(char, space, rng, samples, max_enum, cocycle) -> _Tally:
     lags = [space.standard_lagrangian()]
     if samples:
         lags.append(space.random_lagrangian(rng))
-    for g, h in pairs:
-        gh = g * h
-        for l in lags:
-            lhs = split_value(char, g, l) * split_value(char, h, l) * cocycle(char, g, h, l)
-            rhs = split_value(char, gh, l)
+    gs = np.array([g.mat.a for g, _ in pairs])
+    hs = np.array([h.mat.a for _, h in pairs])
+    ghs = gs @ hs % p
+    # one split value per distinct matrix and l, one stacked cocycle per l
+    stack = np.concatenate([gs, hs, ghs])
+    distinct, at = np.unique(stack.reshape(len(stack), -1), axis=0, return_inverse=True)
+    at = at.reshape(3, len(pairs))
+    values = [split_values(char, distinct, l) for l in lags]
+    twists = [cocycle(char, gs, hs, l) for l in lags]
+    for i, (g, h) in enumerate(pairs):
+        for j, l in enumerate(lags):
+            sv = values[j]
+            lhs = sv[at[0, i]] * sv[at[1, i]] * twists[j][i]
+            rhs = sv[at[2, i]]
             t.add(abs(lhs - rhs), 1e-8, kind="splitting", g=_mat_list(g), h=_mat_list(h),
                   l=_lag_list(l), got=as_json_complex(lhs), want=as_json_complex(rhs))
     # group law of lifted elements: associativity and inverses
@@ -361,14 +371,17 @@ _SUITES = {
     "homomorphism": _suite_homomorphism,
 }
 SUITE_ORDER = tuple(_SUITES)
+# the suites that build p^n-row kernels or p^n x p^n operators
+DENSE_SUITES = ("trace", "loops", "structural", "homomorphism")
 
 
-def corrupted_cocycle(char, g, h, l):
-    """Fault-injection stand-in: wrong sign whenever both factors move."""
-    v = mp_cocycle(char, g, h, l)
-    if not g.is_identity() and not h.is_identity():
-        return -v
-    return v
+def corrupted_cocycle(char, gmats, hmats, l):
+    """Fault-injection stand-in for `mp_cocycles`: wrong sign whenever both
+    factors move."""
+    eye = np.eye(l.space.dim, dtype=np.int64)
+    moves = lambda m: bool(np.any(m != eye))
+    return [-v if moves(g) and moves(h) else v
+            for g, h, v in zip(gmats, hmats, mp_cocycles(char, gmats, hmats, l))]
 
 
 def run_verification(
@@ -390,10 +403,13 @@ def run_verification(
     if unknown:
         raise ValueError(f"unknown suites {unknown}; valid: {', '.join(SUITE_ORDER)}")
     cells = sorted({(int(p), int(n)) for p in ps for n in ns})
+    dense = [name for name in suites if name in DENSE_SUITES]
     for p, n in cells:
-        if p**n > MAX_REP_DIM:
-            raise DimensionMismatch(f"p^n = {p**n} exceeds {MAX_REP_DIM}")
-    cocycle = corrupted_cocycle if corrupt_cocycle else mp_cocycle
+        if dense and p**n > MAX_REP_DIM:
+            raise EnumerationTooLarge(
+                f"p^n = {p**n} exceeds the dense cap {MAX_REP_DIM} of the suites "
+                f"{', '.join(dense)}")
+    cocycle = corrupted_cocycle if corrupt_cocycle else mp_cocycles
     results = []
     for p, n in cells:
         field = Fp(p)

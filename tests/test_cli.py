@@ -5,6 +5,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +337,26 @@ def test_cached_parser_carries_no_state(capsys):
         fresh.append(run(capsys, *argv))
     assert cached == fresh
     assert len({out for _, out, _ in cached}) == len(sequence)
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_closed_pipe_exits_quietly(buffered):
+    """`weilchar table --p 13 --format json | head -1`: the reader closes the
+    pipe after one line of about 400 kB, and the writer stops with no
+    traceback, whether stdout is block buffered or not."""
+    env = dict(os.environ, PYTHONPATH=str(Path(weilchar.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "weilchar", "table", "--p", "13", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == weilchar.cli.PIPE_CLOSED
+    assert err == ""
 
 
 def test_package_has_no_assert_statements():

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from test_symplectic import draw_gram_space
 from weilchar.characters import AdditiveCharacter, approx_eq
+from weilchar.errors import DimensionMismatch
 from weilchar.field import Fp, Subspace
-from weilchar.maslov import maslov_gamma
+from weilchar.maslov import Orientation, edge_factor, maslov_gamma
 from weilchar.metaplectic import (
     MpElement,
     character_factor,
@@ -13,9 +17,11 @@ from weilchar.metaplectic import (
     character_factors,
     embed_doubled,
     mp_cocycle,
+    mp_cocycles,
     mp_identity,
     split_lift,
     split_value,
+    split_values,
 )
 from weilchar.symplectic import Lagrangian, SymplecticSpace
 from weilchar.verify import _core_elements
@@ -32,6 +38,90 @@ def test_split_value_frozen_p5():
     assert approx_eq(split_value(ch, sp.element([[2, 0], [0, 3]]), l), -1, 1e-10)
     assert approx_eq(split_value(ch, sp.element([[1, 1], [0, 1]]), l), 1, 1e-10)
     assert approx_eq(split_value(ch, sp.identity(), l), 1, 1e-12)
+
+
+def pairing_oracle(ch, g, l):
+    """The orientation-pairing route to m_g(l): the edge factor of (g l, l)."""
+    o = Orientation.default(l)
+    return edge_factor(ch, o.transform(g), o)
+
+
+def mats(elems):
+    return np.array([g.mat.a for g in elems])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("scale", [1, 2])
+def test_split_value_equals_the_pairing_oracle_on_sl2(p, scale):
+    """The Bruhat-cell closed form gives the oracle's float on all of SL2(F_p)."""
+    f = Fp(p)
+    ch, sp = AdditiveCharacter(f, scale), SymplecticSpace(f, 1)
+    l = sp.standard_lagrangian()
+    elems = sp.elements()
+    want = [pairing_oracle(ch, g, l) for g in elems]
+    assert [split_value(ch, g, l) for g in elems] == want
+    assert split_values(ch, mats(elems), l) == want
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 3), (3, 5)])
+@pytest.mark.parametrize("scale", [1, 2])
+def test_split_value_equals_the_pairing_oracle_on_random_elements(p, n, scale):
+    """At the standard and at random Lagrangians, for both lifts; the stacked
+    values equal the one-element calls."""
+    f = Fp(p)
+    ch, sp = AdditiveCharacter(f, scale), SymplecticSpace(f, n)
+    rng = np.random.default_rng(17 * p + n)
+    elems = _core_elements(sp) + [sp.random_element(rng) for _ in range(12)]
+    for l in (sp.standard_lagrangian(), sp.random_lagrangian(rng), sp.random_lagrangian(rng)):
+        want = [pairing_oracle(ch, g, l) for g in elems]
+        assert [split_value(ch, g, l) for g in elems] == want
+        assert split_values(ch, mats(elems), l) == want
+        for g, w in zip(elems[::4], want[::4]):
+            for sign in (1, -1):
+                assert split_lift(ch, g, l, sign=sign).t0 == sign * w
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 2), st.sampled_from([1, 2]), st.data())
+def test_split_value_equals_the_pairing_oracle_on_any_gram(p, n, scale, data):
+    """On the gram M^T J M of a drawn basis change the values go through the
+    Darboux basis first, and still equal the oracle's."""
+    sp = draw_gram_space(p, n, data)
+    ch = AdditiveCharacter(sp.field, scale)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    elems = [sp.identity()] + [sp.random_element(rng) for _ in range(6)]
+    for l in (sp.random_lagrangian(rng), sp.random_lagrangian(rng)):
+        want = [pairing_oracle(ch, g, l) for g in elems]
+        assert [split_value(ch, g, l) for g in elems] == want
+        assert split_values(ch, mats(elems), l) == want
+
+
+def test_split_values_reject_bad_input():
+    ch, sp = setup(5, 1)
+    l = sp.standard_lagrangian()
+    assert split_values(ch, np.zeros((0, 2, 2), dtype=np.int64), l) == []
+    with pytest.raises(DimensionMismatch):
+        split_values(ch, [[1, 1], [1, 1]], l)
+    with pytest.raises(DimensionMismatch):
+        split_value(ch, SymplecticSpace(Fp(5), 2).identity(), l)
+
+
+@pytest.mark.parametrize("p,n,scale", [(5, 1, 1), (7, 1, 2), (3, 2, 1), (5, 2, 2), (3, 3, 1)])
+def test_stacked_cocycle_equals_the_maslov_gamma(p, n, scale):
+    """mp_cocycle and mp_cocycles on the moved bases of l equal maslov_gamma
+    of the rref Lagrangians (l, g l, g h l)."""
+    f = Fp(p)
+    ch, sp = AdditiveCharacter(f, scale), SymplecticSpace(f, n)
+    rng = np.random.default_rng(23 * p + n)
+    core = _core_elements(sp)
+    pairs = [(a, b) for a in core for b in core]
+    pairs += [(sp.random_element(rng), sp.random_element(rng)) for _ in range(10)]
+    gs, hs = mats([g for g, _ in pairs]), mats([h for _, h in pairs])
+    for l in (sp.standard_lagrangian(), sp.random_lagrangian(rng)):
+        want = [maslov_gamma(ch, l, g.image(l), (g * h).image(l)) for g, h in pairs]
+        assert [mp_cocycle(ch, g, h, l) for g, h in pairs] == want
+        assert mp_cocycles(ch, gs, hs, l) == want
+    assert mp_cocycles(ch, gs[:0], hs[:0], l) == []
 
 
 def test_split_values_are_unit_modulus():

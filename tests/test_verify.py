@@ -5,11 +5,12 @@ import threading
 import numpy as np
 import pytest
 
-from weilchar import verify
-from weilchar.errors import DimensionMismatch
+from weilchar import metaplectic, verify
+from weilchar.errors import EnumerationTooLarge
 from weilchar.field import Fp
 from weilchar.symplectic import LAGRANGIAN_CAP, SymplecticSpace
 from weilchar.verify import (
+    DENSE_SUITES,
     SUITE_ORDER,
     SuiteResult,
     _core_elements,
@@ -48,6 +49,29 @@ def test_corrupted_cocycle_is_caught_with_witness():
     # the cocycle suite exercises the hook directly and must flag it
     assert any(r.suite == "cocycle" for r in bad)
     assert all(r.witness is not None for r in bad)
+
+
+def test_corrupted_cocycle_fails_the_same_checks():
+    """The stacked cocycle suite flags the flipped cocycle on the same 44 of
+    64 checks as the one-pair-at-a-time suite did, first at the same pair."""
+    [r] = run_verification([5], [1], seed=0, samples=6, corrupt_cocycle=True,
+                           suites=("cocycle",))
+    assert (r.checked, r.failed) == (64, 44)
+    assert r.witness == {"err": 2.0, "tol": 1e-8, "kind": "splitting",
+                         "g": [[1, 4], [0, 1]], "h": [[1, 4], [0, 1]], "l": [[1, 0]],
+                         "got": {"re": -1.0, "im": -0.0}, "want": {"re": 1.0, "im": 0.0}}
+
+
+def test_negated_lift_values_fail_the_cocycle_suite(monkeypatch):
+    """Negating the closed-form lift value m_g(l) wherever rank C >= 1 breaks
+    the splitting identity, and the cocycle suite must see it."""
+    lift = metaplectic._lift_value
+    monkeypatch.setattr(metaplectic, "_lift_value",
+                        lambda char, r, x: -lift(char, r, x) if r else lift(char, r, x))
+    for p, n in ((5, 1), (3, 2)):
+        [r] = run_verification([p], [n], seed=1, samples=4, suites=("cocycle",))
+        assert not r.ok, (p, n)
+        assert r.witness["kind"] == "splitting"
 
 
 def test_samples_zero_still_checks_structural_cores():
@@ -118,10 +142,21 @@ def test_threads_variable_is_ignored(monkeypatch):
 
 def test_dimension_cap_enforced():
     # 7^3 = 343 sits exactly at the cap and is allowed; one step past is not
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(EnumerationTooLarge, match="exceeds"):
         run_verification([11], [3], samples=1)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(EnumerationTooLarge):
         run_verification([7], [4], samples=1)
+    for dense in DENSE_SUITES:
+        with pytest.raises(EnumerationTooLarge, match=dense):
+            run_verification([3], [6], samples=0, suites=("gamma", dense))
+
+
+def test_suites_without_dense_matrices_run_past_the_cap():
+    """3^6 = 729 is past the dense cap, which binds only the dense suites."""
+    results = run_verification([3], [6], samples=0, suites=("gamma", "cocycle"))
+    assert [r.suite for r in results] == ["gamma", "cocycle"]
+    for r in results:
+        assert r.ok and r.checked > 0, (r.suite, r.witness)
 
 
 def test_suite_result_json_shape():
