@@ -303,10 +303,14 @@ def _drop_stdout() -> None:
     """Point the stdout descriptor at the null device, so the output still
     buffered is discarded when the interpreter flushes it at exit."""
     try:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        fd = sys.stdout.fileno()
     except (AttributeError, OSError, io.UnsupportedOperation):
-        pass  # stdout is no file descriptor, so nothing flushes to a pipe
+        return  # stdout is no file descriptor, so nothing flushes to a pipe
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 def main(argv=None) -> int:

@@ -272,11 +272,6 @@ def _eliminate_many(stack: np.ndarray, field: Fp):
     p = field.p
     work = np.array(stack, dtype=np.int64) % p
     nb, nrows, ncols = work.shape
-    if nb == 1:  # the single loop does fewer numpy calls per column
-        red, piv, _, det = _eliminate(work[0], field)
-        mask = np.zeros((1, ncols), dtype=bool)
-        mask[0, list(piv)] = True
-        return red[None], mask, np.array([len(piv)]), np.array([det])
     row = np.zeros(nb, dtype=np.int64)
     det = np.ones(nb, dtype=np.int64)
     pivots = np.zeros((nb, ncols), dtype=bool)

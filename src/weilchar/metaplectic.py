@@ -56,7 +56,7 @@ from .symplectic import (
 def _standard_frame(l: Lagrangian) -> tuple[np.ndarray, np.ndarray] | None:
     """(F, F^-1) with F^T gram F = J and F std = l; None when F = I.
 
-    In Darboux coordinates (B^T gram B = J, B^-1 from `_darboux_inv`) l has
+    In Darboux coordinates (B^T gram B = J, B from `_darboux_basis`) l has
     the rref basis R of the rows of l times B^-T.  For P the pivots of R
     below n, the coordinate Lagrangian K spanned by e_j (j not in P) and f_i
     (i in P) meets l in 0: a vector of l off e_P has no e-part, and a
@@ -82,7 +82,7 @@ def _standard_frame(l: Lagrangian) -> tuple[np.ndarray, np.ndarray] | None:
     dual = FpMatrix(field, r.basis.a @ j @ k.T).inv().a.T @ k % p
     frame = np.vstack([r.basis.a, dual]).T
     if not standard:
-        frame = FpMatrix(field, binv).inv().a @ frame % p
+        frame = space._darboux_basis() @ frame % p
     return frame, -j @ frame.T @ space.gram.a % p
 
 
@@ -161,13 +161,12 @@ def mp_cocycle(char: AdditiveCharacter, g: SpElement, h: SpElement, l: Lagrangia
     """gamma(tau(l, g l, g h l)), the multiplication twist at base l."""
     if g.space != l.space or h.space != l.space:
         raise DimensionMismatch("cocycle needs g, h and l in one space")
-    bases = _moved_bases(l, g.mat.a[None], h.mat.a[None])[0]
-    return weil_index(char, _bases_form(l.space, list(bases)))
+    return mp_cocycles(char, g.mat.a[None], h.mat.a[None], l)[0]
 
 
 def mp_cocycles(char: AdditiveCharacter, gmats, hmats, l: Lagrangian) -> list[complex]:
-    """`mp_cocycle(char, g, h, l)` for (B, 2n, 2n) stacks of g and h, each
-    equal to it (`==`), from stacked eliminations."""
+    """gamma(tau(l, g l, g h l)) for (B, 2n, 2n) stacks of g and h, from
+    stacked eliminations on the moved bases of l."""
     d = l.space.dim
     gmats = np.asarray(gmats, dtype=np.int64).reshape(-1, d, d)
     hmats = np.asarray(hmats, dtype=np.int64).reshape(-1, d, d)

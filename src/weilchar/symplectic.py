@@ -32,13 +32,14 @@ class SymplecticSpace:
 
     def __init__(self, field: Fp, n: int | None = None, gram: FpMatrix | None = None) -> None:
         self.field = field
-        # B^-1 of `_darboux_inv`, known up front for the gram J: B = I
-        self._darboux: np.ndarray | None = None
+        # (B, B^-1) of `_darboux_basis`, known up front for the gram J: B = I
+        self._darboux: tuple[np.ndarray, np.ndarray] | None = None
         if gram is None:
             if n is None or n < 1:
                 raise DimensionMismatch("need n >= 1 or an explicit gram matrix")
             gram = standard_gram(field, n)
-            self._darboux = FpMatrix.identity(field, 2 * n).a
+            eye = FpMatrix.identity(field, 2 * n).a
+            self._darboux = (eye, eye)
         p = field.p
         a = gram.a
         if a.shape[0] != a.shape[1] or a.shape[0] % 2:
@@ -130,7 +131,7 @@ class SymplecticSpace:
         # rows x of a J-Lagrangian map to rows x B^T of a gram-Lagrangian
         to_gram = None
         if self.gram != standard_gram(field, n):
-            to_gram = FpMatrix(field, self._darboux_inv()).inv().a.T
+            to_gram = self._darboux_basis().T
         out = []
         for basis, pivots in _chart_bases(field, n):
             if to_gram is None:
@@ -178,13 +179,18 @@ class SymplecticSpace:
 
         return self._symplectic_basis(draw)
 
-    def _darboux_inv(self) -> np.ndarray:
-        """B^-1 for the first symplectic basis B found from the canonical
-        basis of each complement: B^T gram B = J, and B = I for gram J."""
+    def _darboux_basis(self) -> np.ndarray:
+        """The first symplectic basis B found from the canonical basis of
+        each complement: B^T gram B = J, and B = I for gram J."""
         if self._darboux is None:
             b = self._symplectic_basis(lambda kb, accept: next(v for v in kb if accept(v)))
-            self._darboux = FpMatrix(self.field, b).inv().a
-        return self._darboux
+            self._darboux = (b, FpMatrix(self.field, b).inv().a)
+        return self._darboux[0]
+
+    def _darboux_inv(self) -> np.ndarray:
+        """B^-1 for B of `_darboux_basis`."""
+        self._darboux_basis()
+        return self._darboux[1]
 
     def random_element(self, rng) -> "SpElement":
         """Uniformly random group element: a random symplectic basis M has
