@@ -7,6 +7,14 @@ reports) when the reader closed stdout early, as `| head` does.  Complex
 numbers serialize to JSON as {"re": ..., "im": ...}; square classes as
 {"rep": ..., "is_square": ...}.
 Matrices on the command line are row-major comma-separated residues.
+
+`table` goes from one (N, 2n, 2n) stack of group elements to its output
+text: the whole group from `SymplecticSpace.element_matrices` when it fits,
+else `--samples` seeded random draws, and one stacked closed-form call for
+all rows.  Its JSON comes from a fixed-shape writer that prints exactly what
+`json.dumps(rows, indent=2, sort_keys=True)` prints; every other command
+goes through `json.dumps`.  `verify --suites` picks the suites to run, and
+the dense cap binds only when a dense suite is picked.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ import json
 import os
 import sys
 import traceback
+from itertools import chain
 
 import numpy as np
 
@@ -29,7 +38,7 @@ from .field import Fp
 from .metaplectic import split_lift
 from .schrodinger import MAX_REP_DIM, trace_oracle
 from .symplectic import GROUP_CAP, LAGRANGIAN_CAP, SymplecticSpace
-from .verify import as_json_complex, run_verification
+from .verify import DENSE_SUITES, SUITE_ORDER, as_json_complex, run_verification
 
 CHECK_ERROR = 1
 USAGE_ERROR = 2
@@ -46,6 +55,16 @@ def _parse_ints(text: str) -> list[int]:
         return [int(tok) for tok in text.replace(";", ",").split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise InputError(f"expected comma-separated integers, got {text!r}") from exc
+
+
+def _parse_suites(text: str) -> tuple[str, ...]:
+    """Suite names from a comma list, each once, checked before any suite runs."""
+    names = tuple(dict.fromkeys(tok.strip() for tok in text.split(",") if tok.strip()))
+    unknown = [name for name in names if name not in SUITE_ORDER]
+    if unknown or not names:
+        problem = f"unknown suites {', '.join(unknown)}" if unknown else "no suite named"
+        raise InputError(f"--suites {text!r}: {problem}; valid: {', '.join(SUITE_ORDER)}")
+    return names
 
 
 def _matrix_from_flag(text: str, rows: int, cols: int) -> np.ndarray:
@@ -158,16 +177,47 @@ def cmd_trace(args) -> int:
 
 
 def _table_rows(args, char, space):
+    """(g, dim_ker, disc, trace, formula_used) per row, g as nested lists of
+    ints read off one (N, dim, dim) stack: the whole group when it fits,
+    else `--samples` random draws."""
     if space.order() <= min(GROUP_CAP, args.max_enum):
-        elems = space.elements()
+        mats = space.element_matrices()
     else:
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, args.p, args.n]))
-        elems = [space.random_element(rng) for _ in range(args.samples)]
-    d = space.dim
-    mats = np.array([g.mat.a for g in elems], dtype=np.int64).reshape(-1, d, d)
-    for g, (k, disc, tr) in zip(elems, closed_form_data_many(char, space, mats)):
-        used = "closed-singular" if k else "closed"
-        yield g, k, disc, tr, used
+        d = space.dim
+        mats = np.array([space.random_element(rng).mat.a for _ in range(args.samples)],
+                        dtype=np.int64).reshape(-1, d, d)
+    for g, (k, disc, tr) in zip(mats.tolist(), closed_form_data_many(char, space, mats)):
+        yield g, k, disc, tr, "closed-singular" if k else "closed"
+
+
+def _json_row_template(nrows: int, ncols: int) -> str:
+    """One table row as `json.dumps(..., indent=2, sort_keys=True)` lays it
+    out inside the top-level list, with a {} for each value."""
+    matrix = ",\n".join(
+        "      [\n" + ",\n".join(["        {}"] * ncols) + "\n      ]" for _ in range(nrows))
+    return (
+        '  {{\n    "det_sigma_class": {{\n      "is_square": {},\n      "rep": {}\n    }},\n'
+        '    "dim_ker": {},\n    "formula_used": "{}",\n'
+        '    "g": [\n' + matrix + "\n    ],\n"
+        '    "trace": {{\n      "im": {!r},\n      "re": {!r}\n    }}\n  }}'
+    )
+
+
+def _table_json(rows) -> str:
+    """The table rows as `json.dumps(row dicts, indent=2, sort_keys=True)`
+    writes them, from one template: keys in sorted order, one list item per
+    line, ints through `str` and the (finite) trace parts through
+    `float.__repr__`, as `json` writes them."""
+    items = []
+    template = None
+    for g, k, disc, tr, used in rows:
+        if template is None:
+            template = _json_row_template(len(g), len(g[0]))
+        z = complex(tr)
+        items.append(template.format("true" if disc.is_square else "false", disc.rep, k, used,
+                                     *chain.from_iterable(g), z.imag, z.real))
+    return "[\n" + ",\n".join(items) + "\n]" if items else "[]"
 
 
 def cmd_table(args) -> int:
@@ -176,21 +226,13 @@ def cmd_table(args) -> int:
     space = SymplecticSpace(field, args.n)
     table = _table_rows(args, char, space)
     if args.format == "json":
-        json_rows = [
-            {
-                "g": g.mat.a.tolist(),
-                "dim_ker": k,
-                "det_sigma_class": disc.as_dict(),
-                "trace": as_json_complex(tr),
-                "formula_used": used,
-            }
-            for g, k, disc, tr, used in table
-        ]
-        _emit(args, [], json_rows)
+        # print writes the newline on its own, so a reader that closes the
+        # pipe during the document still meets a failed write
+        print(_table_json(table))
         return 0
     header = ["g", "dim_ker", "det_sigma_class", "trace_re", "trace_im", "formula_used"]
     rows = [
-        [" ".join(str(x) for x in g.mat.a.reshape(-1)), k, disc.rep,
+        [" ".join(map(str, chain.from_iterable(g))), k, disc.rep,
          f"{tr.real:.12g}", f"{tr.imag:.12g}", used]
         for g, k, disc, tr, used in table
     ]
@@ -209,6 +251,7 @@ def cmd_verify(args) -> int:
         raise InputError("need at least one p and one n")
     for p in ps:
         _field_and_char(p, args.psi_scale)
+    suites = SUITE_ORDER if args.suites is None else _parse_suites(args.suites)
     results = run_verification(
         ps,
         ns,
@@ -217,6 +260,7 @@ def cmd_verify(args) -> int:
         psi_scale=args.psi_scale,
         max_enum=args.max_enum,
         corrupt_cocycle=args.corrupt_cocycle,
+        suites=suites,
     )
     ok = all(r.ok for r in results)
     lines = []
@@ -295,6 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n", type=str, default="1", help="comma-separated half-dimensions")
     common(v, with_n=False)
     sampling(v)
+    v.add_argument("--suites", type=str, default=None,
+                   help=f"comma-separated suites to run, in this order (default: all of "
+                        f"{','.join(SUITE_ORDER)}); the dense cap p^n <= {MAX_REP_DIM} binds "
+                        f"only {','.join(DENSE_SUITES)}")
     v.add_argument("--corrupt-cocycle", action="store_true", help=argparse.SUPPRESS)
     return ap
 

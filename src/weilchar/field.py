@@ -136,6 +136,14 @@ class FpMatrix:
         self.a = arr
 
     @classmethod
+    def _reduced(cls, field: Fp, arr: np.ndarray) -> "FpMatrix":
+        """A matrix over a read-only 2-d array already reduced mod p; no copy."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.a = arr
+        return m
+
+    @classmethod
     def identity(cls, field: Fp, n: int) -> "FpMatrix":
         return cls(field, np.eye(n, dtype=np.int64))
 
@@ -202,8 +210,15 @@ class FpMatrix:
         return len(self.rref()[1])
 
     def kernel(self) -> "Subspace":
-        """The right null space {x : A x = 0} as a subspace of F_p^ncols."""
-        return Subspace.from_rows(self.field, self.ncols, _null_rows(self.a, self.field))
+        """The right null space {x : A x = 0} as a subspace of F_p^ncols, from
+        one elimination.  Take the null rows of A with its columns reversed and
+        reverse them along both axes: each row has a 1 at its own free column,
+        zeros at the other free columns and entries only at pivot columns to
+        its right.  That is already the rref basis, pivoted at the free columns."""
+        ncols = self.ncols
+        rows, free = _null_space(self.a[:, ::-1], self.field)
+        pivots = tuple(ncols - 1 - c for c in reversed(free))
+        return Subspace(self.field, ncols, FpMatrix(self.field, rows[::-1, ::-1]), pivots)
 
     def det(self) -> int:
         if self.nrows != self.ncols:
@@ -268,6 +283,10 @@ def _eliminate_many(stack: np.ndarray, field: Fp):
     `_eliminate` takes, its first nonzero entry at or below its own current
     row, so every output equals the single loop's bit for bit; the Python
     loop runs once per column for the whole stack.
+
+    Reduction is lazy: each step reduces only column c and the pivot rows, so
+    the other entries grow by at most (p - 1)^2 per column, far inside int64,
+    and the stack is reduced once at the end.
     """
     p = field.p
     work = np.array(stack, dtype=np.int64) % p
@@ -278,32 +297,37 @@ def _eliminate_many(stack: np.ndarray, field: Fp):
     inv = field.inverses
     below = np.arange(nrows)
     for c in range(ncols):
-        cand = (work[:, :, c] != 0) & (below >= row[:, None])
+        column = work[:, :, c]
+        column %= p
+        cand = (column != 0) & (below >= row[:, None])
         has = cand.any(axis=1)
         b = np.flatnonzero(has)
         if b.size == 0:
             continue
         r = row[b]
         pr = cand[b].argmax(axis=1)
-        top = work[b, pr]
+        # a pivot row is zero left of its pivot, so only columns c.. change
+        top = work[b, pr, c:]
         work[b, pr] = work[b, r]
-        piv = top[:, c]
+        piv = top[:, 0]
         det[b] = np.where(pr != r, -det[b], det[b]) * piv % p
         top = top * inv[piv][:, None] % p
-        work[b, r] = top
-        # clear column c in every other row; matrices without a pivot here stay.
-        # A pivot row is zero left of its pivot, so only columns c.. change.
-        col = work[:, :, c] * has[:, None]
+        work[b, r, c:] = top
+        # clear column c in every other row; matrices without a pivot here stay
+        if b.size == nb:
+            col = column.copy()
+            tops = top
+        else:
+            col = column * has[:, None]
+            tops = np.zeros((nb, ncols - c), dtype=np.int64)
+            tops[b] = top
         col[b, r] = 0
-        tops = np.zeros((nb, ncols - c), dtype=np.int64)
-        tops[b] = top[:, c:]
-        rest = work[:, :, c:]
-        rest -= col[:, :, None] * tops[:, None, :]
-        rest %= p
+        work[:, :, c:] -= col[:, :, None] * tops[:, None, :]
         pivots[b, c] = True
         row[b] += 1
         if row.min() == nrows:
             break
+    work %= p
     det[(row != nrows) | (nrows != ncols)] = 0
     return work, pivots, row, det
 
@@ -349,15 +373,22 @@ def _inverses_many(stack: np.ndarray, field: Fp) -> tuple[np.ndarray, np.ndarray
     return ok, red[ok, :, n:]
 
 
-def _null_rows(a: np.ndarray, field: Fp) -> np.ndarray:
-    """A basis of {x : a x = 0} as rows, one per free column, not yet reduced."""
+def _null_space(a: np.ndarray, field: Fp) -> tuple[np.ndarray, list[int]]:
+    """(rows, free): a basis of {x : a x = 0} as rows and the free columns of
+    rref(a).  Row k has a 1 at free[k], zeros at the other free columns and
+    minus column free[k] of rref(a) at the pivot columns."""
     red, pivots, _, _ = _eliminate(a, field)
     ncols = a.shape[1]
     free = [c for c in range(ncols) if c not in pivots]
     rows = np.zeros((len(free), ncols), dtype=np.int64)
     rows[np.arange(len(free)), free] = 1
     rows[:, list(pivots)] = (-red[: len(pivots), free].T) % field.p
-    return rows
+    return rows, free
+
+
+def _null_rows(a: np.ndarray, field: Fp) -> np.ndarray:
+    """A basis of {x : a x = 0} as rows, one per free column, not yet reduced."""
+    return _null_space(a, field)[0]
 
 
 def _null_rows_many(stack: np.ndarray, field: Fp) -> np.ndarray:
@@ -433,11 +464,13 @@ class Subspace:
 
     @classmethod
     def zero(cls, field: Fp, ambient: int) -> "Subspace":
-        return cls.from_rows(field, ambient, np.zeros((0, ambient), dtype=np.int64))
+        """The zero subspace; its empty basis is its own rref."""
+        return cls(field, ambient, FpMatrix(field, np.zeros((0, ambient), dtype=np.int64)), ())
 
     @classmethod
     def full(cls, field: Fp, ambient: int) -> "Subspace":
-        return cls.from_rows(field, ambient, np.eye(ambient, dtype=np.int64))
+        """The whole space; the identity is its own rref."""
+        return cls(field, ambient, FpMatrix.identity(field, ambient), tuple(range(ambient)))
 
     @property
     def dim(self) -> int:

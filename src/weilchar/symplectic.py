@@ -28,7 +28,9 @@ def standard_gram(field: Fp, n: int) -> FpMatrix:
 class SymplecticSpace:
     """F_p^dim with a fixed invertible antisymmetric gram matrix."""
 
-    __slots__ = ("field", "gram", "_doubled", "_lagrangians", "_darboux", "_diagonal")
+    __slots__ = (
+        "field", "gram", "_doubled", "_lagrangians", "_darboux", "_diagonal", "_standard"
+    )
 
     def __init__(self, field: Fp, n: int | None = None, gram: FpMatrix | None = None) -> None:
         self.field = field
@@ -52,6 +54,7 @@ class SymplecticSpace:
         self._doubled: SymplecticSpace | None = None
         self._lagrangians: list[Lagrangian] | None = None
         self._diagonal: Lagrangian | None = None
+        self._standard: Lagrangian | None = None
 
     @property
     def dim(self) -> int:
@@ -78,9 +81,12 @@ class SymplecticSpace:
         return Lagrangian(self, sub)
 
     def standard_lagrangian(self) -> "Lagrangian":
-        rows = np.zeros((self.n, self.dim), dtype=np.int64)
-        rows[:, : self.n] = np.eye(self.n, dtype=np.int64)
-        return self.lagrangian(rows)
+        """The span of the first n unit vectors, built once per space."""
+        if self._standard is None:
+            rows = np.zeros((self.n, self.dim), dtype=np.int64)
+            rows[:, : self.n] = np.eye(self.n, dtype=np.int64)
+            self._standard = self.lagrangian(rows)
+        return self._standard
 
     def element(self, mat) -> "SpElement":
         return SpElement(self, FpMatrix(self.field, mat))
@@ -203,7 +209,14 @@ class SymplecticSpace:
         return self.lagrangian(self._random_basis(rng)[:, : self.n].T)
 
     def elements(self) -> list["SpElement"]:
-        """The whole group, sorted by matrix bytes, built with no search.
+        """The whole group as elements, in the order of `element_matrices`."""
+        field = self.field
+        return [SpElement._preserving(self, FpMatrix._reduced(field, g))
+                for g in self.element_matrices()]
+
+    def element_matrices(self) -> np.ndarray:
+        """The whole group as a read-only (order, dim, dim) stack, sorted by
+        matrix bytes, built with no search and checked in one stacked test.
 
         For (e, f) the symplectic basis B of `_darboux_inv`, g is fixed by
         the transverse Lagrangians L = g span(e), L' = g span(f) and a in
@@ -228,10 +241,17 @@ class SymplecticSpace:
         g_f = np.einsum("aji,tjc->taic", gl_inv, q)
         m = np.concatenate([g_e, g_f], axis=2).reshape(-1, self.dim, self.dim)
         mats = m.swapaxes(1, 2) @ self._darboux_inv() % p
-        out = [self.element(g) for g in sorted(mats, key=lambda g: g.tobytes())]
-        if len(out) != order:
-            raise InvariantViolation(f"built {len(out)} group elements, expected {order}")
-        return out
+        # entries lie in [0, p) with p < 256, so the bytes of a matrix order
+        # like its entries read row by row
+        flat = mats.reshape(len(mats), -1)
+        mats = mats[np.lexsort(flat.T[::-1])]
+        if len(mats) != order:
+            raise InvariantViolation(f"built {len(mats)} group elements, expected {order}")
+        gram = self.gram.a
+        if np.any((mats.swapaxes(1, 2) @ gram @ mats - gram) % p):
+            raise InvariantViolation("a built group element does not preserve the symplectic form")
+        mats.setflags(write=False)
+        return mats
 
     def doubled(self) -> "SymplecticSpace":
         """The same space squared, with gram diag(-J, J)."""
@@ -366,6 +386,15 @@ class SpElement:
         self.space = space
         self.mat = mat
         self._graph: Lagrangian | None = None
+
+    @classmethod
+    def _preserving(cls, space: SymplecticSpace, mat: FpMatrix) -> "SpElement":
+        """An element whose matrix is known to preserve the form; no check."""
+        g = cls.__new__(cls)
+        g.space = space
+        g.mat = mat
+        g._graph = None
+        return g
 
     def __mul__(self, other: "SpElement") -> "SpElement":
         if other.space != self.space:

@@ -19,7 +19,7 @@ from weilchar.characters import AdditiveCharacter
 from weilchar.charformula import trace_closed_form
 from weilchar.cli import main
 from weilchar.errors import InvariantViolation
-from weilchar.field import Fp
+from weilchar.field import Fp, SquareClass
 from weilchar.symplectic import SymplecticSpace, displacement_disc, kernel_of_displacement
 
 
@@ -190,6 +190,34 @@ def test_table_with_no_rows_prints_an_empty_list(capsys):
     assert json.loads(out) == []
 
 
+def _row_dict(g, k, disc, tr, used):
+    return {"g": g, "dim_ker": k, "det_sigma_class": disc.as_dict(),
+            "trace": {"re": tr.real, "im": tr.imag}, "formula_used": used}
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [([[1, 0], [0, 1]], 2, SquareClass(Fp(3), True), complex(3.0, -0.0), "closed-singular")],
+    [([[0, 96], [1, 0]], 0, SquareClass(Fp(97), False), complex(-0.0, 2.70542565719e-16),
+      "closed"),
+     ([[2, 5], [3, 8]], 1, SquareClass(Fp(97), True), complex(1e-300, -9.848857801796104),
+      "closed-singular")],
+    [([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 4, SquareClass(Fp(5), False),
+      complex(25.0, 0.0), "closed-singular"),
+     ([[4, 0, 2, 1], [3, 4, 0, 3], [2, 0, 0, 0], [1, 3, 0, 0]], 0, SquareClass(Fp(5), True),
+      complex(-0.30901699437494756, 0.9510565162951535), "closed")],
+])
+def test_table_json_writer_equals_the_stdlib_encoder(rows):
+    want = json.dumps([_row_dict(*row) for row in rows], indent=2, sort_keys=True)
+    assert weilchar.cli._table_json(rows) == want
+
+
+def test_table_json_is_the_stdlib_layout(capsys):
+    code, out, _ = run(capsys, "table", "--p", "5", "--n", "2", "--samples", "5", "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 def test_table_sampled_when_group_too_big(capsys):
     code, out, _ = run(capsys, "table", "--p", "11", "--max-enum", "100",
                        "--samples", "7", "--format", "csv")
@@ -254,6 +282,38 @@ def test_verify_rejects_oversized_cell(capsys):
     code, _, err = run(capsys, "verify", "--p", "11", "--n", "3")
     assert code == 2
     assert "exceeds" in err
+
+
+def test_verify_suites_past_the_dense_cap(capsys):
+    """The dense cap binds only the dense suites, so the others run at 3^6 = 729."""
+    code, out, err = run(capsys, "verify", "--p", "3", "--n", "6", "--samples", "1",
+                         "--suites", "gamma,polygon,cocycle,theta", "--format", "json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["ok"] is True
+    assert [r["suite"] for r in doc["results"]] == ["gamma", "polygon", "cocycle", "theta"]
+    code, _, err = run(capsys, "verify", "--p", "3", "--n", "6", "--suites", "gamma,trace")
+    assert code == 2 and "exceeds" in err
+
+
+def test_verify_suites_run_in_the_given_order_with_their_own_seeds(capsys):
+    argv = ("verify", "--p", "5", "--n", "1", "--samples", "2", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    every = {r["suite"]: r for r in json.loads(out)["results"]}
+    code, out, _ = run(capsys, *argv, "--suites", "theta,gamma,theta")
+    assert code == 0
+    picked = json.loads(out)["results"]
+    assert [r["suite"] for r in picked] == ["theta", "gamma"]
+    for r in picked:
+        assert {**r, "seconds": 0} == {**every[r["suite"]], "seconds": 0}
+
+
+@pytest.mark.parametrize("names", ["gamma,bogus", "", " , "])
+def test_verify_rejects_unknown_suites_up_front(capsys, names):
+    code, out, err = run(capsys, "verify", "--p", "3", "--n", "6", "--suites", names)
+    assert code == 2 and out == ""
+    assert "valid: gamma, polygon, cocycle, trace, loops, theta, structural, homomorphism" in err
 
 
 def test_verify_csv_header(capsys):

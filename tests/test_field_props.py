@@ -3,6 +3,7 @@ RowSolver and Subspace.intersect, on small random matrices, and for its
 stacked form against a per-matrix loop."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -211,3 +212,70 @@ def test_eliminate_many_equals_the_single_loop(fs):
         assert len(inverses) == ok.sum()
         for a, a_inv in zip(stack[ok], inverses):
             assert np.array_equal(a_inv, FpMatrix(field, a).inv().a)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(field, matrix) with p in {3, 5, 7, 97}, 0-7 rows and 1-10 columns:
+    random, zero, full rank, or a product of lower rank."""
+    p = draw(st.sampled_from([3, 5, 7, 97]))
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["random", "zero", "full", "low"]))
+    ints = lambda count: np.array(
+        draw(st.lists(st.integers(0, p - 1), min_size=count, max_size=count)), dtype=np.int64)
+    if kind == "zero":
+        a = np.zeros((rows, cols), dtype=np.int64)
+    elif kind == "full":
+        # an rref-like block of rank min(rows, cols), its rows and columns permuted
+        k = min(rows, cols)
+        a = np.zeros((rows, cols), dtype=np.int64)
+        a[:k, :k] = np.eye(k, dtype=np.int64)
+        a[:k, k:] = ints(k * (cols - k)).reshape(k, cols - k)
+        a = a[draw(st.permutations(range(rows)))][:, draw(st.permutations(range(cols)))]
+    elif kind == "low":
+        k = draw(st.integers(0, min(rows, cols)))
+        a = ints(rows * k).reshape(rows, k) @ ints(k * cols).reshape(k, cols)
+    else:
+        a = ints(rows * cols).reshape(rows, cols)
+    return Fp(p), a % p
+
+
+@PROPS
+@given(kernel_inputs())
+def test_kernel_from_one_elimination_equals_the_rref_of_the_null_rows(fa):
+    field, a = fa
+    ker = FpMatrix(field, a).kernel()
+    ref = Subspace.from_rows(field, a.shape[1], _null_rows(a, field))
+    assert ker.pivots == ref.pivots
+    assert ker.basis == ref.basis
+    assert ker.ambient == ref.ambient == a.shape[1]
+
+
+@pytest.mark.parametrize("p", [3, 5, 97])
+@pytest.mark.parametrize("ambient", [0, 1, 2, 5])
+def test_full_and_zero_subspaces_equal_their_rref_forms(p, ambient):
+    field = Fp(p)
+    full = Subspace.full(field, ambient)
+    zero = Subspace.zero(field, ambient)
+    ref_full = Subspace.from_rows(field, ambient, np.eye(ambient, dtype=np.int64))
+    ref_zero = Subspace.from_rows(field, ambient, np.zeros((0, ambient), dtype=np.int64))
+    for got, ref in ((full, ref_full), (zero, ref_zero)):
+        assert got == ref
+        assert got.pivots == ref.pivots
+        assert got.basis.shape == ref.basis.shape
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 97])
+def test_eliminate_many_reduces_columns_past_the_last_pivot(p):
+    """Wide stacks of full row rank finish their pivots before the last
+    column; the columns after it must come out reduced like the single loop's."""
+    field = Fp(p)
+    rng = np.random.default_rng(p)
+    for rows, cols in ((1, 4), (2, 5), (3, 7), (4, 9), (6, 6), (5, 3)):
+        stack = rng.integers(0, p, (8, rows, cols))
+        red, pivots, ranks, dets = _eliminate_many(stack, field)
+        for i, a in enumerate(stack):
+            one_red, one_piv, _, one_det = _eliminate(a, field)
+            assert np.array_equal(red[i], one_red)
+            assert tuple(np.flatnonzero(pivots[i])) == one_piv
+            assert (ranks[i], dets[i]) == (len(one_piv), one_det)

@@ -40,6 +40,20 @@ def test_split_value_frozen_p5():
     assert approx_eq(split_value(ch, sp.identity(), l), 1, 1e-12)
 
 
+def test_split_lift_reuses_the_standard_lagrangian():
+    """The base of a default lift is built once per space, and the lift values
+    equal those at a freshly built standard Lagrangian."""
+    ch, sp = setup(5, 2)
+    fresh = sp.lagrangian(np.eye(2, 4, dtype=np.int64))
+    assert sp.standard_lagrangian() is sp.standard_lagrangian() == fresh
+    rng = np.random.default_rng(3)
+    for _ in range(6):
+        g = sp.random_element(rng)
+        e1, e2 = split_lift(ch, g), split_lift(ch, g, sign=-1)
+        assert e1.base is e2.base is sp.standard_lagrangian()
+        assert e1.t0 == -e2.t0 == split_lift(ch, g, base=fresh).t0
+
+
 def pairing_oracle(ch, g, l):
     """The orientation-pairing route to m_g(l): the edge factor of (g l, l)."""
     o = Orientation.default(l)

@@ -1,5 +1,6 @@
 """Symplectic spaces, Lagrangian enumeration, group element generation."""
 
+import hashlib
 from itertools import product
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weilchar.errors import DimensionMismatch, EnumerationTooLarge
+from weilchar.errors import DimensionMismatch, EnumerationTooLarge, InvariantViolation
 from weilchar.field import Fp, FpMatrix, Subspace
 from weilchar.symplectic import (
     Lagrangian,
@@ -183,6 +184,49 @@ def test_enumeration_on_any_gram(p, n, data):
 def test_group_cap_enforced():
     with pytest.raises(EnumerationTooLarge):
         space(11, 2).elements()
+    with pytest.raises(EnumerationTooLarge):
+        space(11, 2).element_matrices()
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (13, 1), (3, 2)])
+def test_element_matrices_are_the_validated_group_sorted_by_bytes(p, n):
+    sp = space(p, n)
+    mats = sp.element_matrices()
+    assert mats.shape == (sp.order(), sp.dim, sp.dim) and mats.dtype == np.int64
+    assert not mats.flags.writeable
+    with pytest.raises(ValueError):
+        mats[0, 0, 0] = 1
+    keys = [g.tobytes() for g in mats]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    if n == 1:
+        # the whole group: every validated quadruple with ad - bc = 1
+        want = [sp.element([[a, b], [c, d]]).mat.a
+                for a, b, c, d in product(range(p), repeat=4) if (a * d - b * c) % p == 1]
+        assert np.array_equal(mats, np.stack(want))
+    else:
+        # the constructor's own check, element by element, on a spread of rows
+        for g in mats[:: len(mats) // 500]:
+            sp.element(g)
+    els = sp.elements()
+    assert np.array_equal(np.stack([g.mat.a for g in els]), mats)
+    assert els[:50] == [sp.element(g) for g in mats[:50]]
+
+
+def test_element_matrices_check_the_form_on_the_whole_stack(monkeypatch):
+    """A corrupted Darboux inverse 2 B^-1 scales the form by 4 != 1 mod 5."""
+    sp = space(5, 1)
+    monkeypatch.setattr(SymplecticSpace, "_darboux_inv", lambda self: 2 * np.eye(2, dtype=np.int64))
+    with pytest.raises(InvariantViolation):
+        sp.element_matrices()
+    with pytest.raises(InvariantViolation):
+        sp.elements()
+
+
+def test_standard_lagrangian_is_built_once():
+    sp = space(5, 2)
+    l = sp.standard_lagrangian()
+    assert sp.standard_lagrangian() is l
+    assert l.sub.basis.tolist() == [[1, 0, 0, 0], [0, 1, 0, 0]]
 
 
 def test_transvection_is_symplectic_and_fixes_hyperplane():
@@ -222,6 +266,19 @@ def test_random_element_frozen_standard_draw():
     assert space(7, 1).random_element(np.random.default_rng(0)).mat.tolist() == [[5, 5], [4, 0]]
     l = space(5, 2).random_lagrangian(np.random.default_rng(0))
     assert l.sub.basis.tolist() == [[1, 0, 3, 0], [0, 1, 0, 2]]
+
+
+@pytest.mark.parametrize("p,n,digest", [
+    (3, 5, "26f7472fcfa01869334b65e89f9bfe5f1958651f19cf35eb9c94eeace8035dc9"),
+    (7, 3, "6c67f5356dc377670247e0c162dbedb4a9163cff69c54815295a565587a5b671"),
+    (97, 2, "66762ec016980e58eaa68d080ffcab96165576e9370d6d8b57431caae3b94f26"),
+])
+def test_random_element_frozen_draw_hashes(p, n, digest):
+    """200 draws from the seed [p, n], hashed as little-endian int64 bytes."""
+    sp = space(p, n)
+    rng = np.random.default_rng([p, n])
+    draws = np.stack([sp.random_element(rng).mat.a for _ in range(200)])
+    assert hashlib.sha256(draws.astype("<i8").tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
