@@ -136,14 +136,6 @@ class FpMatrix:
         self.a = arr
 
     @classmethod
-    def _reduced(cls, field: Fp, arr: np.ndarray) -> "FpMatrix":
-        """A matrix over a read-only 2-d array already reduced mod p; no copy."""
-        m = cls.__new__(cls)
-        m.field = field
-        m.a = arr
-        return m
-
-    @classmethod
     def identity(cls, field: Fp, n: int) -> "FpMatrix":
         return cls(field, np.eye(n, dtype=np.int64))
 
@@ -314,13 +306,9 @@ def _eliminate_many(stack: np.ndarray, field: Fp):
         top = top * inv[piv][:, None] % p
         work[b, r, c:] = top
         # clear column c in every other row; matrices without a pivot here stay
-        if b.size == nb:
-            col = column.copy()
-            tops = top
-        else:
-            col = column * has[:, None]
-            tops = np.zeros((nb, ncols - c), dtype=np.int64)
-            tops[b] = top
+        col = column * has[:, None]
+        tops = np.zeros((nb, ncols - c), dtype=np.int64)
+        tops[b] = top
         col[b, r] = 0
         work[:, :, c:] -= col[:, :, None] * tops[:, None, :]
         pivots[b, c] = True

@@ -210,9 +210,7 @@ class SymplecticSpace:
 
     def elements(self) -> list["SpElement"]:
         """The whole group as elements, in the order of `element_matrices`."""
-        field = self.field
-        return [SpElement._preserving(self, FpMatrix._reduced(field, g))
-                for g in self.element_matrices()]
+        return [self.element(g) for g in self.element_matrices()]
 
     def element_matrices(self) -> np.ndarray:
         """The whole group as a read-only (order, dim, dim) stack, sorted by
@@ -386,15 +384,6 @@ class SpElement:
         self.space = space
         self.mat = mat
         self._graph: Lagrangian | None = None
-
-    @classmethod
-    def _preserving(cls, space: SymplecticSpace, mat: FpMatrix) -> "SpElement":
-        """An element whose matrix is known to preserve the form; no check."""
-        g = cls.__new__(cls)
-        g.space = space
-        g.mat = mat
-        g._graph = None
-        return g
 
     def __mul__(self, other: "SpElement") -> "SpElement":
         if other.space != self.space:

@@ -46,6 +46,7 @@ def test_split_lift_reuses_the_standard_lagrangian():
     ch, sp = setup(5, 2)
     fresh = sp.lagrangian(np.eye(2, 4, dtype=np.int64))
     assert sp.standard_lagrangian() is sp.standard_lagrangian() == fresh
+    assert fresh.sub.basis.tolist() == [[1, 0, 0, 0], [0, 1, 0, 0]]
     rng = np.random.default_rng(3)
     for _ in range(6):
         g = sp.random_element(rng)

@@ -222,13 +222,6 @@ def test_element_matrices_check_the_form_on_the_whole_stack(monkeypatch):
         sp.elements()
 
 
-def test_standard_lagrangian_is_built_once():
-    sp = space(5, 2)
-    l = sp.standard_lagrangian()
-    assert sp.standard_lagrangian() is l
-    assert l.sub.basis.tolist() == [[1, 0, 0, 0], [0, 1, 0, 0]]
-
-
 def test_transvection_is_symplectic_and_fixes_hyperplane():
     sp = space(7, 2)
     v = np.array([1, 2, 3, 4], dtype=np.int64)
