@@ -4,9 +4,9 @@ The trace of the Weil operator of a lifted g has two closed forms: one through
 the discriminant of the displacement pairing form((g-1)v, w) of g, one through
 the Maslov index of (graph(g), diagonal, l + l) in the doubled space.  Both
 carry p^(k/2), k = dim ker(g - 1); a caller that needs both takes k from one
-`closed_form_data` call and passes it to `_factor_trace`, which
-`trace_from_factor` also evaluates.  Both are checked against the brute-force
-operator trace elsewhere.
+`closed_form_data` call and passes it with the character factor to
+`_factor_trace`, through which `trace_from_factor` also goes.  Both are
+checked against the brute-force operator trace elsewhere.
 
 The displacement pairing is not symmetric unless (g-1)^2 = 0, but its gram
 G = (g-1)^T J has ker(g-1) as both its left and its right radical.  So with I
@@ -175,14 +175,15 @@ def trace_closed_form(char: AdditiveCharacter, g: SpElement) -> complex:
     return closed_form_data(char, g)[2]
 
 
-def _factor_trace(e: MpElement, l: Lagrangian | None, k: int) -> complex:
-    """p^(k/2) * t(l) * gamma(tau(graph, diagonal, l + l)) for k = dim ker(g-1)."""
-    return math.sqrt(e.char.p) ** k * character_factor(e, l)
+def _factor_trace(p: int, k: int, factor: complex) -> complex:
+    """p^(k/2) * factor, for factor = t(l) * gamma(tau(graph, diagonal, l + l))
+    and k = dim ker(g-1)."""
+    return math.sqrt(p) ** k * factor
 
 
 def trace_from_factor(e: MpElement, l: Lagrangian | None = None) -> complex:
     """p^(dim ker(g-1)/2) * t(l) * gamma(tau(graph, diagonal, l + l))."""
-    return _factor_trace(e, l, kernel_of_displacement(e.g).dim)
+    return _factor_trace(e.char.p, kernel_of_displacement(e.g).dim, character_factor(e, l))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .characters import AdditiveCharacter, approx_eq
 from .charformula import _factor_trace, closed_form_data, closed_form_data_many
 from .errors import DimensionMismatch, EnumerationTooLarge, ZeroFormClass
 from .field import Fp
-from .metaplectic import split_lift
+from .metaplectic import character_factor, split_lift
 from .schrodinger import MAX_REP_DIM, trace_oracle
 from .symplectic import GROUP_CAP, LAGRANGIAN_CAP, SymplecticSpace
 from .verify import DENSE_SUITES, SUITE_ORDER, as_json_complex, run_verification
@@ -146,7 +146,7 @@ def cmd_trace(args) -> int:
     e = split_lift(char, g, sign=sign)
     oracle = trace_oracle(e, lag)
     k, _, closed = closed_form_data(char, g)
-    factor = _factor_trace(e, lag, k)
+    factor = _factor_trace(args.p, k, character_factor(e, lag))
     closed = sign * closed
     scale = float(args.p) ** args.n
     ok_of = approx_eq(oracle, factor, scale=scale)

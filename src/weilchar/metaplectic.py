@@ -31,6 +31,13 @@ symplectic maps: m_g(F std) = m_(F^-1 g F)(std) for any F carrying std to l
 (`_standard_frame`).  The cocycle takes the moved bases b g^T and b (g h)^T
 of the rref basis b of l as they are; any bases give congruent Maslov forms,
 so the Weil index is the same float.
+
+Lifts, products and character factors also come as stacks: `split_lifts`,
+`mp_products` and `character_factor_table`, whose one-element calls are
+`split_lift`, `MpElement.__mul__` and `character_factors`.  The verify suites
+evaluate each cell's lifts, products and factors through them.  The factor
+table cuts its (element, Lagrangian) pairs into stacks of at most
+`_FACTOR_STACK` pairs, so its peak memory does not grow with the table.
 """
 
 from __future__ import annotations
@@ -51,6 +58,12 @@ from .symplectic import (
     diagonal_lagrangian,
     standard_gram,
 )
+
+# Most (element, Lagrangian) pairs in one stack of `character_factor_table`.
+# The factor time per pair stops falling from about 150 pairs per stack up,
+# while a stack's peak memory grows by about 10 kB per pair at n = 2: one
+# stack per cell took 450 MB in the theta suite at (3, 3), 200 pairs 46 MB.
+_FACTOR_STACK = 200
 
 
 def _standard_frame(l: Lagrangian) -> tuple[np.ndarray, np.ndarray] | None:
@@ -217,10 +230,7 @@ class MpElement:
         return MpElement(self.char, self.g, new_base, self.value_at(new_base))
 
     def __mul__(self, other: "MpElement") -> "MpElement":
-        if other.char != self.char or other.base != self.base:
-            raise DimensionMismatch("product needs matching character and base")
-        t = self.t0 * other.t0 * mp_cocycle(self.char, self.g, other.g, self.base)
-        return MpElement(self.char, self.g * other.g, self.base, t)
+        return mp_products([self], [other])[0]
 
     def inverse(self) -> "MpElement":
         h = self.g.inv()
@@ -249,11 +259,46 @@ def split_lift(
     sign: int = 1,
 ) -> MpElement:
     """The canonical lift of g, or its negative for sign = -1."""
+    return split_lifts(char, [g], base, sign)[0]
+
+
+def split_lifts(
+    char: AdditiveCharacter,
+    gs: Sequence[SpElement],
+    base: Lagrangian | None = None,
+    sign: int = 1,
+) -> list[MpElement]:
+    """`split_lift(char, g, base, sign)` for every g of gs, from one
+    `split_values` call; base defaults to the standard Lagrangian."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    if not gs:
+        return []
     if base is None:
-        base = g.space.standard_lagrangian()
-    return MpElement(char, g, base, sign * split_value(char, g, base))
+        base = gs[0].space.standard_lagrangian()
+    if any(g.space != base.space for g in gs):
+        raise DimensionMismatch("Lagrangian not in g's space")
+    values = split_values(char, np.stack([g.mat.a for g in gs]), base)
+    return [MpElement(char, g, base, sign * v) for g, v in zip(gs, values)]
+
+
+def mp_products(lefts: Sequence[MpElement], rights: Sequence[MpElement]) -> list[MpElement]:
+    """a * b = (g h, t0 t0' gamma(tau(l, g l, g h l))) for every pair of lefts
+    and rights, from one `mp_cocycles` call; all share one character and base."""
+    if len(lefts) != len(rights):
+        raise DimensionMismatch("products need as many left as right factors")
+    if not lefts:
+        return []
+    char, base = lefts[0].char, lefts[0].base
+    if any(e.char != char or (e.base is not base and e.base != base)
+           for e in (*lefts, *rights)):
+        raise DimensionMismatch("product needs matching character and base")
+    space = base.space
+    gmats = np.stack([e.g.mat.a for e in lefts])
+    hmats = np.stack([e.g.mat.a for e in rights])
+    twists = mp_cocycles(char, gmats, hmats, base)
+    return [MpElement(char, SpElement(space, FpMatrix(space.field, gh)), base, a.t0 * b.t0 * t)
+            for a, b, gh, t in zip(lefts, rights, gmats @ hmats, twists)]
 
 
 def mp_identity(char: AdditiveCharacter, space: SymplecticSpace,
@@ -286,35 +331,57 @@ def character_factor(e: MpElement, l: Lagrangian | None = None) -> complex:
 
 
 def character_factors(e: MpElement, lags: Sequence[Lagrangian]) -> np.ndarray:
-    """`character_factor(e, l)` for every l of lags, each equal to it (`==`).
+    """`character_factor(e, l)` for every l of lags: the one row of
+    `character_factor_table([e], lags)`."""
+    return character_factor_table([e], lags)[0]
 
-    The (graph, diagonal, l + l) and (base, g base, g l, l) forms of all the
-    Lagrangians are each built, reduced and evaluated as one stack.
+
+def character_factor_table(es: Sequence[MpElement], lags: Sequence[Lagrangian]) -> np.ndarray:
+    """The (E, L) array of `character_factor(e, l)` for e in es and l in
+    lags, each equal to it (`==`).
+
+    The (e, l) pairs are cut into stacks of at most `_FACTOR_STACK`, and the
+    (graph, diagonal, l + l) and (base, g base, g l, l) forms of a stack are
+    each built, reduced and evaluated in one `_maslov_gammas` call.  The
+    graph basis [I | g^T] is already in rref, and g base takes the moved
+    basis of base as it is.
     """
-    space = e.space
+    out = np.zeros((len(es), len(lags)), dtype=complex)
+    if not es or not lags:
+        return out
+    char, space = es[0].char, es[0].space
+    if any(e.char != char or e.space != space for e in es):
+        raise DimensionMismatch("factor table needs one character and one space")
     if any(l.space != space for l in lags):
         raise DimensionMismatch("Lagrangian not in g's space")
-    if not lags:
-        return np.zeros(0, dtype=complex)
     p = space.field.p
     n, d = space.n, space.dim
+    g_t = np.stack([e.g.mat.a.T for e in es])
+    graphs = np.concatenate([np.broadcast_to(np.eye(d, dtype=np.int64), g_t.shape), g_t], axis=2)
+    base = np.stack([e.base.sub.basis.a for e in es])
+    ends = np.stack([base, base @ g_t % p], axis=1)
+    t0 = [e.t0 for e in es]
+    diagonal = diagonal_lagrangian(space).sub.basis.a
     b = np.stack([l.sub.basis.a for l in lags])
-    nb = len(b)
-    # l + l: the rows (b, 0) and (0, b) are in rref because b is
-    ll = np.zeros((nb, 1, d, 2 * d), dtype=np.int64)
-    ll[:, 0, :n, :d] = b
-    ll[:, 0, n:, d:] = b
-    fixed = np.stack([e.g.graph().sub.basis.a, diagonal_lagrangian(space).sub.basis.a])
-    doubled = np.concatenate([np.broadcast_to(fixed, (nb, 2, d, 2 * d)), ll], axis=1)
-    gammas = _maslov_gammas(e.char, space.doubled(), doubled)
-    ends = np.stack([e.base.sub.basis.a, e._moved_base().sub.basis.a])
-    four = np.concatenate([np.broadcast_to(ends, (nb, 2, n, d)),
-                           ((b @ e.g.mat.a.T) % p)[:, None], b[:, None]], axis=1)
-    # At l = base the form of (base, g base, g base, base) is zero, since
-    # q = form(x2 + x3, x1 - x4) = -form(x1 + x4, x1 - x4) = 0 on x1, x4 in base;
-    # its index is exactly 1 + 0j, so t(base) = t0 needs no special case.
-    moves = _maslov_gammas(e.char, space, four)
-    return np.array([t * e.t0 * gamma for t, gamma in zip(moves, gammas)])
+    pairs = len(es) * len(lags)
+    for start in range(0, pairs, _FACTOR_STACK):
+        ei, li = np.divmod(np.arange(start, min(start + _FACTOR_STACK, pairs)), len(lags))
+        bl = b[li]
+        doubled = np.zeros((len(ei), 3, d, 2 * d), dtype=np.int64)
+        doubled[:, 0] = graphs[ei]
+        doubled[:, 1] = diagonal
+        # l + l: the rows (b, 0) and (0, b) are in rref because b is
+        doubled[:, 2, :n, :d] = bl
+        doubled[:, 2, n:, d:] = bl
+        gammas = _maslov_gammas(char, space.doubled(), doubled)
+        four = np.concatenate([ends[ei], (bl @ g_t[ei] % p)[:, None], bl[:, None]], axis=1)
+        # At l = base the form of (base, g base, g base, base) is zero, since
+        # q = form(x2 + x3, x1 - x4) = -form(x1 + x4, x1 - x4) = 0 on x1, x4 in base;
+        # its index is exactly 1 + 0j, so t(base) = t0 needs no special case.
+        moves = _maslov_gammas(char, space, four)
+        for i, j, t, gamma in zip(ei, li, moves, gammas):
+            out[i, j] = t * t0[i] * gamma
+    return out
 
 
 def character_factor_doubled(e: MpElement) -> complex:

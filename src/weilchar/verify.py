@@ -7,6 +7,13 @@ scales with the samples argument.  A corrupt_cocycle hook flips the sign of
 the two-cocycle on non-identity pairs, which must make the splitting suite
 fail with a witness; it exists to prove the harness can catch a wrong
 cocycle.
+
+A suite evaluates its cell's lifts, products and character factors as
+stacks (`split_lifts`, `mp_products`, `character_factor_table`), one call per
+cell where a loop would make one per element; the factor table bounds the
+size of each stack it evaluates.  The single routes stay as the oracles they
+are checked against: `character_factor`, `character_factor_doubled`,
+`trace_oracle` and `closed_form_data`.
 """
 
 from __future__ import annotations
@@ -32,9 +39,10 @@ from .maslov import Orientation, edge_factor, maslov_form, maslov_gamma, predict
 from .metaplectic import (
     character_factor,
     character_factor_doubled,
-    character_factors,
+    character_factor_table,
     mp_cocycles,
-    split_lift,
+    mp_products,
+    split_lifts,
     split_values,
 )
 from .quadform import QuadraticSpace, weil_index, weil_index_bruteforce
@@ -248,18 +256,24 @@ def _suite_cocycle(char, space, rng, samples, max_enum, cocycle) -> _Tally:
             rhs = sv[at[2, i]]
             t.add(abs(lhs - rhs), 1e-8, kind="splitting", g=_mat_list(g), h=_mat_list(h),
                   l=_lag_list(l), got=as_json_complex(lhs), want=as_json_complex(rhs))
-    # group law of lifted elements: associativity and inverses
-    for _ in range(max(samples // 4, 1)):
-        e1 = split_lift(char, space.random_element(rng))
-        e2 = split_lift(char, space.random_element(rng))
-        e3 = split_lift(char, space.random_element(rng))
-        a = (e1 * e2) * e3
-        b = e1 * (e2 * e3)
+    # group law of lifted elements: associativity and inverses, drawn as
+    # (e1, e2, e3) per round
+    rounds = max(samples // 4, 1)
+    lifts = split_lifts(char, [space.random_element(rng) for _ in range(3 * rounds)])
+    e1s, e2s, e3s = lifts[0::3], lifts[1::3], lifts[2::3]
+    e12s, e23s = _split(mp_products(e1s + e2s, e2s + e3s), 2)
+    invs = [e2.inverse() for e2 in e2s]
+    lefts, rights, units = _split(mp_products(e12s + e1s + e2s, e3s + e23s + invs), 3)
+    for e1, e2, a, b, unit in zip(e1s, e2s, lefts, rights, units):
         t.add_flag(a.close_to(b), kind="associativity", g=_mat_list(e1.g))
-        inv = e2.inverse()
-        prod = e2 * inv
-        t.add(abs(prod.t0 - 1.0), 1e-8, kind="inverse", g=_mat_list(e2.g))
+        t.add(abs(unit.t0 - 1.0), 1e-8, kind="inverse", g=_mat_list(e2.g))
     return t
+
+
+def _split(items: list, parts: int) -> list[list]:
+    """items cut into `parts` runs of equal length."""
+    k = len(items) // parts
+    return [items[i * k:(i + 1) * k] for i in range(parts)]
 
 
 def _suite_trace(char, space, rng, samples, max_enum, cocycle) -> _Tally:
@@ -269,12 +283,16 @@ def _suite_trace(char, space, rng, samples, max_enum, cocycle) -> _Tally:
     elems = _core_elements(space)
     for _ in range(samples):
         elems.append(space.random_element(rng))
-    for g in elems:
+    lifts = {sign: split_lifts(char, elems, sign=sign) for sign in (1, -1)}
+    # both lifts' factors at the base, the Lagrangian `trace_from_factor` defaults to
+    table = character_factor_table(lifts[1] + lifts[-1], [space.standard_lagrangian()])
+    factors = dict(zip((1, -1), table.reshape(2, -1).tolist()))
+    for i, g in enumerate(elems):
         k, _, closed = closed_form_data(char, g)
         for sign in (1, -1):
-            e = split_lift(char, g, sign=sign)
+            e = lifts[sign][i]
             to = trace_oracle(e)
-            tf = _factor_trace(e, None, k)
+            tf = _factor_trace(p, k, factors[sign][i])
             tc = sign * closed
             err = max(abs(to - tf), abs(to - tc))
             t.add(err, tol, kind="three-way", g=_mat_list(g), sign=sign,
@@ -307,10 +325,11 @@ def _suite_theta(char, space, rng, samples, max_enum, cocycle) -> _Tally:
     for _ in range(samples):
         elems.append(space.random_element(rng))
     lags = _some_lagrangians(space, rng, samples, max_enum, len(elems))
-    for g in elems:
-        e = split_lift(char, g)
+    lifts = split_lifts(char, elems)
+    table = character_factor_table(lifts, lags)
+    for g, e, row in zip(elems, lifts, table):
         one = character_factor(e, lags[0])
-        err = float(np.max(np.abs(character_factors(e, lags) - one)))
+        err = float(np.max(np.abs(row - one)))
         t.add(err, 1e-8, kind="theta-constancy", g=_mat_list(g))
         err2 = abs(one - character_factor_doubled(e))
         t.add(err2, 1e-8, kind="theta-doubled", g=_mat_list(g))
@@ -322,7 +341,8 @@ def _suite_structural(char, space, rng, samples, max_enum, cocycle) -> _Tally:
     pairs = [(g, space.standard_lagrangian()) for g in _core_elements(space)]
     for _ in range(samples):
         pairs.append((space.random_element(rng), space.random_lagrangian(rng)))
-    for g, l in pairs:
+    lifts = split_lifts(char, [g for g, _ in pairs])
+    for (g, l), e in zip(pairs, lifts):
         info = {"g": _mat_list(g), "l": _lag_list(l)}
         df = diagonal_form(g, l)
         for r in (check_kernel_dims(df), check_transfer_isometry(df),
@@ -331,7 +351,7 @@ def _suite_structural(char, space, rng, samples, max_enum, cocycle) -> _Tally:
         if df.ker.dim == 0:
             r = check_inverse_identity(df)
             t.add_flag(r.ok, kind=r.label, **info)
-        r = check_diagonal_kernel(split_lift(char, g), df)
+        r = check_diagonal_kernel(e, df)
         t.add_flag(r.ok, kind=r.label, details=r.details, **info)
     return t
 
@@ -352,10 +372,9 @@ def _suite_homomorphism(char, space, rng, samples, max_enum, cocycle) -> _Tally:
             cache[key] = weil_operator(e)
         return cache[key]
 
-    for g, h in pairs:
-        e1 = split_lift(char, g)
-        e2 = split_lift(char, h)
-        err = float(np.max(np.abs(op(e1) @ op(e2) - weil_operator(e1 * e2))))
+    lefts, rights = _split(split_lifts(char, [g for g, _ in pairs] + [h for _, h in pairs]), 2)
+    for (g, h), e1, e2, e12 in zip(pairs, lefts, rights, mp_products(lefts, rights)):
+        err = float(np.max(np.abs(op(e1) @ op(e2) - weil_operator(e12))))
         t.add(err, tol, kind="product", g=_mat_list(g), h=_mat_list(h))
     return t
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_symplectic import draw_gram_space
+from weilchar import metaplectic
 from weilchar.characters import AdditiveCharacter, approx_eq
 from weilchar.errors import DimensionMismatch
 from weilchar.field import Fp, Subspace
@@ -14,12 +15,15 @@ from weilchar.metaplectic import (
     MpElement,
     character_factor,
     character_factor_doubled,
+    character_factor_table,
     character_factors,
     embed_doubled,
     mp_cocycle,
     mp_cocycles,
     mp_identity,
+    mp_products,
     split_lift,
+    split_lifts,
     split_value,
     split_values,
 )
@@ -311,6 +315,94 @@ def test_stacked_character_factors_equal_single_calls(p, n, scale):
     assert character_factors(elems[0], []).shape == (0,)
     with pytest.raises(ValueError):
         character_factors(elems[0], [SymplecticSpace(f, n + 1).standard_lagrangian()])
+
+
+@pytest.mark.parametrize("p,n,scale", [(5, 1, 1), (3, 2, 1), (5, 1, 2), (3, 2, 2)])
+def test_stacked_lifts_equal_single_lifts(p, n, scale):
+    f = Fp(p)
+    ch, sp = AdditiveCharacter(f, scale), SymplecticSpace(f, n)
+    rng = np.random.default_rng(17 * p + n)
+    gs = _core_elements(sp) + [sp.random_element(rng) for _ in range(8)]
+    for base in (None, sp.random_lagrangian(rng)):
+        for sign in (1, -1):
+            lifts = split_lifts(ch, gs, base, sign)
+            singles = [split_lift(ch, g, base, sign) for g in gs]
+            assert [e.t0 for e in lifts] == [e.t0 for e in singles]
+            assert all(e.g is g and e.base == s.base for e, g, s in zip(lifts, gs, singles))
+    assert split_lifts(ch, []) == []
+    with pytest.raises(ValueError):
+        split_lifts(ch, gs, sign=2)
+    with pytest.raises(DimensionMismatch):
+        split_lifts(ch, gs, SymplecticSpace(f, n + 1).standard_lagrangian())
+
+
+@pytest.mark.parametrize("p,n,scale", [(5, 1, 1), (3, 2, 1), (5, 1, 2), (3, 2, 2)])
+def test_stacked_products_equal_single_products(p, n, scale):
+    f = Fp(p)
+    ch, sp = AdditiveCharacter(f, scale), SymplecticSpace(f, n)
+    rng = np.random.default_rng(19 * p + n)
+    core = split_lifts(ch, _core_elements(sp))
+    drawn = split_lifts(ch, [sp.random_element(rng) for _ in range(12)])
+    lefts = [a for a in core for _ in core] + drawn[:6] + [-e for e in drawn[6:]]
+    rights = [b for _ in core for b in core] + drawn[6:] + drawn[:6]
+    rebase = sp.random_lagrangian(rng)
+    for ls, rs in ((lefts, rights), ([e.rebased(rebase) for e in lefts],
+                                     [e.rebased(rebase) for e in rights])):
+        prods = mp_products(ls, rs)
+        singles = [a * b for a, b in zip(ls, rs)]
+        assert [e.g for e in prods] == [e.g for e in singles]
+        assert [e.t0 for e in prods] == [e.t0 for e in singles]
+        assert all(e.base == ls[0].base for e in prods)
+    assert mp_products([], []) == []
+    other = AdditiveCharacter(f, 3 - scale)
+    with pytest.raises(DimensionMismatch):
+        mp_products(lefts[:2], [rights[0], split_lift(other, rights[1].g)])
+    with pytest.raises(DimensionMismatch):
+        mp_products(lefts[:2], [rights[0], rights[1].rebased(rebase)])
+    with pytest.raises(DimensionMismatch):
+        mp_products(lefts[:2], rights[:1])
+
+
+def test_factor_table_rows_equal_character_factors():
+    for p, n in ((5, 1), (3, 2), (3, 3)):
+        ch, sp = setup(p, n)
+        rng = np.random.default_rng(23 * p + n)
+        lags = sp.all_lagrangians()
+        es = split_lifts(ch, _core_elements(sp)[1:3]) + [
+            split_lift(ch, sp.random_element(rng), sign=-1),
+            split_lift(ch, sp.random_element(rng)).rebased(lags[-1])]
+        table = character_factor_table(es, lags)
+        assert table.shape == (len(es), len(lags))
+        for e, row in zip(es, table):
+            assert row.tolist() == character_factors(e, lags).tolist()
+    # at (3, 3) one element alone crosses the stack bound
+    assert len(lags) == 1120 > metaplectic._FACTOR_STACK
+    assert character_factor_table([], lags).shape == (0, 1120)
+    assert character_factor_table(es, []).shape == (len(es), 0)
+    with pytest.raises(DimensionMismatch):
+        character_factor_table(es, [setup(3, 2)[1].standard_lagrangian()])
+    with pytest.raises(DimensionMismatch):
+        character_factor_table([es[0], split_lift(ch, setup(3, 2)[1].identity())], lags)
+
+
+def test_factor_table_stacks_are_bounded(monkeypatch):
+    """At (3, 3), 5 elements times 1,120 Lagrangians go through stacks of at
+    most the bound, two `_maslov_gammas` calls per stack, covering every pair."""
+    ch, sp = setup(3, 3)
+    lags = sp.all_lagrangians()
+    es = split_lifts(ch, _core_elements(sp))
+    seen = []
+    gammas = metaplectic._maslov_gammas
+
+    def spy(char, space, bases):
+        seen.append((space, len(bases)))
+        return gammas(char, space, bases)
+
+    monkeypatch.setattr(metaplectic, "_maslov_gammas", spy)
+    character_factor_table(es, lags)
+    assert max(size for _, size in seen) <= metaplectic._FACTOR_STACK
+    for space in (sp, sp.doubled()):
+        assert sum(size for s, size in seen if s is space) == 5 * 1120
 
 
 def test_theta_doubled_route_agrees():

@@ -64,14 +64,24 @@ def test_corrupted_cocycle_fails_the_same_checks():
 
 def test_negated_lift_values_fail_the_cocycle_suite(monkeypatch):
     """Negating the closed-form lift value m_g(l) wherever rank C >= 1 breaks
-    the splitting identity, and the cocycle suite must see it."""
+    the splitting identity, and the cocycle suite must see it.  The stacked
+    lifts carry the fault into the trace suite, whose closed form does not
+    follow the lift; theta, homomorphism and structural checks are invariant
+    under rescaling a lift and must stay ok."""
     lift = metaplectic._lift_value
     monkeypatch.setattr(metaplectic, "_lift_value",
                         lambda char, r, x: -lift(char, r, x) if r else lift(char, r, x))
     for p, n in ((5, 1), (3, 2)):
-        [r] = run_verification([p], [n], seed=1, samples=4, suites=("cocycle",))
-        assert not r.ok, (p, n)
-        assert r.witness["kind"] == "splitting"
+        results = run_verification([p], [n], seed=1, samples=5,
+                                   suites=("cocycle", "trace", "theta", "homomorphism",
+                                           "structural"))
+        by_suite = {r.suite: r for r in results}
+        for suite, kind in (("cocycle", "splitting"), ("trace", "three-way")):
+            r = by_suite.pop(suite)
+            assert not r.ok, (p, n, suite)
+            assert r.witness["kind"] == kind
+        for r in by_suite.values():
+            assert r.ok and r.checked > 0, (p, n, r.suite, r.witness)
 
 
 def test_samples_zero_still_checks_structural_cores():
