@@ -29,7 +29,7 @@ def _is_prime(m: int) -> bool:
 class Fp:
     """The field Z/pZ for an odd prime p with 3 <= p <= 97."""
 
-    __slots__ = ("p", "half", "nonsquare", "inverses")
+    __slots__ = ("p", "half", "nonsquare", "inverses", "squares")
 
     def __init__(self, p: int) -> None:
         if not isinstance(p, int) or not _is_prime(p) or not 3 <= p <= 97:
@@ -41,6 +41,10 @@ class Fp:
         #: 1/a at index a, and 0 at 0, for the stacked eliminations
         self.inverses = np.array([0] + [self.inv(a) for a in range(1, p)], dtype=np.int64)
         self.inverses.setflags(write=False)
+        #: True at the nonzero squares, indexed by residue
+        self.squares = np.zeros(p, dtype=bool)
+        self.squares[np.arange(1, p) ** 2 % p] = True
+        self.squares.setflags(write=False)
 
     def inv(self, a: int) -> int:
         a %= self.p

@@ -10,6 +10,11 @@ Kashiwara construction, with q((x, y, z)) = form(x, z) on x + y + z = 0.
 
 Orientations (Lagrangians with chosen bases) feed the determinant pairing
 whose product around a polygon reproduces the Weil index of the Maslov form.
+
+Intersections, pairings, edge factors, predicted ranks and discriminants and
+polygon invariants each have a stacked call over many pairs or tuples; the
+single calls are their one-element forms, so each quantity has one
+implementation.
 """
 
 from __future__ import annotations
@@ -20,12 +25,21 @@ from typing import Sequence
 import numpy as np
 
 from .characters import AdditiveCharacter
-from .errors import ArityError, DimensionMismatch, InvariantViolation
-from .field import Fp, FpMatrix, SquareClass, Subspace, _null_rows, _null_rows_many
+from .errors import ArityError, DimensionMismatch, InvariantViolation, ZeroFormClass
+from .field import (
+    Fp,
+    FpMatrix,
+    SquareClass,
+    Subspace,
+    _eliminate_many,
+    _null_rows,
+    _null_rows_many,
+    _rank_dets_many,
+)
 from .quadform import (
     QuadraticSpace,
     WittInvariants,
-    _weil_indices,
+    _gammas_of,
     weil_index,
     witt_invariants,
 )
@@ -69,7 +83,8 @@ class Orientation:
             c = rng.integers(0, field.p, (k, k))
             if FpMatrix(field, c).det():
                 break
-        return cls(lag, (c % field.p) @ lag.sub.basis.a % field.p)
+        # c is invertible, so c @ basis spans lag
+        return cls._spanning(lag, FpMatrix(field, c @ lag.sub.basis.a))
 
     def transform(self, g: SpElement) -> "Orientation":
         """The image orientation on g(l), transported by g.
@@ -91,30 +106,108 @@ class Orientation:
         return f"Orientation(p={self.lag.space.field.p},\n{self.obasis.a})"
 
 
-def _completion(o: Orientation, c: np.ndarray) -> tuple[np.ndarray, int]:
-    """(d, det) for independent rows c of o's Lagrangian: d the rows of its
-    rref basis R completing c, greedily in order, and det the square class
-    of det Y for Y @ o.obasis = [c; d].
+def _one_space(lags: Sequence[Lagrangian]) -> SymplecticSpace:
+    space = lags[0].space
+    if any(l.space != space for l in lags):
+        raise DimensionMismatch("Lagrangians live in different spaces")
+    return space
 
-    Coordinates in R are injective and send R to I, c to U and o.obasis to A,
-    so the pivot columns of rref([U; I]^T) after U pick d, and det Y is
-    det X / det A for the coordinates X = [U; I[rows]] of [c; d].
+
+def _edges(seq: Sequence) -> list[tuple]:
+    """The cyclic edges (s_i, s_{i+1}) of a polygon, last to first included."""
+    return list(zip(seq, seq[1:] + seq[:1]))
+
+
+def _dims(inters: np.ndarray) -> list[int]:
+    """The dimension of each subspace of a `lagrangian_intersections` stack."""
+    return inters.any(axis=2).sum(axis=1).tolist()
+
+
+def lagrangian_intersections(tuples: Sequence[Sequence[Lagrangian]]) -> np.ndarray:
+    """l_1 ^ ... ^ l_m for every tuple, from one stacked null space.
+
+    A Lagrangian is its own symplectic complement, so for bases B_i the
+    intersection is {x : B_i gram x = 0 for every i}: the null rows of the
+    stacked rows B_i gram.  Shorter tuples are padded with zero rows, which
+    add no condition.  Returns a (B, d, d) stack whose nonzero rows are a
+    basis of each intersection, padded with zero rows.
     """
-    sub = o.lag.sub
-    field = sub.field
-    k = len(c)
-    coords, inside = sub.coordinates_many(np.vstack([c, o.obasis.a]))
-    if not inside.all():
+    if not tuples:
+        return np.zeros((0, 0, 0), dtype=np.int64)
+    space = _one_space([l for t in tuples for l in t])
+    n, d = space.n, space.dim
+    rows = np.zeros((len(tuples), max(len(t) for t in tuples) * n, d), dtype=np.int64)
+    for b, t in enumerate(tuples):
+        rows[b, : len(t) * n] = np.concatenate([l.sub.basis.a for l in t])
+    return _null_rows_many(rows @ space.gram.a, space.field)
+
+
+def _completions(orients: Sequence[Orientation], cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, minors) for every orientation o of a stack of B and rows cs[b]
+    spanning a subspace of o's Lagrangian, zero rows allowed: d[b] the rows
+    of o's rref basis R completing cs[b], greedily in order, then zero rows,
+    and minors[b], minors[B + b] the n x n matrices X, A with
+    det Y = det X / det A for Y @ o.obasis = [c; d], c the rows of cs[b]
+    that rref([U; I]^T) picks, a basis of its span.
+
+    Coordinates in R are injective and send R to I, cs to U and o.obasis to
+    A.  Zero rows of U never become pivots of rref([U; I]^T), and its n
+    pivot rows of [U; I] are a basis of span(U) followed by the rows of I
+    that pick d; X is those n rows.
+    """
+    space = orients[0].lag.space
+    field, n = space.field, space.n
+    nb, r = cs.shape[:2]
+    basis = np.array([o.lag.sub.basis.a for o in orients])
+    pivots = np.array([o.lag.sub.pivots for o in orients]).reshape(nb, n)
+    rows = np.concatenate([cs, np.array([o.obasis.a for o in orients])], axis=1)
+    coords = np.take_along_axis(rows, pivots[:, None, :], axis=2)
+    if np.any((coords @ basis - rows) % field.p):
         raise InvariantViolation("a basis vector lies outside its oriented Lagrangian")
-    u, a = coords[:k], coords[k:]
-    eye = np.eye(len(a), dtype=np.int64)
-    pivots = FpMatrix(field, np.vstack([u, eye]).T).rref()[1]
-    rows = [i - k for i in pivots[k:]]
-    # A = I for the default orientation, whose basis is R itself
-    det_a = 1 if np.array_equal(a, eye) else FpMatrix(field, a).det()
-    if det_a == 0:
+    u_eye = np.concatenate([coords[:, :r], np.broadcast_to(np.eye(n, dtype=np.int64),
+                                                           (nb, n, n))], axis=1)
+    picked = _eliminate_many(u_eye.transpose(0, 2, 1), field)[1]
+    # the picked rows of R first, in order, then zero rows
+    keep = picked[:, r:]
+    order = np.argsort(~keep, axis=1, kind="stable")
+    d = np.take_along_axis(basis * keep[:, :, None], order[:, :, None], axis=1)
+    return d, np.concatenate([u_eye[picked].reshape(nb, n, n), coords[:, r:]])
+
+
+def orientation_pairings(
+    o1s: Sequence[Orientation], o2s: Sequence[Orientation], inters: np.ndarray | None = None
+) -> list[SquareClass]:
+    """`orientation_pairing` of every pair (o1s[i], o2s[i]) in a few stacked
+    eliminations.
+
+    The completions of both sides take one rref stack.  Each
+    (n - k) x (n - k) pairing det(form(d1_a, d2_b)) is padded to n x n with
+    an identity block, so its determinant and those relating (c, d_i) to
+    the orientation bases take one determinant stack.  `inters`, when
+    given, is l1 ^ l2 for every pair as `lagrangian_intersections` returns
+    it, or any rows spanning it with zero rows allowed.
+    """
+    if len(o1s) != len(o2s):
+        raise DimensionMismatch("need one second orientation per first orientation")
+    if not len(o1s):
+        return []
+    orients = list(o1s) + list(o2s)
+    space = _one_space([o.lag for o in orients])
+    field, n, e = space.field, space.n, len(o1s)
+    if inters is None:
+        inters = lagrangian_intersections([(a.lag, b.lag) for a, b in zip(o1s, o2s)])
+    d, minors = _completions(orients, np.concatenate([inters, inters]))
+    pair = d[:e] @ space.gram.a @ d[e:].transpose(0, 2, 1)
+    # both completions have n - k rows, so their zero rows sit at the same places
+    pair += np.eye(n, dtype=np.int64) * ~d[:e].any(axis=2)[:, :, None]
+    dets = _eliminate_many(np.concatenate([minors, pair]), field)[3]
+    x, a = dets[:2 * e], dets[2 * e:4 * e]
+    if not a.all():
         raise InvariantViolation("an orientation basis does not span its Lagrangian")
-    return sub.basis.a[rows], FpMatrix(field, np.vstack([u, eye[rows]])).det() * det_a
+    vals = x[:e] * a[:e] * x[e:] * a[e:] % field.p * dets[4 * e:] % field.p
+    if not vals.all():
+        raise ZeroFormClass("0 has no square class")
+    return [SquareClass(field, s) for s in field.squares[vals]]
 
 
 def orientation_pairing(
@@ -126,33 +219,20 @@ def orientation_pairing(
     The symplectic form pairs the quotients l_1/c and l_2/c perfectly; the
     result is det(form(d1_a, d2_b)) corrected by the determinants relating
     (c, d_i) to the chosen orientation bases.  It scales linearly in each
-    orientation, so it is well defined on volume forms.  `inter`, when given,
-    is the intersection l_1 ^ l_2 already computed by the caller.
+    orientation, so it is well defined on volume forms, and it does not
+    depend on the basis c: a change of c scales both determinants by the
+    same factor.  `inter`, when given, is the intersection l_1 ^ l_2 already
+    computed by the caller.
     """
-    l1, l2 = o1.lag, o2.lag
-    if l1.space != l2.space:
-        raise DimensionMismatch("orientations in different spaces")
-    space = l1.space
-    field = space.field
-    if inter is None:
-        inter = l1.sub.intersect(l2.sub)
-    c = inter.basis.a
-    d1, det1 = _completion(o1, c)
-    d2, det2 = _completion(o2, c)
-    val = det1 * det2
-    if len(d1):
-        val *= FpMatrix(field, d1 @ space.gram.a @ d2.T).det()
-    return SquareClass.of(field, val)
+    inters = None if inter is None else inter.basis.a[None]
+    return orientation_pairings([o1], [o2], inters)[0]
 
 
 def maslov_form(*lags: Lagrangian) -> QuadraticSpace:
     """The polygon representative of the Maslov index of the given tuple."""
     if len(lags) < 2:
         raise ArityError("need at least two Lagrangians")
-    space = lags[0].space
-    if any(l.space != space for l in lags):
-        raise DimensionMismatch("Lagrangians live in different spaces")
-    return _bases_form(space, [l.sub.basis.a for l in lags])
+    return _bases_form(_one_space(lags), [l.sub.basis.a for l in lags])
 
 
 def _bases_form(space: SymplecticSpace, bases: Sequence[np.ndarray]) -> QuadraticSpace:
@@ -184,18 +264,50 @@ def _polygon_grams(sol: np.ndarray, bases: np.ndarray, form: np.ndarray, field: 
     return (field.half * (a + a.transpose(0, 2, 1))) % p
 
 
-def _maslov_gammas(
-    char: AdditiveCharacter, space: SymplecticSpace, bases: np.ndarray
-) -> list[complex]:
-    """`maslov_gamma` of every tuple of a (B, m, k, d) stack of Lagrangian bases.
+def _polygon_rank_dets(space: SymplecticSpace, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`QuadraticSpace._rank_det` of the polygon form of every tuple of a
+    (B, m, k, d) stack of Lagrangian bases.
 
-    The null rows, the grams and their Weil indices come from stacked
-    eliminations, padded to one shape; the values equal those of
-    `maslov_gamma` on the same bases bit for bit.
+    The null rows, the grams and their ranks and pivot minors come from
+    stacked eliminations, padded to one shape; zero rows and columns leave
+    the rank and the pivot minor of a gram as they are, so the values equal
+    those of `maslov_form` on the same bases.
     """
     nb, m, k, d = bases.shape
     sol = _null_rows_many(bases.reshape(nb, m * k, d).transpose(0, 2, 1), space.field)
-    return _weil_indices(char, _polygon_grams(sol, bases, space.gram.a, space.field))
+    return _rank_dets_many(_polygon_grams(sol, bases, space.gram.a, space.field), space.field)
+
+
+def _maslov_gammas(
+    char: AdditiveCharacter, space: SymplecticSpace, bases: np.ndarray
+) -> list[complex]:
+    """`maslov_gamma` of every tuple of a (B, m, k, d) stack of Lagrangian
+    bases, equal to it bit for bit."""
+    return _gammas_of(char, *_polygon_rank_dets(space, bases))
+
+
+def maslov_invariants(
+    char: AdditiveCharacter, tuples: Sequence[Sequence[Lagrangian]]
+) -> list[WittInvariants]:
+    """`witt_invariants(char, maslov_form(*lags))` of every tuple, from one
+    stack of polygon forms per tuple length; every value equals the single
+    route's bit for bit."""
+    if any(len(t) < 2 for t in tuples):
+        raise ArityError("need at least two Lagrangians")
+    if not tuples:
+        return []
+    space = _one_space([l for t in tuples for l in t])
+    by_length: dict[int, list[int]] = {}
+    for i, t in enumerate(tuples):
+        by_length.setdefault(len(t), []).append(i)
+    out: list = [None] * len(tuples)
+    for at in by_length.values():
+        bases = np.array([[l.sub.basis.a for l in tuples[i]] for i in at])
+        ranks, dets = _polygon_rank_dets(space, bases)
+        gammas = _gammas_of(char, ranks, dets)
+        for i, r, det, g in zip(at, ranks.tolist(), dets.tolist(), gammas):
+            out[i] = WittInvariants(r, SquareClass.of(space.field, det), g)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,29 +327,67 @@ def maslov_gamma(char: AdditiveCharacter, *lags: Lagrangian) -> complex:
     return weil_index(char, maslov_form(*lags))
 
 
-def predicted_rank_disc(orients: Sequence[Orientation]) -> tuple[int, SquareClass]:
-    """Closed-form rank and discriminant of the polygon representative.
+def predicted_rank_discs(
+    tuples: Sequence[Sequence[Orientation]], inters: np.ndarray | None = None
+) -> list[tuple[int, SquareClass]]:
+    """Closed-form rank and discriminant of the polygon representative of
+    every tuple of oriented Lagrangians:
 
     rank = ((m-2)/2) dim V - sum_i dim(l_i ^ l_{i+1}) + 2 dim(^_i l_i)
     disc = (-1)^(dim V / 2 + dim ^_i l_i) * prod_i pairing(o_i, o_{i+1})
 
-    with indices cyclic.
+    with indices cyclic.  The edges of all tuples take one stacked pairing
+    and the common intersections one stacked null space.  `inters`, when
+    given, holds the edge intersections l_i ^ l_{i+1}, tuple by tuple, as
+    `lagrangian_intersections` returns them.
     """
-    if len(orients) < 2:
+    if any(len(t) < 2 for t in tuples):
         raise ArityError("need at least two oriented Lagrangians")
-    space = orients[0].lag.space
-    field = space.field
-    m = len(orients)
-    subs = [o.lag.sub for o in orients]
-    pair_inters = [subs[i].intersect(subs[(i + 1) % m]) for i in range(m)]
-    common = subs[0]
-    for s in subs[1:]:
-        common = common.intersect(s)
-    rank = ((m - 2) * space.dim) // 2 - sum(x.dim for x in pair_inters) + 2 * common.dim
-    disc = SquareClass.of(field, pow(-1, space.n + common.dim, field.p))
-    for i in range(m):
-        disc = disc * orientation_pairing(orients[i], orients[(i + 1) % m], pair_inters[i])
-    return rank, disc
+    if not tuples:
+        return []
+    space = tuples[0][0].lag.space
+    edges = [e for t in tuples for e in _edges(t)]
+    if inters is None:
+        inters = lagrangian_intersections([(a.lag, b.lag) for a, b in edges])
+    pair_dims = _dims(inters)
+    classes = orientation_pairings([a for a, _ in edges], [b for _, b in edges], inters)
+    commons = _dims(lagrangian_intersections([[o.lag for o in t] for t in tuples]))
+    out = []
+    start = 0
+    for t, common in zip(tuples, commons):
+        m = len(t)
+        at = range(start, start + m)
+        start += m
+        rank = ((m - 2) * space.dim) // 2 - sum(pair_dims[i] for i in at) + 2 * common
+        disc = SquareClass.of(space.field, pow(-1, space.n + common, space.field.p))
+        for i in at:
+            disc = disc * classes[i]
+        out.append((rank, disc))
+    return out
+
+
+def predicted_rank_disc(orients: Sequence[Orientation]) -> tuple[int, SquareClass]:
+    """`predicted_rank_discs` of one tuple."""
+    return predicted_rank_discs([orients])[0]
+
+
+def edge_factors(
+    char: AdditiveCharacter,
+    o1s: Sequence[Orientation],
+    o2s: Sequence[Orientation],
+    inters: np.ndarray | None = None,
+) -> list[complex]:
+    """`edge_factor` of every pair (o1s[i], o2s[i]), from one stacked
+    pairing; `inters`, when given, is l1 ^ l2 for every pair as
+    `lagrangian_intersections` returns it."""
+    if inters is None:
+        inters = lagrangian_intersections([(a.lag, b.lag) for a, b in zip(o1s, o2s)])
+    classes = orientation_pairings(o1s, o2s, inters)
+    if not classes:
+        return []
+    n = o1s[0].lag.space.n
+    return [char.gamma(1) ** (n - k - 1) * char.gamma_class(c)
+            for k, c in zip(_dims(inters), classes)]
 
 
 def edge_factor(char: AdditiveCharacter, o1: Orientation, o2: Orientation) -> complex:
@@ -246,6 +396,4 @@ def edge_factor(char: AdditiveCharacter, o1: Orientation, o2: Orientation) -> co
     The product of edge factors around a closed polygon of oriented
     Lagrangians equals the Weil index of the polygon's Maslov form.
     """
-    inter = o1.lag.sub.intersect(o2.lag.sub)
-    k = o1.lag.space.n - inter.dim - 1
-    return char.gamma(1) ** k * char.gamma_class(orientation_pairing(o1, o2, inter))
+    return edge_factors(char, [o1], [o2])[0]

@@ -191,13 +191,26 @@ def weil_index(char: AdditiveCharacter, q: QuadraticSpace) -> complex:
     return _gamma_of(char, *q._rank_det())
 
 
+def _gammas_of(char: AdditiveCharacter, ranks: np.ndarray, dets: np.ndarray) -> list[complex]:
+    """`_gamma_of` of every (rank, det) pair, evaluated once per distinct
+    (rank, square class): the value depends on det only through its class."""
+    squares = char.field.squares[dets % char.p].tolist()
+    values: dict[tuple[int, bool], complex] = {}
+    out = []
+    for rank, det, square in zip(ranks.tolist(), dets.tolist(), squares):
+        g = values.get((rank, square))
+        if g is None:
+            g = values[rank, square] = _gamma_of(char, rank, det)
+        out.append(g)
+    return out
+
+
 def _weil_indices(char: AdditiveCharacter, grams: np.ndarray) -> list[complex]:
     """`weil_index` of every form of a (B, r, r) stack of symmetric grams.
 
     Zero rows and columns in a gram only enlarge its radical.
     """
-    ranks, dets = _rank_dets_many(grams, char.field)
-    return [_gamma_of(char, int(r), int(d)) for r, d in zip(ranks, dets)]
+    return _gammas_of(char, *_rank_dets_many(grams, char.field))
 
 
 def weil_index_bruteforce(

@@ -155,22 +155,26 @@ class SymplecticSpace:
         """Columns (e_1..e_n, f_1..f_n) with form(e_i, f_j) = delta_ij and every
         other pairing zero.  `draw(kb, accept)` returns a vector of the row span
         of kb that `accept` allows; each pair is drawn from the symplectic
-        complement of the pairs before it."""
+        complement of the pairs before it, given by its rref basis kb.
+
+        The next complement is {y kb : [e gram; f gram] kb^T y = 0}.  With R'
+        the rref kernel basis of that 2 x k system, R' kb is already the rref
+        basis: kb has unit pivot columns P, so (R' kb)[:, P] = R'.
+        """
         p = self.field.p
+        gram = self.gram.a
         es: list[np.ndarray] = []
         fs: list[np.ndarray] = []
-        cons = np.zeros((0, self.dim), dtype=np.int64)
-        for _ in range(self.n):
-            ker = FpMatrix(self.field, cons).kernel() if len(cons) else Subspace.full(
-                self.field, self.dim
-            )
-            kb = ker.basis.a
+        kb = Subspace.full(self.field, self.dim).basis.a
+        for i in range(self.n):
+            if i:
+                cons = np.stack([es[-1], fs[-1]]) @ gram
+                kb = FpMatrix(self.field, cons @ kb.T).kernel().basis.a @ kb % p
             e = draw(kb, lambda v: bool(np.any(v)))
-            f = draw(kb, lambda v: self.form(e, v) != 0)
-            f = (f * self.field.inv(self.form(e, f))) % p
+            eg = (e @ gram) % p
+            f = draw(kb, lambda v: int(eg @ v) % p != 0)
             es.append(e)
-            fs.append(f)
-            cons = np.vstack([cons, (e @ self.gram.a) % p, (f @ self.gram.a) % p])
+            fs.append((f * self.field.inv(int(eg @ f))) % p)
         return np.stack(es + fs, axis=1)
 
     def _random_basis(self, rng) -> np.ndarray:

@@ -11,9 +11,12 @@ cocycle.
 A suite evaluates its cell's lifts, products and character factors as
 stacks (`split_lifts`, `mp_products`, `character_factor_table`), one call per
 cell where a loop would make one per element; the factor table bounds the
-size of each stack it evaluates.  The single routes stay as the oracles they
-are checked against: `character_factor`, `character_factor_doubled`,
-`trace_oracle` and `closed_form_data`.
+size of each stack it evaluates.  The polygon suite does the same for its
+tuples: one stack of edge intersections shared by the predicted rank and
+disc (`predicted_rank_discs`) and the edge factors (`edge_factors`), and one
+stack of polygon forms per tuple length (`maslov_invariants`).  The single
+routes stay as the oracles they are checked against: `character_factor`,
+`character_factor_doubled`, `trace_oracle` and `closed_form_data`.
 """
 
 from __future__ import annotations
@@ -35,7 +38,15 @@ from .charformula import (
 )
 from .errors import EnumerationTooLarge
 from .field import Fp, FpMatrix
-from .maslov import Orientation, edge_factor, maslov_form, maslov_gamma, predicted_rank_disc
+from .maslov import (
+    Orientation,
+    _edges,
+    edge_factors,
+    lagrangian_intersections,
+    maslov_gamma,
+    maslov_invariants,
+    predicted_rank_discs,
+)
 from .metaplectic import (
     character_factor,
     character_factor_doubled,
@@ -211,21 +222,25 @@ def _suite_polygon(char, space, rng, samples, max_enum, cocycle) -> _Tally:
     for _ in range(samples):
         m = int(rng.integers(3, 6))
         tuples.append(tuple(space.random_lagrangian(rng) for _ in range(m)))
-    for lags in tuples:
-        q = maslov_form(*lags)
-        rank = q.rank()
-        want_rank, want_disc = predicted_rank_disc([Orientation.default(l) for l in lags])
-        t.add_flag(rank == want_rank, kind="rank", got=rank, want=want_rank,
+    # the random orientations come after every tuple, in tuple order
+    randoms = [[Orientation.random(l, rng) for l in lags] for lags in tuples]
+    # one stack of edges (l_i, l_i+1) over all tuples, shared by both passes
+    inters = lagrangian_intersections([e for lags in tuples for e in _edges(lags)])
+    wants = predicted_rank_discs([[Orientation.default(l) for l in lags] for lags in tuples],
+                                 inters)
+    edges = [e for ro in randoms for e in _edges(ro)]
+    factors = iter(edge_factors(char, [a for a, _ in edges], [b for _, b in edges], inters))
+    for lags, inv, (want_rank, want_disc) in zip(tuples, maslov_invariants(char, tuples), wants):
+        t.add_flag(inv.rank == want_rank, kind="rank", got=inv.rank, want=want_rank,
                    lags=[_lag_list(l) for l in lags])
-        if rank == want_rank:
-            t.add_flag(q.disc() == want_disc, kind="disc", got=q.disc().rep,
+        if inv.rank == want_rank:
+            t.add_flag(inv.disc == want_disc, kind="disc", got=inv.disc.rep,
                        want=want_disc.rep, lags=[_lag_list(l) for l in lags])
         # edge-factor product equals the polygon index, randomized orientations
-        ro = [Orientation.random(l, rng) for l in lags]
         prod = 1.0 + 0.0j
-        for o1, o2 in zip(ro, ro[1:] + ro[:1]):
-            prod *= edge_factor(char, o1, o2)
-        err = abs(prod - weil_index(char, q))
+        for _ in lags:
+            prod *= next(factors)
+        err = abs(prod - inv.gamma)
         t.add(err, 1e-8, kind="edge-product", lags=[_lag_list(l) for l in lags])
     return t
 

@@ -8,16 +8,21 @@ from weilchar.errors import ArityError, InvariantViolation
 from weilchar.field import Fp, FpMatrix, RowSolver, SquareClass, Subspace
 from weilchar.maslov import (
     Orientation,
-    _completion,
+    _completions,
     edge_factor,
+    edge_factors,
+    lagrangian_intersections,
     maslov_class,
     maslov_form,
     maslov_gamma,
+    maslov_invariants,
     orientation_pairing,
+    orientation_pairings,
     predicted_rank_disc,
+    predicted_rank_discs,
 )
 from weilchar.quadform import witt_invariants
-from weilchar.symplectic import SymplecticSpace
+from weilchar.symplectic import SymplecticSpace, standard_gram
 
 
 def setup(p, n):
@@ -254,8 +259,8 @@ def test_pairing_matches_solver_reference(p, n):
         inter = l1.sub.intersect(l2.sub)
         dims.add(inter.dim)
         for lag in (l1, l2):
-            assert np.array_equal(_completion(Orientation.default(lag), inter.basis.a)[0],
-                                  extend_basis_by_loop(inter, lag))
+            d = _completions([Orientation.default(lag)], inter.basis.a[None])[0][0]
+            assert np.array_equal(d[d.any(axis=1)], extend_basis_by_loop(inter, lag))
         for o1, o2 in ((Orientation.default(l1), Orientation.default(l2)),
                        (Orientation.random(l1, rng), Orientation.random(l2, rng))):
             want = pairing_by_solver(o1, o2)
@@ -293,3 +298,89 @@ def test_pairing_rejects_rows_outside_the_lagrangian():
         orientation_pairing(bad, oy)
     with pytest.raises(InvariantViolation):
         pairing_by_solver(bad, oy)
+
+
+def stacked_cells():
+    """(3,1), (5,2), (3,3) and F_5^4 with the gram B^T J B for a random invertible B."""
+    for p, n in ((3, 1), (5, 2), (3, 3)):
+        yield setup(p, n)
+    f = Fp(5)
+    rng = np.random.default_rng(8)
+    while True:
+        b = rng.integers(0, 5, (4, 4))
+        if FpMatrix(f, b).det():
+            break
+    yield AdditiveCharacter(f, 2), SymplecticSpace(f, gram=FpMatrix(f, b.T @ standard_gram(f, 2).a @ b))
+
+
+@pytest.mark.parametrize("cell", range(4), ids=["3-1", "5-2", "3-3", "gram-5-2"])
+def test_stacked_pairings_and_edge_factors_equal_the_single_calls(cell):
+    """Over random, equal and transvected pairs, with default and random
+    orientations: the stacked intersections span l1 ^ l2, and the stacked
+    pairings and edge factors equal the single calls and the solver
+    reference under ==, with the intersections computed or given."""
+    ch, sp = list(stacked_cells())[cell]
+    rng = np.random.default_rng(31 + cell)
+    pairs = list(lagrangian_pairs(sp, rng, 6))
+    inters = lagrangian_intersections(pairs)
+    assert inters.shape == (len(pairs), sp.dim, sp.dim)
+    dims = set()
+    for rows, (l1, l2) in zip(inters, pairs):
+        want = l1.sub.intersect(l2.sub)
+        dims.add(want.dim)
+        assert np.count_nonzero(rows.any(axis=1)) == want.dim
+        assert Subspace.from_rows(sp.field, sp.dim, rows) == want
+    assert {0, sp.n} <= dims
+    for orient in (Orientation.default, lambda l: Orientation.random(l, rng)):
+        o1s = [orient(l1) for l1, _ in pairs]
+        o2s = [orient(l2) for _, l2 in pairs]
+        singles = [orientation_pairing(a, b) for a, b in zip(o1s, o2s)]
+        assert singles == [pairing_by_solver(a, b) for a, b in zip(o1s, o2s)]
+        assert orientation_pairings(o1s, o2s) == singles
+        assert orientation_pairings(o1s, o2s, inters) == singles
+        rref_inters = [l1.sub.intersect(l2.sub) for l1, l2 in pairs]
+        assert [orientation_pairing(a, b, i) for a, b, i in zip(o1s, o2s, rref_inters)] == singles
+        factors = [ch.gamma(1) ** (sp.n - i.dim - 1) * ch.gamma_class(c)
+                   for i, c in zip(rref_inters, singles)]
+        assert [edge_factor(ch, a, b) for a, b in zip(o1s, o2s)] == factors
+        assert edge_factors(ch, o1s, o2s) == factors
+        assert edge_factors(ch, o1s, o2s, inters) == factors
+    assert orientation_pairings([], []) == [] and edge_factors(ch, [], []) == []
+
+
+@pytest.mark.parametrize("cell", range(4), ids=["3-1", "5-2", "3-3", "gram-5-2"])
+def test_stacked_polygon_invariants_equal_the_single_calls(cell):
+    """Tuples of length 2 to 5 with repeated entries: the stacked common
+    intersections, predicted rank and disc, and Witt invariants of the
+    polygon forms equal the single calls, and the prediction holds."""
+    ch, sp = list(stacked_cells())[cell]
+    rng = np.random.default_rng(57 + cell)
+    pool = [sp.random_lagrangian(rng) for _ in range(4)]
+    tuples = []
+    for m in (2, 3, 4, 5):
+        for _ in range(4):
+            tuples.append(tuple(pool[i] for i in rng.integers(0, len(pool), m)))
+    tuples += [(pool[0], pool[0]), (pool[1],) * 5, (pool[0], pool[1], pool[0], pool[1])]
+    common = lagrangian_intersections(tuples)
+    for rows, lags in zip(common, tuples):
+        want = lags[0].sub
+        for l in lags[1:]:
+            want = want.intersect(l.sub)
+        assert Subspace.from_rows(sp.field, sp.dim, rows) == want
+        assert np.count_nonzero(rows.any(axis=1)) == want.dim
+    for orient in (Orientation.default, lambda l: Orientation.random(l, rng)):
+        orients = [[orient(l) for l in lags] for lags in tuples]
+        singles = [predicted_rank_disc(o) for o in orients]
+        assert predicted_rank_discs(orients) == singles
+    invs = maslov_invariants(ch, tuples)
+    for lags, inv, (rank, disc) in zip(tuples, invs, singles):
+        q = maslov_form(*lags)
+        want = witt_invariants(ch, q)
+        assert (inv.rank, inv.disc, inv.gamma) == (want.rank, want.disc, want.gamma)
+        assert inv.gamma == maslov_gamma(ch, *lags)
+        assert (q.rank(), q.disc()) == (rank, disc)
+    assert predicted_rank_discs([]) == [] and maslov_invariants(ch, []) == []
+    with pytest.raises(ArityError):
+        predicted_rank_discs([[Orientation.default(pool[0])]])
+    with pytest.raises(ArityError):
+        maslov_invariants(ch, [(pool[0],)])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from weilchar.characters import AdditiveCharacter, approx_eq
 from weilchar.errors import EnumerationTooLarge
 from weilchar.field import Fp, FpMatrix, SquareClass
+from weilchar import quadform
 from weilchar.quadform import (
     QuadraticSpace,
     WittInvariants,
@@ -243,3 +244,25 @@ def test_weil_index_is_one_float_per_congruence_class(scale):
             assert weil_index(ch, q) == want
             assert witt_invariants(ch, q).gamma == want
         assert _weil_indices(ch, np.array(congruent)) == [want] * len(congruent)
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 97])
+def test_weil_indices_equal_the_single_route(p, monkeypatch):
+    """The stacked Weil indices equal `weil_index` under ==, zero grams
+    included, with one `_gamma_of` call per distinct (rank, square class)."""
+    f = Fp(p)
+    ch = AdditiveCharacter(f, 2)
+    rng = np.random.default_rng(p)
+    grams = [rand_sym(rng, p, 4) for _ in range(40)]
+    grams += [np.zeros((4, 4), dtype=np.int64), np.diag([0, 0, 0, 1])]
+    for g in grams[:10]:
+        g[-1] = g[:, -1] = 0  # rank at most 3
+    want = [weil_index(ch, QuadraticSpace(f, g)) for g in grams]
+    keys = {(q.rank(), q.disc()) for q in (QuadraticSpace(f, g) for g in grams)}
+    calls = []
+    gamma_of = quadform._gamma_of
+    monkeypatch.setattr(quadform, "_gamma_of",
+                        lambda *args: calls.append(args[1:]) or gamma_of(*args))
+    assert _weil_indices(ch, np.array(grams)) == want
+    assert len(calls) == len(keys)
+    assert _weil_indices(ch, np.zeros((0, 3, 3), dtype=np.int64)) == []

@@ -274,6 +274,68 @@ def test_random_element_frozen_draw_hashes(p, n, digest):
     assert hashlib.sha256(draws.astype("<i8").tobytes()).hexdigest() == digest
 
 
+def basis_by_all_constraints(sp, draw):
+    """Reference: each complement as the kernel of every constraint row so far."""
+    p = sp.field.p
+    es, fs = [], []
+    cons = np.zeros((0, sp.dim), dtype=np.int64)
+    for _ in range(sp.n):
+        ker = FpMatrix(sp.field, cons).kernel() if len(cons) else Subspace.full(sp.field, sp.dim)
+        kb = ker.basis.a
+        e = draw(kb, lambda v: bool(np.any(v)))
+        f = draw(kb, lambda v: sp.form(e, v) != 0)
+        f = (f * sp.field.inv(sp.form(e, f))) % p
+        es.append(e)
+        fs.append(f)
+        cons = np.vstack([cons, (e @ sp.gram.a) % p, (f @ sp.gram.a) % p])
+    return np.stack(es + fs, axis=1)
+
+
+def recording_draw(rng, p, seen):
+    """The draw of `SymplecticSpace._random_basis`, recording each kb."""
+    def draw(kb, accept):
+        seen.append(kb.copy())
+        while True:
+            v = (rng.integers(0, p, kb.shape[0]) @ kb) % p
+            if accept(v):
+                return v
+    return draw
+
+
+def congruent_space(p, n, seed):
+    """F_p^2n with the gram B^T J B for a random invertible B."""
+    f = Fp(p)
+    rng = np.random.default_rng(seed)
+    while True:
+        b = rng.integers(0, p, (2 * n, 2 * n))
+        if FpMatrix(f, b).det():
+            break
+    return SymplecticSpace(f, gram=FpMatrix(f, b.T @ standard_gram(f, n).a @ b))
+
+
+@pytest.mark.parametrize("sp", [space(3, 3), space(5, 2), space(97, 1), space(3, 5),
+                                space(5, 1).doubled(), congruent_space(7, 2, 1),
+                                congruent_space(3, 3, 2)],
+                         ids=["3-3", "5-2", "97-1", "3-5", "doubled-5-1", "gram-7-2", "gram-3-3"])
+def test_symplectic_basis_equals_the_kernel_of_all_constraints(sp):
+    """Each complement, taken as R' kb from the last one, is the rref basis
+    the kernel of all constraints gives: the same kb at every step, the
+    same draws, and the rng left in the same state."""
+    p = sp.field.p
+    for seed in range(8):
+        got_kbs, want_kbs = [], []
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(4):
+            got = sp._symplectic_basis(recording_draw(rng_got, p, got_kbs))
+            want = basis_by_all_constraints(sp, recording_draw(rng_want, p, want_kbs))
+            assert np.array_equal(got, want)
+        assert len(got_kbs) == len(want_kbs)
+        assert all(np.array_equal(a, b) for a, b in zip(got_kbs, want_kbs))
+        assert rng_got.integers(0, 2**62) == rng_want.integers(0, 2**62)
+    first = lambda kb, accept: next(v for v in kb if accept(v))
+    assert np.array_equal(sp._darboux_basis(), basis_by_all_constraints(sp, first))
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_random_draws_on_the_doubled_space(p):
     w = space(p, 1).doubled()

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from weilchar import metaplectic, verify
+from weilchar import maslov, metaplectic, verify
 from weilchar.errors import EnumerationTooLarge
 from weilchar.field import Fp
 from weilchar.symplectic import LAGRANGIAN_CAP, SymplecticSpace
@@ -80,6 +80,30 @@ def test_negated_lift_values_fail_the_cocycle_suite(monkeypatch):
             r = by_suite.pop(suite)
             assert not r.ok, (p, n, suite)
             assert r.witness["kind"] == kind
+        for r in by_suite.values():
+            assert r.ok and r.checked > 0, (p, n, r.suite, r.witness)
+
+
+def test_faulted_pairing_fails_the_polygon_suite(monkeypatch):
+    """Multiplying the first pairing of every stacked call by a nonsquare
+    flips one disc factor of the prediction and one edge factor's sign
+    (gamma(ns x) = -gamma(x)), so the polygon suite must fail; the gamma and
+    theta suites use no pairing and must stay ok."""
+    pairings = maslov.orientation_pairings
+
+    def faulted(o1s, o2s, inters=None):
+        out = pairings(o1s, o2s, inters)
+        if out:
+            out[0] = out[0].times(out[0].field.nonsquare)
+        return out
+
+    monkeypatch.setattr(maslov, "orientation_pairings", faulted)
+    for p, n in ((5, 1), (3, 2)):
+        by_suite = {r.suite: r for r in run_verification([p], [n], seed=1, samples=5,
+                                                         suites=("polygon", "gamma", "theta"))}
+        r = by_suite.pop("polygon")
+        assert not r.ok, (p, n)
+        assert r.witness["kind"] in ("disc", "edge-product")
         for r in by_suite.values():
             assert r.ok and r.checked > 0, (p, n, r.suite, r.witness)
 
