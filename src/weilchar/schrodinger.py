@@ -11,19 +11,24 @@ for any splitting v - w = a1 + a2 with a_i in l_i.  The operator of a lifted
 group element twists the (g l, l) kernel by g on the first slot and scales by
 the lift value.
 
-The kernel has two evaluation routes.  `_PairKernel.values` solves for
-(a1, a2) pair by pair; `kernel_value`, the diagonal behind `trace_oracle`
-and `check_diagonal_kernel` use it.  `_PairKernel.grid` uses that the
-solver's particular solution is linear in D = v - w, a_i = D L_i, so that
-with M_i = L_i J the phase splits as
+Every kernel value is read from one per-kernel phase table, psi(half * x) *
+norm at x in F_p, so the two evaluation routes share one phase -> value rule.
+`_PairKernel.values` solves for (a1, a2) pair by pair; `kernel_value`, the
+diagonal behind `trace_oracle` and `check_diagonal_kernel` use it.
+`_PairKernel.grid` uses that the solver's particular solution is linear in
+D = v - w, a_i = D L_i, so that with M_i = L_i J the phase splits as
 
-    q(v, w) = v M1 v - w M2 w + v (M2 - M1^T) w    (mod p)
+    q(v, w) = a(v) + c(w) + v B w,  a(v) = v M1 v, c(w) = -w M2 w,
+    B = M2 - M1^T    (mod p)
 
-and the support test is an equality of the syndromes of v and w modulo
-l1 + l2; the dense `intertwiner` and `weil_operator` matrices come from it
-without a solve per entry.  The brute-force character oracle sums the kernel
-over the p^n diagonal pairs (g x, x) alone; `weil_operator` stays the dense
-reference whose trace it equals.
+Augmenting [W B^T mod p | 1 | c] and [V | a | 1] makes the whole integer
+phase matrix one float32 matmul, exact while its entries stay below 2^24;
+the matrix is then one gather from the table repeated to that range, with
+the lift value of `weil_operator` folded into the table.  The support test
+is an equality of the syndromes of v and w modulo l1 + l2, needed only when
+l1 and l2 meet.  The brute-force character oracle sums the kernel over the
+p^n diagonal pairs (g x, x) alone; `weil_operator` stays the dense reference
+whose trace it equals.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .metaplectic import MpElement
 from .symplectic import Lagrangian
 
 MAX_REP_DIM = 343  # largest p^n at which a dense p^n x p^n matrix is built
+_EXACT_FLOAT32 = 2**24  # float32 holds every integer below this exactly
 
 
 def _check_dense(l: Lagrangian) -> None:
@@ -85,10 +91,17 @@ class SectionBasis:
         return out
 
 
-class _PairKernel:
-    """Cached solver, normalization and split phase for the (l1, l2) kernel."""
+@lru_cache(maxsize=512)
+def _sections(l: Lagrangian) -> np.ndarray:
+    """The read-only section representatives of l, built once per Lagrangian."""
+    return SectionBasis(l).reps
 
-    __slots__ = ("char", "l1", "l2", "solver", "k1", "b1", "b2", "norm",
+
+class _PairKernel:
+    """Cached solver, normalization, phase table and split phase for the
+    (l1, l2) kernel."""
+
+    __slots__ = ("char", "l1", "l2", "solver", "k1", "b1", "b2", "norm", "phases",
                  "m1", "m2", "cross", "syndrome", "weights")
 
     def __init__(self, char: AdditiveCharacter, l1: Lagrangian, l2: Lagrangian) -> None:
@@ -101,45 +114,65 @@ class _PairKernel:
         self.b2 = l2.sub.basis.a
         self.k1 = self.b1.shape[0]
         self.solver = solver = RowSolver(FpMatrix(l1.space.field, np.vstack([self.b1, self.b2])))
-        inter = l1.sub.intersect(l2.sub).dim
-        self.norm = float(char.p) ** (-(l1.dim - inter) / 2)
+        p = char.p
+        # the rank is dim(l1 + l2), so dim(l1 / l1^l2) = rank - dim l2
+        self.norm = float(p) ** (-(solver.rank - l2.dim) / 2)
+        # the kernel value at phase x, read by both `values` and `grid`
+        self.phases = char.psi_array((char.field.half * np.arange(p)) % p) * self.norm
 
         # solve_many returns Y = D @ P, so a_i = D @ L_i and form(a_i, x) = D @ M_i @ x
-        p = char.p
         j = l1.space.gram.a
         P = np.zeros((l1.space.dim, solver.nrows), dtype=np.int64)
         P[:, list(solver.pivots)] = solver.tableau[: solver.rank].T
         self.m1 = (P[:, : self.k1] @ self.b1 % p) @ j % p
         self.m2 = (P[:, self.k1 :] @ self.b2 % p) @ j % p
         self.cross = (self.m2 - self.m1.T) % p
-        # v - w is in l1 + l2 iff v and w have one syndrome, packed base p
+        # d - rank = dim(l1^l2) columns; none when l1 and l2 are transverse
         self.syndrome = solver.tableau[solver.rank :].T % p
         self.weights = p ** np.arange(self.syndrome.shape[1], dtype=np.int64)
 
     def values(self, V: np.ndarray, W: np.ndarray) -> np.ndarray:
         """Kernel values row-wise for stacked first/second slot vectors."""
         p = self.char.p
-        half = self.char.field.half
         j = self.l1.space.gram.a
         D = (V - W) % p
         Y, ok = self.solver.solve_many(D)
         A1 = (Y[:, : self.k1] @ self.b1) % p
         A2 = (Y[:, self.k1 :] @ self.b2) % p
         q = (np.einsum("ij,ij->i", A1 @ j % p, V) + np.einsum("ij,ij->i", A2 @ j % p, W)) % p
-        return np.where(ok, self.char.psi_array((half * q) % p) * self.norm, 0.0)
+        return np.where(ok, self.phases[q], 0.0)
 
-    def grid(self, V: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """The kernel matrix with entry [i, j] at (V[j], W[i]), from the split
-        phase a(v) + c(w) + v B w and a syndrome match, with no solve."""
+    def grid(self, V: np.ndarray, W: np.ndarray, factor: complex = 1.0) -> np.ndarray:
+        """factor times the kernel matrix with entry [i, j] at (V[j], W[i]).
+
+        The phases a(v) + c(w) + v B w of all pairs are one matmul of the
+        augmented rows [W B^T | 1 | c] and [V | a | 1], each entry at most
+        top = d (p - 1)^2 + 2 (p - 1); the matrix is one gather from
+        factor * phases repeated to length top + 1, zeroed off the support
+        when l1 and l2 meet.  No solve per entry.
+        """
         p = self.char.p
-        half = self.char.field.half
-        a = ((V @ self.m1) % p * V).sum(axis=1) % p
-        c = -((W @ self.m2) % p * W).sum(axis=1) % p
-        q = ((W @ self.cross.T) % p @ V.T + a[None, :] + c[:, None]) % p
-        sv = (V @ self.syndrome) % p @ self.weights
-        sw = (W @ self.syndrome) % p @ self.weights
-        inside = sw[:, None] == sv[None, :]
-        return np.where(inside, self.char.psi_array((half * q) % p) * self.norm, 0.0)
+        d = V.shape[1]
+        top = d * (p - 1) ** 2 + 2 * (p - 1)
+        if top >= _EXACT_FLOAT32:
+            raise EnumerationTooLarge(
+                f"phases up to {top} are not exact in float32 (d = {d}, p = {p})")
+        wx = np.empty((len(W), d + 2), dtype=np.float32)
+        wx[:, :d] = (W @ self.cross.T) % p
+        wx[:, d] = 1
+        wx[:, d + 1] = -((W @ self.m2) % p * W).sum(axis=1) % p
+        vx = np.empty((len(V), d + 2), dtype=np.float32)
+        vx[:, :d] = V
+        vx[:, d] = ((V @ self.m1) % p * V).sum(axis=1) % p
+        vx[:, d + 1] = 1
+        q = (wx @ vx.T).astype(np.intp)
+        out = np.resize(factor * self.phases, top + 1)[q]
+        if self.syndrome.shape[1]:
+            # v - w is in l1 + l2 iff v and w have one syndrome, packed base p
+            sv = (V @ self.syndrome) % p @ self.weights
+            sw = (W @ self.syndrome) % p @ self.weights
+            out[sw[:, None] != sv[None, :]] = 0
+        return out
 
     def value(self, v, w) -> complex:
         V = np.asarray(v, dtype=np.int64)[None, :]
@@ -164,7 +197,7 @@ def intertwiner(char: AdditiveCharacter, l1: Lagrangian, l2: Lagrangian) -> np.n
     multiplies the matrices in codomain-first order.
     """
     _check_dense(l1)
-    return _pair_kernel(char, l1, l2).grid(SectionBasis(l1).reps, SectionBasis(l2).reps)
+    return _pair_kernel(char, l1, l2).grid(_sections(l1), _sections(l2))
 
 
 def weil_operator(e: MpElement, l: Lagrangian | None = None) -> np.ndarray:
@@ -175,9 +208,9 @@ def weil_operator(e: MpElement, l: Lagrangian | None = None) -> np.ndarray:
     _check_dense(l)
     g = e.g
     pk = _pair_kernel(e.char, g.image(l), l)
-    reps = SectionBasis(l).reps
+    reps = _sections(l)
     moved = (reps @ g.mat.a.T) % e.char.p
-    return e.value_at(l) * pk.grid(moved, reps)
+    return pk.grid(moved, reps, e.value_at(l))
 
 
 def _kernel_diagonal(e: MpElement, l: Lagrangian) -> np.ndarray:
@@ -185,9 +218,9 @@ def _kernel_diagonal(e: MpElement, l: Lagrangian) -> np.ndarray:
     (g x, x) for each of the p^n section representatives x, without t(l)."""
     g = e.g
     pk = _pair_kernel(e.char, g.image(l), l)
-    basis = SectionBasis(l)
-    moved = (basis.reps @ g.mat.a.T) % e.char.p
-    return pk.values(moved, basis.reps)
+    reps = _sections(l)
+    moved = (reps @ g.mat.a.T) % e.char.p
+    return pk.values(moved, reps)
 
 
 def trace_oracle(e: MpElement, l: Lagrangian | None = None) -> complex:
@@ -207,7 +240,7 @@ def check_diagonal_kernel(e: MpElement, df: DiagonalForm) -> CheckReport:
     l = df.l
     char = e.char
     p = char.p
-    reps = SectionBasis(l).reps
+    reps = _sections(l)
     diag = _kernel_diagonal(e, l)
     norm = float(p) ** (-(l.dim - df.inter.dim) / 2)
     coords, inside = df.support.coordinates_many(reps)

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from weilchar.metaplectic import mp_identity, split_lift
 from weilchar.schrodinger import (
     MAX_REP_DIM,
     SectionBasis,
+    _PairKernel,
     _pair_kernel,
     check_diagonal_kernel,
     intertwiner,
@@ -23,6 +25,7 @@ from weilchar.schrodinger import (
     weil_operator,
 )
 from weilchar.symplectic import SymplecticSpace
+from weilchar.verify import run_verification
 
 
 def setup(p, n):
@@ -288,6 +291,7 @@ def test_grid_equals_pairwise_kernel(p, n):
         for l1, l2, inter in pairs:
             assert l1.sub.intersect(l2.sub).dim == inter
             pk = _pair_kernel(ch, l1, l2)
+            assert pk.norm == float(p) ** (-(n - inter) / 2)
             V, W = SectionBasis(l1).reps, SectionBasis(l2).reps
             ref = _pairwise_grid(pk, V, W)
             assert np.array_equal(pk.grid(V, W), ref)
@@ -300,3 +304,50 @@ def test_grid_equals_pairwise_kernel(p, n):
             ref = _pairwise_grid(pk, moved, reps)
             assert np.array_equal(pk.grid(moved, reps), ref)
             assert np.max(np.abs(weil_operator(e, l) - e.value_at(l) * ref)) < 1e-12
+
+
+def test_grid_refuses_phases_past_float32(monkeypatch):
+    """The phase matmul runs in float32, exact below 2^24: a bound below the
+    largest phase of a cell refuses that cell's grid before any matmul."""
+    ch, sp = setup(7, 3)
+    l = sp.standard_lagrangian()
+    reps = SectionBasis(l).reps
+    pk = _pair_kernel(ch, l, l)
+    top = 6 * 6**2 + 2 * 6
+    monkeypatch.setattr(weilchar.schrodinger, "_EXACT_FLOAT32", top + 1)
+    assert pk.grid(reps, reps).shape == (343, 343)
+    monkeypatch.setattr(weilchar.schrodinger, "_EXACT_FLOAT32", top)
+    with pytest.raises(EnumerationTooLarge):
+        pk.grid(reps, reps)
+
+
+def test_conjugated_phase_table_fails_the_dense_checks(monkeypatch):
+    """Conjugating the phase table that `grid` and `values` share turns every
+    kernel into the kernel of psi^-1.  `check_diagonal_kernel` builds its
+    reference from `psi_array`, not from that table, so the structural suite
+    fails at every p.  The loop scalars and product cocycles of psi^-1 are the
+    conjugates of those of psi, which differ where p = 3 mod 4 (gamma(1) is
+    +-i), so there the loops and homomorphism suites fail too; for p = 1 mod 4
+    psi^-1 gives the same scalars and those two suites cannot see the fault.
+    The gamma and theta suites read no kernel and stay ok."""
+    @lru_cache(maxsize=None)
+    def conjugated(char, l1, l2):
+        pk = _PairKernel(char, l1, l2)
+        pk.phases = pk.phases.conj()
+        return pk
+
+    monkeypatch.setattr(weilchar.schrodinger, "_pair_kernel", conjugated)
+    cells = {(3, 1): ("structural", "loops", "homomorphism"),
+             (7, 1): ("structural", "loops", "homomorphism"),
+             (3, 2): ("structural", "loops", "homomorphism"),
+             (5, 1): ("structural",)}
+    kinds = {"structural": "diagonal-kernel", "loops": "loop", "homomorphism": "product"}
+    for (p, n), failing in cells.items():
+        results = run_verification([p], [n], seed=1, samples=5,
+                                   suites=("structural", "loops", "homomorphism", "gamma", "theta"))
+        for r in results:
+            if r.suite in failing:
+                assert not r.ok, (p, n, r.suite)
+                assert r.witness["kind"] == kinds[r.suite], (p, n, r.witness)
+            elif r.suite in ("gamma", "theta"):
+                assert r.ok and r.checked > 0, (p, n, r.suite, r.witness)
