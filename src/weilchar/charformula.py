@@ -148,7 +148,9 @@ def _closed_form(
 
 
 def closed_form_data(char: AdditiveCharacter, g: SpElement) -> tuple[int, SquareClass, complex]:
-    """(dim ker(g-1), displacement disc, closed-form trace) from two eliminations."""
+    """(dim ker(g-1), displacement disc, closed-form trace) from two eliminations.
+
+    The single-route oracle of its stacked twin `closed_form_data_many`."""
     space = g.space
     gram = _displacement_grams(g.mat.a, space.gram.a, char.p)
     return _closed_form(char, space.dim, *_rank_det(gram, char.field))

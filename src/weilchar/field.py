@@ -199,7 +199,7 @@ class FpMatrix:
 
     def rref(self) -> tuple["FpMatrix", tuple[int, ...]]:
         """Reduced row echelon form and the tuple of pivot column indices."""
-        red, pivots, _, _ = _eliminate(self.a, self.field)
+        red, pivots, _ = _eliminate(self.a, self.field)
         return FpMatrix(self.field, red), pivots
 
     def rank(self) -> int:
@@ -219,28 +219,31 @@ class FpMatrix:
     def det(self) -> int:
         if self.nrows != self.ncols:
             raise DimensionMismatch("determinant of a non-square matrix")
-        return _eliminate(self.a, self.field)[3]
+        return _eliminate(self.a, self.field)[2]
 
     def inv(self) -> "FpMatrix":
-        if self.nrows != self.ncols:
+        """The inverse, read off the rref [I | A^-1] of [A | I], whose first
+        n columns are all pivots exactly when A is invertible."""
+        n = self.nrows
+        if n != self.ncols:
             raise DimensionMismatch("inverse of a non-square matrix")
-        _, pivots, transform, _ = _eliminate(self.a, self.field, track=True)
-        if len(pivots) < self.nrows:
+        red, pivots, _ = _eliminate(np.hstack([self.a, np.eye(n, dtype=np.int64)]), self.field)
+        if pivots[:n] != tuple(range(n)):
             raise ZeroDivisionError("matrix is singular")
-        return FpMatrix(self.field, transform)
+        return FpMatrix(self.field, red[:, n:])
 
 
-def _eliminate(a: np.ndarray, field: Fp, track: bool = False):
+def _eliminate(a: np.ndarray, field: Fp):
     """Gauss-Jordan elimination of the reduced matrix a over F_p.
 
-    Returns (reduced, pivots, transform, det): the reduced row echelon form,
-    its pivot columns, the invertible T with T @ a = reduced (None unless
-    track), and the determinant of a (0 unless a is square of full rank).
-    Every row reduction of this module runs through this one pivot loop.
+    Returns (reduced, pivots, det): the reduced row echelon form, its pivot
+    columns, and the determinant of a (0 unless a is square of full rank).
+    This loop and its stacked twin `_eliminate_many` are the module's two
+    pivot loops; one matrix at a time, this one is several times cheaper.
     """
     p = field.p
     nrows, ncols = a.shape
-    work = np.hstack([a, np.eye(nrows, dtype=np.int64)]) if track else a.copy()
+    work = a.copy()
     pivots: list[int] = []
     det = 1
     r = 0
@@ -265,9 +268,7 @@ def _eliminate(a: np.ndarray, field: Fp, track: bool = False):
         r += 1
     if not r == nrows == ncols:
         det = 0
-    if track:
-        return work[:, :ncols], tuple(pivots), work[:, ncols:], det
-    return work, tuple(pivots), None, det
+    return work, tuple(pivots), det
 
 
 def _eliminate_many(stack: np.ndarray, field: Fp):
@@ -338,7 +339,7 @@ def _rank_det(a: np.ndarray, field: Fp) -> tuple[int, int]:
     pivots = list(_eliminate(a, field)[1])
     if not pivots:
         return 0, 1
-    return len(pivots), _eliminate(a[np.ix_(pivots, pivots)], field)[3]
+    return len(pivots), _eliminate(a[np.ix_(pivots, pivots)], field)[2]
 
 
 def _rank_dets_many(stack: np.ndarray, field: Fp) -> tuple[np.ndarray, np.ndarray]:
@@ -369,7 +370,7 @@ def _null_space(a: np.ndarray, field: Fp) -> tuple[np.ndarray, list[int]]:
     """(rows, free): a basis of {x : a x = 0} as rows and the free columns of
     rref(a).  Row k has a 1 at free[k], zeros at the other free columns and
     minus column free[k] of rref(a) at the pivot columns."""
-    red, pivots, _, _ = _eliminate(a, field)
+    red, pivots, _ = _eliminate(a, field)
     ncols = a.shape[1]
     free = [c for c in range(ncols) if c not in pivots]
     rows = np.zeros((len(free), ncols), dtype=np.int64)
@@ -378,16 +379,12 @@ def _null_space(a: np.ndarray, field: Fp) -> tuple[np.ndarray, list[int]]:
     return rows, free
 
 
-def _null_rows(a: np.ndarray, field: Fp) -> np.ndarray:
-    """A basis of {x : a x = 0} as rows, one per free column, not yet reduced."""
-    return _null_space(a, field)[0]
-
-
 def _null_rows_many(stack: np.ndarray, field: Fp) -> np.ndarray:
-    """`_null_rows` for every matrix of a (B, r, c) stack, padded to (B, c, c).
+    """The rows of `_null_space` for every matrix of a (B, r, c) stack, padded
+    to (B, c, c).
 
     For red the rref of a matrix and S the (r, c) selector of its pivot
-    entries, row j of I - red^T S is the null row `_null_rows` gives for a
+    entries, row j of I - red^T S is the null row `_null_space` gives for a
     free column j, and zero for a pivot column j, because the pivot columns
     of an rref are unit vectors.  So the rows are that basis in column order,
     padded with zero rows.
@@ -405,7 +402,10 @@ class RowSolver:
     """Solves y @ M = d over F_p for a fixed M and many right hand sides d.
 
     Gaussian elimination on M^T is done once; each solve is then a matrix
-    product plus a consistency check on the non-pivot rows.
+    product plus a consistency check on the non-pivot rows.  The tableau T is
+    the right block of rref [M^T | I] = [T M^T | T]: its first rank rows give
+    y at the pivot columns, and its other rows span the left null space of
+    M^T, so they test d for consistency.
     """
 
     __slots__ = ("field", "nrows", "ncols", "tableau", "pivots", "rank")
@@ -414,8 +414,11 @@ class RowSolver:
         self.field = M.field
         self.nrows = M.nrows  # length of the unknown y
         self.ncols = M.ncols  # length of the right hand side d
-        _, self.pivots, self.tableau, _ = _eliminate(M.a.T, M.field, track=True)
+        aug = np.hstack([M.a.T, np.eye(self.ncols, dtype=np.int64)])
+        red, pivots, _ = _eliminate(aug, M.field)
+        self.pivots = tuple(c for c in pivots if c < self.nrows)
         self.rank = len(self.pivots)
+        self.tableau = red[:, self.nrows :]
 
     def solve(self, d) -> np.ndarray | None:
         """One solution y of y @ M = d, or None if the system is inconsistent."""
@@ -505,7 +508,7 @@ class Subspace:
         """U ^ W from the null rows (a, b) of [U; W]^T: a U = -b W spans it."""
         self._check(other)
         u = self.basis.a
-        coefs = _null_rows(np.vstack([u, other.basis.a]).T, self.field)
+        coefs = _null_space(np.vstack([u, other.basis.a]).T, self.field)[0]
         return Subspace.from_rows(self.field, self.ambient, coefs[:, : self.dim] @ u)
 
     def complement_std(self) -> "Subspace":

@@ -32,8 +32,8 @@ from .field import (
     SquareClass,
     Subspace,
     _eliminate_many,
-    _null_rows,
     _null_rows_many,
+    _null_space,
     _rank_dets_many,
 )
 from .quadform import (
@@ -240,7 +240,7 @@ def _bases_form(space: SymplecticSpace, bases: Sequence[np.ndarray]) -> Quadrati
     field = space.field
     stacked = np.vstack(bases)
     # rows w with w @ stacked = 0; any basis will do, as the gram only changes by congruence
-    sol = _null_rows(stacked.T, field)
+    sol = _null_space(stacked.T, field)[0]
     gram = _polygon_grams(sol[None], stacked.reshape(1, len(bases), space.n, space.dim),
                           space.gram.a, field)
     return QuadraticSpace(field, gram[0])

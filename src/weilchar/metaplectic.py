@@ -191,7 +191,7 @@ def mp_cocycles(char: AdditiveCharacter, gmats, hmats, l: Lagrangian) -> list[co
 class MpElement:
     """A metaplectic group element (g, t), anchored at a base Lagrangian."""
 
-    __slots__ = ("char", "g", "base", "t0", "_gbase")
+    __slots__ = ("char", "g", "base", "t0")
 
     def __init__(self, char: AdditiveCharacter, g: SpElement, base: Lagrangian, t0: complex) -> None:
         if base.space != g.space:
@@ -200,30 +200,26 @@ class MpElement:
         self.g = g
         self.base = base
         self.t0 = complex(t0)
-        self._gbase: Lagrangian | None = None
 
     @property
     def space(self) -> SymplecticSpace:
         return self.g.space
 
-    def _moved_base(self) -> Lagrangian:
-        """g base, built once."""
-        if self._gbase is None:
-            self._gbase = self.g.image(self.base)
-        return self._gbase
-
     def value_at(self, l: Lagrangian) -> complex:
         """t(l) = gamma(tau(base, g base, g l, l)) * t0.
 
-        The form takes the moved basis of l as the basis of g l, with no rref.
+        The form takes the moved bases base g^T and l g^T as the bases of
+        g base and g l, with no rref: another basis changes the gram only by
+        congruence, and the Weil index reads gamma at the square class.
         """
         if l == self.base:
             return self.t0
         if l.space != self.space:
             raise DimensionMismatch("Lagrangian not in g's space")
-        b = l.sub.basis.a
-        moved = (b @ self.g.mat.a.T) % self.space.field.p
-        bases = [self.base.sub.basis.a, self._moved_base().sub.basis.a, moved, b]
+        p = self.space.field.p
+        g_t = self.g.mat.a.T
+        base, b = self.base.sub.basis.a, l.sub.basis.a
+        bases = [base, base @ g_t % p, b @ g_t % p, b]
         return weil_index(self.char, _bases_form(self.space, bases)) * self.t0
 
     def rebased(self, new_base: Lagrangian) -> "MpElement":
@@ -323,7 +319,9 @@ def embed_doubled(e: MpElement) -> MpElement:
 
 
 def character_factor(e: MpElement, l: Lagrangian | None = None) -> complex:
-    """t(l) * gamma(tau(graph(g), diagonal, l + l)); independent of l."""
+    """t(l) * gamma(tau(graph(g), diagonal, l + l)); independent of l.
+
+    The single-route oracle of its stacked twin `character_factor_table`."""
     if l is None:
         l = e.base
     gamma = maslov_gamma(e.char, e.g.graph(), diagonal_lagrangian(e.space), l.doubled())
@@ -385,5 +383,8 @@ def character_factor_table(es: Sequence[MpElement], lags: Sequence[Lagrangian]) 
 
 
 def character_factor_doubled(e: MpElement) -> complex:
-    """The same factor computed as the doubled embedding evaluated at the diagonal."""
+    """The same factor computed as the doubled embedding evaluated at the diagonal.
+
+    A second single-route oracle of `character_factor_table`, by another
+    construction; the theta suite holds it to `character_factor`."""
     return embed_doubled(e).value_at(diagonal_lagrangian(e.space))

@@ -5,14 +5,21 @@ is v @ gram @ v, and psi(half * value) is the phase summed by the Weil index.
 Degenerate grams are allowed everywhere; invariants refer to the nondegenerate
 part obtained by splitting off the radical.
 
-The invariants come from one row reduction.  With I the pivot columns of
+The invariants come from two row reductions.  With I the pivot columns of
 rref(gram) and r = |I|, the principal minor gram[I, I] is nonsingular and
 spans a complement of the radical, so the nondegenerate part has rank r and
 discriminant the class of d = det gram[I, I].  Since gamma is a character of
 the Witt group with gamma(a) = gamma(1) * (a/p) (Lion-Vergne 1980), the Weil
 index is gamma(1)^(r-1) * gamma(d), and 1 when r = 0; gamma(d) is read at the
-class representative of d, so congruent forms give one float.  `diagonalize` and
-`diagonal_transform` keep the explicit congruence to a diagonal form.
+class representative of d, so congruent forms give one float.  `_gammas_of`
+turns the (rank, det) pairs of a whole stack of grams, from
+`field._rank_dets_many`, into Weil indices, reading gamma once per (rank,
+square class).
+
+`diagonal_transform` keeps an explicit congruence to a diagonal form.  It
+splits off one anisotropic vector v at a time and keeps the part of the span
+orthogonal to v, one `kernel()` each, so every reduction here runs through
+the elimination loops of `field`.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import numpy as np
 
 from .characters import AdditiveCharacter, approx_eq
 from .errors import DimensionMismatch, EnumerationTooLarge
-from .field import Fp, FpMatrix, SquareClass, Subspace, _rank_det, _rank_dets_many
+from .field import Fp, FpMatrix, SquareClass, Subspace, _rank_det
 
 BRUTE_CAP = 10**6
 
@@ -77,31 +84,39 @@ class QuadraticSpace:
 
     def diagonalize(self) -> list[int]:
         """Nonzero diagonal entries of a congruent diagonal form (one per rank)."""
-        nd = self.nondegenerate_part()
-        if nd.dim == 0:
-            return []
-        a, _ = _symmetric_diagonalize(nd.gram.a, self.field)
-        return [int(x) for x in a.diagonal()]
+        return [e for e in self.diagonal_transform()[1] if e]
 
     def diagonal_transform(self) -> tuple[FpMatrix, list[int]]:
         """(A, entries) with A invertible and A @ gram @ A.T = diag(entries).
 
         The entry list has full length dim; zeros mark the radical directions.
+        The first rows are an orthogonal basis of the standard complement W of
+        the radical, one anisotropic vector v at a time: a spanning row with
+        q(v) != 0, or else u + w for two rows that pair to c != 0, so that
+        q(u + w) = 2c.  The form is nondegenerate on W, so such a pair exists.
+        The span then shrinks to its part orthogonal to v, again
+        nondegenerate, whose coefficients are the kernel of the 1 x k row
+        span @ gram @ v.
         """
         p = self.field.p
+        gram = self.gram.a
         rad = self.radical()
-        comp = rad.complement_std()
-        nd_gram = (comp.basis.a @ self.gram.a @ comp.basis.a.T) % p
-        if comp.dim:
-            diag, ops = _symmetric_diagonalize(nd_gram, self.field)
-            top = (ops @ comp.basis.a) % p
-            entries = [int(x) for x in diag.diagonal()]
-        else:
-            top = np.zeros((0, self.dim), dtype=np.int64)
-            entries = []
-        rows = np.vstack([top, rad.basis.a])
-        entries += [0] * rad.dim
-        return FpMatrix(self.field, rows), entries
+        span = rad.complement_std().basis.a
+        rows, entries = [], []
+        while len(span):
+            pairs = span @ gram % p @ span.T % p
+            aniso = np.flatnonzero(pairs.diagonal())
+            if aniso.size:
+                v = span[aniso[0]]
+            else:
+                i, j = np.argwhere(pairs)[0]
+                v = (span[i] + span[j]) % p
+            rows.append(v)
+            entries.append(self.value(v))
+            coefs = FpMatrix(self.field, (span @ gram @ v)[None]).kernel().basis.a
+            span = coefs @ span % p
+        top = np.array(rows, dtype=np.int64).reshape(len(rows), self.dim)
+        return FpMatrix(self.field, np.vstack([top, rad.basis.a])), entries + [0] * rad.dim
 
     def _rank_det(self) -> tuple[int, int]:
         """(r, det gram[I, I]) for I the pivot columns of rref(gram); (0, 1) when r = 0."""
@@ -137,45 +152,6 @@ class QuadraticSpace:
         return f"QuadraticSpace(p={self.field.p},\n{self.gram.a})"
 
 
-def _symmetric_diagonalize(gram: np.ndarray, field: Fp) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric row/column elimination of an invertible symmetric matrix.
-
-    Returns (D, A) with D diagonal and A @ gram @ A.T = D.  When every
-    remaining diagonal entry is zero, some off-diagonal entry is not, and
-    adding that row and column to the pivot position produces 2 * entry != 0
-    (characteristic is odd).
-    """
-    p = field.p
-    g = gram.copy()
-    n = g.shape[0]
-    ops = np.eye(n, dtype=np.int64)
-
-    def addrow(i: int, j: int, c: int) -> None:
-        g[i] = (g[i] + c * g[j]) % p
-        g[:, i] = (g[:, i] + c * g[:, j]) % p
-        ops[i] = (ops[i] + c * ops[j]) % p
-
-    def swap(i: int, j: int) -> None:
-        g[[i, j]] = g[[j, i]]
-        g[:, [i, j]] = g[:, [j, i]]
-        ops[[i, j]] = ops[[j, i]]
-
-    for k in range(n):
-        if g[k, k] == 0:
-            cand = [j for j in range(k + 1, n) if g[j, j]]
-            if cand:
-                swap(k, cand[0])
-            else:
-                j = next(j for j in range(k + 1, n) if g[k, j])
-                addrow(k, j, 1)
-        piv = int(g[k, k])
-        inv = field.inv(piv)
-        for j in range(k + 1, n):
-            if g[j, k]:
-                addrow(j, k, (-g[j, k] * inv) % p)
-    return g, ops
-
-
 def _gamma_of(char: AdditiveCharacter, rank: int, det: int) -> complex:
     """gamma(1)^(rank-1) * gamma(det): the Weil index of any nondegenerate form
     of that rank and determinant, multiplicative over a diagonalization.  It
@@ -203,14 +179,6 @@ def _gammas_of(char: AdditiveCharacter, ranks: np.ndarray, dets: np.ndarray) -> 
             g = values[rank, square] = _gamma_of(char, rank, det)
         out.append(g)
     return out
-
-
-def _weil_indices(char: AdditiveCharacter, grams: np.ndarray) -> list[complex]:
-    """`weil_index` of every form of a (B, r, r) stack of symmetric grams.
-
-    Zero rows and columns in a gram only enlarge its radical.
-    """
-    return _gammas_of(char, *_rank_dets_many(grams, char.field))
 
 
 def weil_index_bruteforce(

@@ -225,7 +225,10 @@ def _kernel_diagonal(e: MpElement, l: Lagrangian) -> np.ndarray:
 
 def trace_oracle(e: MpElement, l: Lagrangian | None = None) -> complex:
     """Brute-force character value: t(l) times the sum of the kernel diagonal,
-    which is the trace of `weil_operator(e, l)` from p^n kernel rows."""
+    which is the trace of `weil_operator(e, l)` from p^n kernel rows.
+
+    The single-route oracle of the stacked trace, `_factor_trace` of a
+    `character_factor_table` entry, which the trace suite holds to it."""
     if l is None:
         l = e.base
     return complex(e.value_at(l) * _kernel_diagonal(e, l).sum())

@@ -15,8 +15,8 @@ from weilchar.field import (
     _eliminate,
     _eliminate_many,
     _inverses_many,
-    _null_rows,
     _null_rows_many,
+    _null_space,
 )
 
 PROPS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -198,13 +198,13 @@ def test_eliminate_many_equals_the_single_loop(fs):
     null = _null_rows_many(stack, field)
     assert null.shape == (nb, cols, cols)
     for i, a in enumerate(stack):
-        one_red, one_piv, _, one_det = _eliminate(a, field)
+        one_red, one_piv, one_det = _eliminate(a, field)
         assert np.array_equal(red[i], one_red)
         assert tuple(np.flatnonzero(pivots[i])) == one_piv
         assert ranks[i] == len(one_piv)
         assert dets[i] == one_det
         free = [c for c in range(cols) if c not in one_piv]
-        assert np.array_equal(null[i][free], _null_rows(a, field))
+        assert np.array_equal(null[i][free], _null_space(a, field)[0])
         assert not null[i][list(one_piv)].any()
     if rows == cols:
         ok, inverses = _inverses_many(stack, field)
@@ -245,7 +245,7 @@ def kernel_inputs(draw):
 def test_kernel_from_one_elimination_equals_the_rref_of_the_null_rows(fa):
     field, a = fa
     ker = FpMatrix(field, a).kernel()
-    ref = Subspace.from_rows(field, a.shape[1], _null_rows(a, field))
+    ref = Subspace.from_rows(field, a.shape[1], _null_space(a, field)[0])
     assert ker.pivots == ref.pivots
     assert ker.basis == ref.basis
     assert ker.ambient == ref.ambient == a.shape[1]
@@ -275,7 +275,7 @@ def test_eliminate_many_reduces_columns_past_the_last_pivot(p):
         stack = rng.integers(0, p, (8, rows, cols))
         red, pivots, ranks, dets = _eliminate_many(stack, field)
         for i, a in enumerate(stack):
-            one_red, one_piv, _, one_det = _eliminate(a, field)
+            one_red, one_piv, one_det = _eliminate(a, field)
             assert np.array_equal(red[i], one_red)
             assert tuple(np.flatnonzero(pivots[i])) == one_piv
             assert (ranks[i], dets[i]) == (len(one_piv), one_det)

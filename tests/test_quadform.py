@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from weilchar.characters import AdditiveCharacter, approx_eq
 from weilchar.errors import EnumerationTooLarge
-from weilchar.field import Fp, FpMatrix, SquareClass
+from weilchar.field import Fp, FpMatrix, SquareClass, _rank_dets_many
 from weilchar import quadform
 from weilchar.quadform import (
     QuadraticSpace,
     WittInvariants,
-    _weil_indices,
+    _gammas_of,
     hyperbolic_plane,
     weil_index,
     weil_index_bruteforce,
@@ -42,12 +42,18 @@ def test_value_and_pairing_conventions():
 
 
 def test_diagonalize_congruence_random():
+    """Random grams, and fixed ones whose spanning rows are all isotropic so
+    that an anisotropic vector must be built as the sum of two rows: the
+    hyperbolic plane H, H + H and H plus a radical line."""
+    h = [[0, 1], [1, 0]]
+    hh = np.kron(np.eye(2, dtype=np.int64), h)
+    h_rad = [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
     rng = np.random.default_rng(7)
     for p in (3, 5, 7):
         f = Fp(p)
-        for _ in range(40):
-            dim = int(rng.integers(1, 5))
-            q = QuadraticSpace(f, FpMatrix(f, rand_sym(rng, p, dim)))
+        grams = [rand_sym(rng, p, int(rng.integers(1, 5))) for _ in range(40)]
+        for gram in grams + [h, hh, h_rad]:
+            q = QuadraticSpace(f, FpMatrix(f, gram))
             a, diag = q.diagonal_transform()
             got = (a.a @ q.gram.a @ a.a.T) % p
             assert np.array_equal(got, np.diag(diag) % p)
@@ -243,7 +249,7 @@ def test_weil_index_is_one_float_per_congruence_class(scale):
             q = QuadraticSpace(f, c)
             assert weil_index(ch, q) == want
             assert witt_invariants(ch, q).gamma == want
-        assert _weil_indices(ch, np.array(congruent)) == [want] * len(congruent)
+        assert _gammas_of(ch, *_rank_dets_many(np.array(congruent), f)) == [want] * len(congruent)
 
 
 @pytest.mark.parametrize("p", [3, 5, 13, 97])
@@ -263,6 +269,6 @@ def test_weil_indices_equal_the_single_route(p, monkeypatch):
     gamma_of = quadform._gamma_of
     monkeypatch.setattr(quadform, "_gamma_of",
                         lambda *args: calls.append(args[1:]) or gamma_of(*args))
-    assert _weil_indices(ch, np.array(grams)) == want
+    assert _gammas_of(ch, *_rank_dets_many(np.array(grams), f)) == want
     assert len(calls) == len(keys)
-    assert _weil_indices(ch, np.zeros((0, 3, 3), dtype=np.int64)) == []
+    assert _gammas_of(ch, *_rank_dets_many(np.zeros((0, 3, 3), dtype=np.int64), f)) == []
