@@ -33,8 +33,8 @@ from typing import Any
 import numpy as np
 
 from .characters import AdditiveCharacter, approx_eq
-from .errors import InvariantViolation, SingularGMinusOne
-from .field import FpMatrix, RowSolver, SquareClass, Subspace, _rank_det, _rank_dets_many
+from .errors import DimensionMismatch, InvariantViolation, SingularGMinusOne
+from .field import FpMatrix, RowSolver, SquareClass, Subspace, _null_space, _rank_det, _rank_dets_many
 from .maslov import Orientation, maslov_class, orientation_pairing
 from .metaplectic import MpElement, character_factor
 from .quadform import QuadraticSpace, witt_invariants
@@ -80,6 +80,12 @@ class DiagonalForm:
 
 
 def diagonal_form(g: SpElement, l: Lagrangian) -> DiagonalForm:
+    """The forms and subspaces of (g, l) from two solvers.  The solver of
+    S = [g bl; bl; (g-1) bl], whose rows span g l + l, gives the support as
+    the x with (g-1)x of zero syndrome and the decomposition of (g-1)x; the
+    solver of (g-1)^T gives l ^ (g-1)V and the preimages of its basis."""
+    if l.space != g.space:
+        raise DimensionMismatch("Lagrangian not in g's space")
     space = g.space
     field = space.field
     p = field.p
@@ -87,19 +93,15 @@ def diagonal_form(g: SpElement, l: Lagrangian) -> DiagonalForm:
     eye = np.eye(d, dtype=np.int64)
     gm1 = (g.mat.a - eye) % p
     bl = l.sub.basis.a
-    gl = g.image(l)
+    k = bl.shape[0]
+    gbl = (bl @ g.mat.a.T) % p
+    solver = RowSolver(FpMatrix(field, np.vstack([gbl, bl, (bl @ gm1.T) % p])))
 
-    # support: (g-1)x must fall in g l + l, and x ranges over coset reps of l
-    sum_sub = gl.sub + l.sub
-    mem = sum_sub.perp_dot().basis.a  # rows u with u . v = 0 iff v in the sum
-    cons = [(mem @ gm1) % p] if mem.size else []
-    cons.append(eye[list(l.sub.pivots)])
-    support = FpMatrix(field, np.vstack([c for c in cons if len(c)])).kernel()
+    # support: (g-1)x has zero syndrome modulo S, and x ranges over coset reps of l
+    cons = np.vstack([solver.syndrome.T @ gm1 % p, eye[list(l.sub.pivots)]])
+    support = FpMatrix(field, cons).kernel()
 
     # decompose (g-1)x = g a + b + (g-1)c with a, b, c in l; q(x, y) = form(a+b, y)
-    k = bl.shape[0]
-    system = FpMatrix(field, np.vstack([(bl @ g.mat.a.T) % p, bl, (bl @ gm1.T) % p]))
-    solver = RowSolver(system)
     sup = support.basis.a
     y, ok = solver.solve_many((sup @ gm1.T) % p)
     if not ok.all():
@@ -109,11 +111,13 @@ def diagonal_form(g: SpElement, l: Lagrangian) -> DiagonalForm:
     if np.any((gram - gram.T) % p):
         raise InvariantViolation("support form is not symmetric")
 
-    # dual: S' = l ^ (g-1)V with q'(a, b) = form(a, y), b = (g-1)y
-    image = Subspace.from_rows(field, d, gm1.T)
-    dual_support = l.sub.intersect(image)
+    # dual: S' = l ^ (g-1)V, the combinations of bl with zero syndrome modulo
+    # (g-1)^T, and q'(a, b) = form(a, y) with b = (g-1)y
+    image = RowSolver(FpMatrix(field, gm1.T))
+    coefs = _null_space((bl @ image.syndrome % p).T, field)[0]
+    dual_support = Subspace.from_rows(field, d, coefs @ bl)
     db = dual_support.basis.a
-    pre, ok = RowSolver(FpMatrix(field, gm1.T)).solve_many(db)
+    pre, ok = image.solve_many(db)
     if not ok.all():
         raise InvariantViolation("dual support vector is outside (g-1)V")
     dual_gram = (db @ space.gram.a @ pre.T) % p
@@ -129,7 +133,7 @@ def diagonal_form(g: SpElement, l: Lagrangian) -> DiagonalForm:
         dual_support=dual_support,
         dual_gram=FpMatrix(field, dual_gram),
         ker=kernel_of_displacement(g),
-        inter=gl.sub.intersect(l.sub),
+        inter=Subspace.from_rows(field, d, gbl).intersect(l.sub),
     )
 
 

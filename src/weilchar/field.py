@@ -399,41 +399,32 @@ def _null_rows_many(stack: np.ndarray, field: Fp) -> np.ndarray:
 
 
 class RowSolver:
-    """Solves y @ M = d over F_p for a fixed M and many right hand sides d.
+    """Solves y @ M = d over F_p for a fixed (r, c) matrix M and many d.
 
-    Gaussian elimination on M^T is done once; each solve is then a matrix
-    product plus a consistency check on the non-pivot rows.  The tableau T is
-    the right block of rref [M^T | I] = [T M^T | T]: its first rank rows give
-    y at the pivot columns, and its other rows span the left null space of
-    M^T, so they test d for consistency.
+    One elimination gives the tableau T, the right block of rref [M^T | I] =
+    [T M^T | T].  Its first rank rows give y at the pivot columns, scattered
+    once into the (c, r) `solution`, y = d @ solution.  Its other rows span
+    the left null space of M^T: d @ syndrome = 0 for their (c, c - rank)
+    transpose exactly when d is in the row space of M.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "tableau", "pivots", "rank")
+    __slots__ = ("field", "solution", "syndrome", "rank")
 
     def __init__(self, M: FpMatrix) -> None:
         self.field = M.field
-        self.nrows = M.nrows  # length of the unknown y
-        self.ncols = M.ncols  # length of the right hand side d
-        aug = np.hstack([M.a.T, np.eye(self.ncols, dtype=np.int64)])
-        red, pivots, _ = _eliminate(aug, M.field)
-        self.pivots = tuple(c for c in pivots if c < self.nrows)
-        self.rank = len(self.pivots)
-        self.tableau = red[:, self.nrows :]
-
-    def solve(self, d) -> np.ndarray | None:
-        """One solution y of y @ M = d, or None if the system is inconsistent."""
-        Y, ok = self.solve_many(np.asarray(d, dtype=np.int64).reshape(1, self.ncols))
-        return Y[0] if ok[0] else None
+        r, c = M.shape
+        red, pivots, _ = _eliminate(np.hstack([M.a.T, np.eye(c, dtype=np.int64)]), M.field)
+        pivots = [k for k in pivots if k < r]
+        self.rank = len(pivots)
+        self.solution = np.zeros((c, r), dtype=np.int64)
+        self.solution[:, pivots] = red[: self.rank, r:].T
+        self.syndrome = red[self.rank :, r:].T
 
     def solve_many(self, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solutions for each row of D: (Y, ok) with Y[i] valid iff ok[i]."""
         p = self.field.p
         D = np.asarray(D, dtype=np.int64) % p
-        T = (D @ self.tableau.T) % p
-        ok = ~np.any(T[:, self.rank :], axis=1)
-        Y = np.zeros((len(D), self.nrows), dtype=np.int64)
-        Y[:, list(self.pivots)] = T[:, : self.rank]
-        return Y, ok
+        return D @ self.solution % p, ~np.any(D @ self.syndrome % p, axis=1)
 
 
 class Subspace:
@@ -499,10 +490,6 @@ class Subspace:
         return Subspace.from_rows(
             self.field, self.ambient, np.vstack([self.basis.a, other.basis.a])
         )
-
-    def perp_dot(self) -> "Subspace":
-        """Orthogonal complement for the standard dot product."""
-        return self.basis.kernel()
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """U ^ W from the null rows (a, b) of [U; W]^T: a U = -b W spans it."""

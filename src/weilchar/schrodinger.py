@@ -99,7 +99,8 @@ def _sections(l: Lagrangian) -> np.ndarray:
 
 class _PairKernel:
     """Cached solver, normalization, phase table and split phase for the
-    (l1, l2) kernel."""
+    (l1, l2) kernel: `grid` reads the solver's `solution` and `syndrome`
+    maps, and `values`, its reference, calls `solve_many` pair by pair."""
 
     __slots__ = ("char", "l1", "l2", "solver", "k1", "b1", "b2", "norm", "phases",
                  "m1", "m2", "cross", "syndrome", "weights")
@@ -120,15 +121,13 @@ class _PairKernel:
         # the kernel value at phase x, read by both `values` and `grid`
         self.phases = char.psi_array((char.field.half * np.arange(p)) % p) * self.norm
 
-        # solve_many returns Y = D @ P, so a_i = D @ L_i and form(a_i, x) = D @ M_i @ x
+        # Y = D @ solution, so a_i = D @ L_i and form(a_i, x) = D @ M_i @ x
         j = l1.space.gram.a
-        P = np.zeros((l1.space.dim, solver.nrows), dtype=np.int64)
-        P[:, list(solver.pivots)] = solver.tableau[: solver.rank].T
-        self.m1 = (P[:, : self.k1] @ self.b1 % p) @ j % p
-        self.m2 = (P[:, self.k1 :] @ self.b2 % p) @ j % p
+        self.m1 = (solver.solution[:, : self.k1] @ self.b1 % p) @ j % p
+        self.m2 = (solver.solution[:, self.k1 :] @ self.b2 % p) @ j % p
         self.cross = (self.m2 - self.m1.T) % p
         # d - rank = dim(l1^l2) columns; none when l1 and l2 are transverse
-        self.syndrome = solver.tableau[solver.rank :].T % p
+        self.syndrome = solver.syndrome
         self.weights = p ** np.arange(self.syndrome.shape[1], dtype=np.int64)
 
     def values(self, V: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -206,20 +205,24 @@ def weil_operator(e: MpElement, l: Lagrangian | None = None) -> np.ndarray:
     if l is None:
         l = e.base
     _check_dense(l)
+    pk, moved, reps = _twisted_pair(e, l)
+    return pk.grid(moved, reps, e.value_at(l))
+
+
+def _twisted_pair(e: MpElement, l: Lagrangian) -> tuple[_PairKernel, np.ndarray, np.ndarray]:
+    """The (g l, l) kernel, the moved sections g x and the sections x of l."""
     g = e.g
-    pk = _pair_kernel(e.char, g.image(l), l)
+    if l.space != g.space:
+        raise DimensionMismatch("Lagrangian not in g's space")
     reps = _sections(l)
     moved = (reps @ g.mat.a.T) % e.char.p
-    return pk.grid(moved, reps, e.value_at(l))
+    return _pair_kernel(e.char, g.image(l), l), moved, reps
 
 
 def _kernel_diagonal(e: MpElement, l: Lagrangian) -> np.ndarray:
     """The untwisted diagonal of the operator kernel: the (g l, l) kernel at
     (g x, x) for each of the p^n section representatives x, without t(l)."""
-    g = e.g
-    pk = _pair_kernel(e.char, g.image(l), l)
-    reps = _sections(l)
-    moved = (reps @ g.mat.a.T) % e.char.p
+    pk, moved, reps = _twisted_pair(e, l)
     return pk.values(moved, reps)
 
 

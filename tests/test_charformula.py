@@ -1,7 +1,7 @@
 """Closed character values and the diagonal support form machinery."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from weilchar.characters import AdditiveCharacter, approx_eq
 from weilchar.charformula import (
+    DiagonalForm,
     check_inverse_identity,
     check_kernel_dims,
     check_maslov_class,
@@ -21,10 +22,11 @@ from weilchar.charformula import (
     trace_from_factor,
 )
 from weilchar.errors import SingularGMinusOne
-from weilchar.field import Fp, FpMatrix, SquareClass
+from weilchar.field import Fp, FpMatrix, RowSolver, SquareClass, Subspace
 from weilchar.metaplectic import split_lift
 from weilchar.schrodinger import trace_oracle
 from weilchar.symplectic import SymplecticSpace, displacement_disc, kernel_of_displacement
+from weilchar.verify import _core_elements
 
 
 def setup(p, n):
@@ -85,6 +87,68 @@ def test_diagonal_form_value_raises_off_support():
     assert df.support.dim == 0
     with pytest.raises(ValueError):
         df.value([0, 1])
+
+
+def diagonal_form_by_sums(g, l):
+    """Reference for `diagonal_form`: membership in g l + l through the dot
+    complement of the sum, and l ^ (g-1)V and g l ^ l through `intersect`,
+    the construction the one-system route replaced."""
+    space = g.space
+    field = space.field
+    p = field.p
+    d = space.dim
+    eye = np.eye(d, dtype=np.int64)
+    gm1 = (g.mat.a - eye) % p
+    bl = l.sub.basis.a
+    gl = g.image(l)
+    mem = (gl.sub + l.sub).basis.kernel().basis.a
+    cons = [(mem @ gm1) % p] if mem.size else []
+    cons.append(eye[list(l.sub.pivots)])
+    support = FpMatrix(field, np.vstack([c for c in cons if len(c)])).kernel()
+    k = bl.shape[0]
+    system = FpMatrix(field, np.vstack([(bl @ g.mat.a.T) % p, bl, (bl @ gm1.T) % p]))
+    sup = support.basis.a
+    y, ok = RowSolver(system).solve_many((sup @ gm1.T) % p)
+    assert ok.all()
+    transfer = ((y[:, :k] + y[:, k : 2 * k]) @ bl) % p
+    dual_support = l.sub.intersect(Subspace.from_rows(field, d, gm1.T))
+    db = dual_support.basis.a
+    pre, ok = RowSolver(FpMatrix(field, gm1.T)).solve_many(db)
+    assert ok.all()
+    return DiagonalForm(
+        g=g,
+        l=l,
+        support=support,
+        gram=FpMatrix(field, (transfer @ space.gram.a @ sup.T) % p),
+        transfer=FpMatrix(field, transfer),
+        dual_support=dual_support,
+        dual_gram=FpMatrix(field, (db @ space.gram.a @ pre.T) % p),
+        ker=kernel_of_displacement(g),
+        inter=gl.sub.intersect(l.sub),
+    )
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
+def test_diagonal_form_equals_the_sum_route(p, n):
+    """Every field equals the reference's, on the core elements at the
+    standard Lagrangian, on -1 (g - 1 invertible, so the dual syndrome has no
+    columns) and on random pairs."""
+    ch, sp = setup(p, n)
+    rng = np.random.default_rng(37 * p + n)
+    std = sp.standard_lagrangian()
+    minus_one = sp.element(-np.eye(sp.dim, dtype=np.int64))
+    pairs = [(g, std) for g in _core_elements(sp)] + [(minus_one, sp.random_lagrangian(rng))]
+    pairs += [(sp.random_element(rng), sp.random_lagrangian(rng)) for _ in range(30)]
+    assert pairs[0][0].is_identity()
+    kers = set()
+    for g, l in pairs:
+        got, want = diagonal_form(g, l), diagonal_form_by_sums(g, l)
+        for f in fields(DiagonalForm):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+        assert got.support.pivots == want.support.pivots
+        assert got.dual_support.pivots == want.dual_support.pivots
+        kers.add(got.ker.dim)
+    assert 0 in kers and sp.dim in kers
 
 
 def test_structural_checks_sl2_exhaustive_p3():

@@ -142,17 +142,18 @@ def test_row_solver_consistent_and_inconsistent():
         solver = RowSolver(m)
         y = rng.integers(0, p, 3)
         d = (y @ m.a) % p
-        t = solver.solve(d)
-        assert t is not None
-        assert not np.any((t @ m.a - d) % p)
+        t, ok = solver.solve_many(d[None])
+        assert ok[0]
+        assert not np.any((t[0] @ m.a - d) % p)
         # a target off the row space must be rejected
         if m.rank() < 5:
             off = m.kernel().basis.a[0]
-            bad = solver.solve((d + off) % p)
-            assert bad is None
+            _, ok = solver.solve_many(((d + off) % p)[None])
+            assert not ok[0]
 
 
 def test_row_solver_solve_many_matches_scalar_path():
+    """A stack of right hand sides solves as each row does on its own."""
     rng = np.random.default_rng(21)
     p = 5
     f = Fp(p)
@@ -161,8 +162,9 @@ def test_row_solver_solve_many_matches_scalar_path():
     targets = rng.integers(0, p, (20, 6))
     ys, ok = solver.solve_many(targets)
     for i, d in enumerate(targets):
-        single = solver.solve(d)
-        assert ok[i] == (single is not None)
+        single, one_ok = solver.solve_many(d[None])
+        assert ok[i] == one_ok[0]
+        assert np.array_equal(ys[i], single[0])
         if ok[i]:
             assert not np.any((ys[i] @ m.a - d) % p)
 
@@ -196,15 +198,15 @@ def test_sum_intersection_dimension_formula():
         assert a <= s and b <= s
 
 
-def test_perp_dot_duality():
+def test_basis_kernel_duality():
     rng = np.random.default_rng(50)
     p = 7
     f = Fp(p)
     for _ in range(30):
         sub = Subspace.from_rows(f, 4, rng.integers(0, p, (2, 4)))
-        perp = sub.perp_dot()
+        perp = sub.basis.kernel()
         assert perp.dim == 4 - sub.dim
-        assert perp.perp_dot() == sub
+        assert perp.basis.kernel() == sub
         if sub.dim and perp.dim:
             assert not np.any((sub.basis.a @ perp.basis.a.T) % p)
 

@@ -1,6 +1,9 @@
 """Property tests for the F_p elimination kernel behind rref, det, inv, kernel,
-RowSolver and Subspace.intersect, on small random matrices, and for its
-stacked form against a per-matrix loop."""
+RowSolver and Subspace.intersect, on small random matrices, for its stacked
+form against a per-matrix loop, and for RowSolver's solution and syndrome
+maps against the tableau solver they replaced."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -98,10 +101,62 @@ def test_solve_many_solutions_and_consistency(fm, data):
     assert ok[:2].all()
     assert np.array_equal((y[ok] @ m.a) % p, d[ok])
     for i, row in enumerate(d):
-        one = solver.solve(row)
-        assert (one is None) == (not ok[i])
-        if one is not None:
-            assert np.array_equal(one, y[i])
+        one, one_ok = solver.solve_many(row[None])
+        assert one_ok[0] == ok[i]
+        assert np.array_equal(one[0], y[i])
+
+
+class TableauSolver:
+    """Reference for `RowSolver`: the solver as it was before its solution
+    and syndrome maps, keeping the tableau T of rref [M^T | I] and scattering
+    T's first rank rows into Y on every solve."""
+
+    def __init__(self, M):
+        self.field = M.field
+        self.nrows, self.ncols = M.shape
+        aug = np.hstack([M.a.T, np.eye(self.ncols, dtype=np.int64)])
+        red, pivots, _ = _eliminate(aug, M.field)
+        self.pivots = tuple(c for c in pivots if c < self.nrows)
+        self.rank = len(self.pivots)
+        self.tableau = red[:, self.nrows :]
+
+    def solve_many(self, D):
+        p = self.field.p
+        D = np.asarray(D, dtype=np.int64) % p
+        T = (D @ self.tableau.T) % p
+        ok = ~np.any(T[:, self.rank :], axis=1)
+        Y = np.zeros((len(D), self.nrows), dtype=np.int64)
+        Y[:, list(self.pivots)] = T[:, : self.rank]
+        return Y, ok
+
+
+def all_vectors(p, k):
+    """Every vector of F_p^k as a (p^k, k) array, one row for k = 0."""
+    return np.array(list(itertools.product(range(p), repeat=k)), dtype=np.int64).reshape(p**k, k)
+
+
+@PROPS
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda shape: matrices(p=3, rows=shape[0], cols=shape[1])))
+def test_syndrome_vanishes_exactly_on_the_row_space(fm):
+    """Over every d of F_3^c, d @ syndrome = 0 exactly when d is some y @ M,
+    enumerated; solve_many equals the tableau solver bit for bit."""
+    field, m = fm
+    p = field.p
+    r, c = m.shape
+    solver = RowSolver(m)
+    assert solver.rank == m.rank()
+    assert solver.solution.shape == (c, r)
+    assert solver.syndrome.shape == (c, c - solver.rank)
+    d = all_vectors(p, c)
+    span = {tuple(row) for row in (all_vectors(p, r) @ m.a % p).tolist()}
+    inside = np.array([tuple(row) in span for row in d.tolist()], dtype=bool)
+    assert np.array_equal(~np.any(d @ solver.syndrome % p, axis=1), inside)
+    y, ok = solver.solve_many(d)
+    y_ref, ok_ref = TableauSolver(m).solve_many(d)
+    assert np.array_equal(ok, inside) and np.array_equal(ok_ref, inside)
+    assert np.array_equal(y, y_ref)
+    assert np.array_equal(y[ok] @ m.a % p, d[ok])
 
 
 @PROPS

@@ -72,6 +72,14 @@ def test_kernel_requires_matching_space():
     with pytest.raises(DimensionMismatch):
         kernel_value(ch, sp.standard_lagrangian(), sp2.standard_lagrangian(),
                      [0, 0], [0, 0, 0, 0])
+    # a Lagrangian of another space is refused before any matrix product
+    g = sp.element([[2, 0], [0, 3]])
+    with pytest.raises(DimensionMismatch):
+        weil_operator(mp_identity(ch, sp), sp2.standard_lagrangian())
+    with pytest.raises(DimensionMismatch):
+        weil_operator(split_lift(ch, g), sp2.standard_lagrangian())
+    with pytest.raises(DimensionMismatch):
+        diagonal_form(g, sp2.standard_lagrangian())
 
 
 def test_intertwiner_on_equal_lagrangians_is_identity():
