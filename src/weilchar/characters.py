@@ -1,4 +1,10 @@
-"""Additive characters of F_p and Weil indices of scalars via Gauss sums."""
+"""Additive characters of F_p and Weil indices of scalars in closed form.
+
+gamma(a) is one of +1, -1, +i, -i, and products of these are exact in complex
+doubles, so every value built from it is exact and compared with `==`.
+`approx_eq` is left for the float oracles: the lattice model of `schrodinger`
+and the Gauss sum by direct summation, `quadform.weil_index_bruteforce`.
+"""
 
 from __future__ import annotations
 
@@ -21,9 +27,9 @@ class AdditiveCharacter:
     Also provides the Weil index gamma(a) of the scalar quadratic form a x^2,
     normalized so |gamma(a)| = 1:
 
-        gamma(a) = p^(-1/2) * sum_x psi((1/2) a x^2)
+        gamma(a) = p^(-1/2) * sum_x psi((1/2) a x^2) = eps_p * legendre(scale * a / 2)
 
-    where 1/2 is the field element (p+1)/2.
+    where 1/2 is the field element (p+1)/2 and eps_p is 1 for p = 1 mod 4, i else.
     """
 
     __slots__ = ("field", "scale", "_roots", "_gamma_cache")
@@ -54,10 +60,8 @@ class AdditiveCharacter:
             raise ZeroFormClass("gamma is undefined at 0")
         g = self._gamma_cache.get(a)
         if g is None:
-            xs = np.arange(self.p, dtype=np.int64)
-            vals = (self.field.half * a * xs * xs) % self.p
-            g = complex(self.psi_array(vals).sum()) / math.sqrt(self.p)
-            self._gamma_cache[a] = g
+            sign = self.field.legendre(self.scale * self.field.half * a)
+            g = self._gamma_cache[a] = complex(sign, 0) if self.p % 4 == 1 else complex(0, sign)
         return g
 
     def gamma_class(self, cls: SquareClass) -> complex:

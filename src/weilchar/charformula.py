@@ -32,12 +32,12 @@ from typing import Any
 
 import numpy as np
 
-from .characters import AdditiveCharacter, approx_eq
+from .characters import AdditiveCharacter
 from .errors import DimensionMismatch, InvariantViolation, SingularGMinusOne
 from .field import FpMatrix, RowSolver, SquareClass, Subspace, _null_space, _rank_det, _rank_dets_many
 from .maslov import Orientation, maslov_class, orientation_pairing
 from .metaplectic import MpElement, character_factor
-from .quadform import QuadraticSpace, witt_invariants
+from .quadform import QuadraticSpace, _phase, witt_invariants
 from .symplectic import (
     Lagrangian,
     SpElement,
@@ -147,8 +147,7 @@ def _closed_form(
 ) -> tuple[int, SquareClass, complex]:
     """(k, disc, trace) from the rank r and pivot-minor det of the displacement gram."""
     k = d - r
-    disc = SquareClass.of(char.field, det)
-    return k, disc, math.sqrt(char.p) ** k * char.gamma(1) ** (d - k - 1) * char.gamma_class(disc)
+    return k, SquareClass.of(char.field, det), _factor_trace(char.p, k, _phase(char, r, det))
 
 
 def closed_form_data(char: AdditiveCharacter, g: SpElement) -> tuple[int, SquareClass, complex]:
@@ -182,9 +181,10 @@ def trace_closed_form(char: AdditiveCharacter, g: SpElement) -> complex:
 
 
 def _factor_trace(p: int, k: int, factor: complex) -> complex:
-    """p^(k/2) * factor, for factor = t(l) * gamma(tau(graph, diagonal, l + l))
-    and k = dim ker(g-1)."""
-    return math.sqrt(p) ** k * factor
+    """p^(k/2) * factor, for k = dim ker(g-1) and the phase of either closed
+    form, such as t(l) * gamma(tau(graph, diagonal, l + l)).  p^(k/2) is
+    p^(k//2) * sqrt(p)^(k mod 2), so an even k gives an exact integer."""
+    return p ** (k // 2) * math.sqrt(p) ** (k % 2) * factor
 
 
 def trace_from_factor(e: MpElement, l: Lagrangian | None = None) -> complex:

@@ -118,8 +118,7 @@ def _emit(args, text_lines, json_obj, csv_rows=None, csv_header=None) -> None:
 def cmd_gamma(args) -> int:
     _, char = _field_and_char(args.p, args.psi_scale)
     g = char.gamma(args.a)
-    chi = char.chi(args.a)
-    chi_int = 1 if chi.real > 0 else -1
+    chi_int = int(char.chi(args.a).real)
     _emit(
         args,
         [f"gamma({args.a}) = {g.real:+.12f}{g.imag:+.12f}i", f"chi({args.a}) = {chi_int:+d}"],
@@ -151,7 +150,8 @@ def cmd_trace(args) -> int:
     scale = float(args.p) ** args.n
     ok_of = approx_eq(oracle, factor, scale=scale)
     ok_oc = approx_eq(oracle, closed, scale=scale)
-    agree = ok_of and ok_oc
+    # the closed and factor forms are exact, so they must be equal
+    agree = ok_of and ok_oc and closed == factor
     _emit(
         args,
         [

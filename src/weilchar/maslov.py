@@ -40,6 +40,7 @@ from .quadform import (
     QuadraticSpace,
     WittInvariants,
     _gammas_of,
+    _phase,
     weil_index,
     witt_invariants,
 )
@@ -386,8 +387,7 @@ def edge_factors(
     if not classes:
         return []
     n = o1s[0].lag.space.n
-    return [char.gamma(1) ** (n - k - 1) * char.gamma_class(c)
-            for k, c in zip(_dims(inters), classes)]
+    return [_phase(char, n - k, c.rep) for k, c in zip(_dims(inters), classes)]
 
 
 def edge_factor(char: AdditiveCharacter, o1: Orientation, o2: Orientation) -> complex:

@@ -21,16 +21,16 @@ two completions by -U1 C^T W^T.  So the orientation pairing is the class of
 
     x(g) = det U * det [F; W] * det(-U1 C^T W^T),
 
-and m_g(l) = gamma(1)^(r - 1) * gamma(x(g)), the float `maslov.edge_factor`
-evaluates.  x(g) has the class of (-1)^n det C when r = n, and of det A
-when r = 0.
+and m_g(l) = gamma(1)^(r - 1) * gamma(x(g)), the value `maslov.edge_factor`
+gives, from the same rule `quadform._phase`.  x(g) has the class of
+(-1)^n det C when r = n, and of det A when r = 0.
 
 Every other Lagrangian reduces to the standard one, because m_g(l) does not
 depend on the orientation chosen on l and the pairing is invariant under
 symplectic maps: m_g(F std) = m_(F^-1 g F)(std) for any F carrying std to l
 (`_standard_frame`).  The cocycle takes the moved bases b g^T and b (g h)^T
 of the rref basis b of l as they are; any bases give congruent Maslov forms,
-so the Weil index is the same float.
+so the Weil index is the same value.
 
 Lifts, products and character factors also come as stacks: `split_lifts`,
 `mp_products` and `character_factor_table`, whose one-element calls are
@@ -46,11 +46,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .characters import AdditiveCharacter, approx_eq
+from .characters import AdditiveCharacter
 from .errors import DimensionMismatch
-from .field import FpMatrix, SquareClass, _eliminate_many
+from .field import FpMatrix, _eliminate_many
 from .maslov import _bases_form, _maslov_gammas, maslov_gamma
-from .quadform import weil_index
+from .quadform import _phase, weil_index
 from .symplectic import (
     Lagrangian,
     SpElement,
@@ -130,7 +130,7 @@ def _std_classes(mats: np.ndarray, field) -> tuple[np.ndarray, np.ndarray]:
 
 def split_values(char: AdditiveCharacter, mats, l: Lagrangian) -> list[complex]:
     """`split_value(char, g, l)` for every g of a (B, 2n, 2n) stack of
-    matrices of Sp(l.space), each the same float.  Two stacked eliminations
+    matrices of Sp(l.space), each equal to it.  Two stacked eliminations
     do the whole stack, after one n x n inverse when l is not std."""
     space = l.space
     p = space.field.p
@@ -142,13 +142,7 @@ def split_values(char: AdditiveCharacter, mats, l: Lagrangian) -> list[complex]:
     if frame is not None:
         f, f_inv = frame
         mats = f_inv @ mats % p @ f % p
-    return [_lift_value(char, int(r), int(x)) for r, x in zip(*_std_classes(mats, space.field))]
-
-
-def _lift_value(char: AdditiveCharacter, r: int, x: int) -> complex:
-    """gamma(1)^(r - 1) * gamma(x), the float `maslov.edge_factor` gives for
-    a pairing of class x across an intersection of codimension r."""
-    return char.gamma(1) ** (r - 1) * char.gamma_class(SquareClass.of(char.field, x))
+    return [_phase(char, int(r), int(x)) for r, x in zip(*_std_classes(mats, space.field))]
 
 
 def split_value(char: AdditiveCharacter, g: SpElement, l: Lagrangian) -> complex:
@@ -237,12 +231,9 @@ class MpElement:
         return MpElement(self.char, self.g, self.base, -self.t0)
 
     def close_to(self, other: "MpElement") -> bool:
-        return (
-            self.char == other.char
-            and self.g == other.g
-            and self.base == other.base
-            and approx_eq(self.t0, other.t0)
-        )
+        """Equal character, g, base and t0; t0 is exact."""
+        return ((self.char, self.g, self.base, self.t0)
+                == (other.char, other.g, other.base, other.t0))
 
     def __repr__(self) -> str:
         return f"MpElement(p={self.char.p}, t0={self.t0:.6g},\n{self.g.mat.a})"

@@ -10,8 +10,8 @@ rref(gram) and r = |I|, the principal minor gram[I, I] is nonsingular and
 spans a complement of the radical, so the nondegenerate part has rank r and
 discriminant the class of d = det gram[I, I].  Since gamma is a character of
 the Witt group with gamma(a) = gamma(1) * (a/p) (Lion-Vergne 1980), the Weil
-index is gamma(1)^(r-1) * gamma(d), and 1 when r = 0; gamma(d) is read at the
-class representative of d, so congruent forms give one float.  `_gammas_of`
+index is gamma(1)^(r-1) * gamma(d), and 1 when r = 0.  Both factors are one
+of +1, -1, +i, -i (`characters`), so the index is exact.  `_gammas_of`
 turns the (rank, det) pairs of a whole stack of grams, from
 `field._rank_dets_many`, into Weil indices, reading gamma once per (rank,
 square class).
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import AdditiveCharacter, approx_eq
+from .characters import AdditiveCharacter
 from .errors import DimensionMismatch, EnumerationTooLarge
 from .field import Fp, FpMatrix, SquareClass, Subspace, _rank_det
 
@@ -152,14 +152,17 @@ class QuadraticSpace:
         return f"QuadraticSpace(p={self.field.p},\n{self.gram.a})"
 
 
+def _phase(char: AdditiveCharacter, r: int, x: int) -> complex:
+    """gamma(1)^(r - 1) * gamma(x), exact: the Weil index of a rank-r form of
+    determinant x, and the phase of edge factors, lift values and closed-form
+    traces.  gamma is read at the class representative of x."""
+    return char.gamma(1) ** (r - 1) * char.gamma_class(SquareClass.of(char.field, x))
+
+
 def _gamma_of(char: AdditiveCharacter, rank: int, det: int) -> complex:
-    """gamma(1)^(rank-1) * gamma(det): the Weil index of any nondegenerate form
-    of that rank and determinant, multiplicative over a diagonalization.  It
-    reads gamma at the class representative of det, so the value is one float
-    per (rank, class) whatever basis gave det."""
-    if not rank:
-        return 1 + 0j
-    return char.gamma(1) ** (rank - 1) * char.gamma_class(SquareClass.of(char.field, det))
+    """The Weil index of any form of that rank and determinant: `_phase`, and 1
+    at rank 0."""
+    return _phase(char, rank, det) if rank else 1 + 0j
 
 
 def weil_index(char: AdditiveCharacter, q: QuadraticSpace) -> complex:
@@ -218,21 +221,15 @@ class WittInvariants:
         Representatives of one class whose ranks differ by 2k have
         discriminants differing by (-1)^k, the class of k hyperbolic planes.
         """
-        if (self.rank - other.rank) % 2:
-            return False
-        if not approx_eq(self.gamma, other.gamma):
+        if (self.rank - other.rank) % 2 or self.gamma != other.gamma:
             return False
         k = (self.rank - other.rank) // 2
         want = other.disc.times(pow(-1, abs(k), self.disc.field.p))
         return self.disc == want
 
     def same(self, other: "WittInvariants") -> bool:
-        """Exactly equal rank and disc, approximately equal gamma."""
-        return (
-            self.rank == other.rank
-            and self.disc == other.disc
-            and approx_eq(self.gamma, other.gamma)
-        )
+        """Equal rank, disc and gamma."""
+        return (self.rank, self.disc, self.gamma) == (other.rank, other.disc, other.gamma)
 
 
 def witt_invariants(char: AdditiveCharacter, q: QuadraticSpace) -> WittInvariants:

@@ -17,10 +17,16 @@ disc (`predicted_rank_discs`) and the edge factors (`edge_factors`), and one
 stack of polygon forms per tuple length (`maslov_invariants`).  The single
 routes stay as the oracles they are checked against: `character_factor`,
 `character_factor_doubled`, `trace_oracle` and `closed_form_data`.
+
+Values built from gamma are exact (`characters`), so the polygon, cocycle and
+theta suites and the trace suite's closed-versus-factor test use `==`.  Only
+float oracles keep a tolerance: the Gauss sum by direct summation (gamma) and
+the lattice model (trace, loops, structural, homomorphism).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -110,10 +116,11 @@ class _Tally:
         self.max_err = 0.0
         self.witness: dict | None = None
 
-    def add(self, err: float, tol: float, **info) -> None:
+    def add(self, err: float, tol: float, equal: bool = True, **info) -> None:
+        """A check against a float oracle, passed when err <= tol and `equal`."""
         self.checked += 1
         self.max_err = max(self.max_err, err)
-        if not err <= tol:
+        if not (err <= tol and equal):
             self.failed += 1
             if self.witness is None:
                 self.witness = {"err": err, "tol": tol, **info}
@@ -183,13 +190,15 @@ def _suite_gamma(char: AdditiveCharacter, space, rng, samples, max_enum, cocycle
     field = char.field
     gam = {a: char.gamma(a) for a in range(1, p)}
     for a in range(1, p):
-        t.add(abs(abs(gam[a]) - 1.0), 1e-10, kind="modulus", a=a)
+        t.add_flag(abs(gam[a]) == 1, kind="modulus", a=a)
+    for a in range(1, p):  # the closed form against the Gauss sum by direct summation
+        gauss = weil_index_bruteforce(char, QuadraticSpace.diagonal(field, [a]))
+        t.add(abs(gam[a] - gauss), 1e-10, kind="gauss-sum", a=a, want=as_json_complex(gauss))
     for a in range(1, p):
         for b in range(1, p):
-            err = abs(gam[a] * gam[b] - gam[1] * gam[a * b % p])
-            t.add(err, 1e-8, kind="product", a=a, b=b)
+            t.add_flag(gam[a] * gam[b] == gam[1] * gam[a * b % p], kind="product", a=a, b=b)
         for s in range(1, p):
-            t.add(abs(gam[a] - gam[a * s * s % p]), 1e-10, kind="square-class", a=a, s=s)
+            t.add_flag(gam[a] == gam[a * s * s % p], kind="square-class", a=a, s=s)
     # diagonal forms: product rule against dimension and determinant
     count = samples if samples else 4
     for _ in range(count):
@@ -200,7 +209,7 @@ def _suite_gamma(char: AdditiveCharacter, space, rng, samples, max_enum, cocycle
         for e in entries:
             det = det * e % p
         want = gam[1] ** (dim - 1) * gam[det]
-        t.add(abs(weil_index(char, q) - want), 1e-8, kind="diag-product", entries=entries)
+        t.add_flag(weil_index(char, q) == want, kind="diag-product", entries=entries)
     # fast path against direct summation on small random symmetric grams
     for _ in range(count):
         dim = int(rng.integers(1, 5))
@@ -237,11 +246,9 @@ def _suite_polygon(char, space, rng, samples, max_enum, cocycle) -> _Tally:
             t.add_flag(inv.disc == want_disc, kind="disc", got=inv.disc.rep,
                        want=want_disc.rep, lags=[_lag_list(l) for l in lags])
         # edge-factor product equals the polygon index, randomized orientations
-        prod = 1.0 + 0.0j
-        for _ in lags:
-            prod *= next(factors)
-        err = abs(prod - inv.gamma)
-        t.add(err, 1e-8, kind="edge-product", lags=[_lag_list(l) for l in lags])
+        prod = math.prod(next(factors) for _ in lags)
+        t.add_flag(prod == inv.gamma, kind="edge-product", lags=[_lag_list(l) for l in lags],
+                   got=as_json_complex(prod), want=as_json_complex(inv.gamma))
     return t
 
 
@@ -269,8 +276,8 @@ def _suite_cocycle(char, space, rng, samples, max_enum, cocycle) -> _Tally:
             sv = values[j]
             lhs = sv[at[0, i]] * sv[at[1, i]] * twists[j][i]
             rhs = sv[at[2, i]]
-            t.add(abs(lhs - rhs), 1e-8, kind="splitting", g=_mat_list(g), h=_mat_list(h),
-                  l=_lag_list(l), got=as_json_complex(lhs), want=as_json_complex(rhs))
+            t.add_flag(lhs == rhs, kind="splitting", g=_mat_list(g), h=_mat_list(h),
+                       l=_lag_list(l), got=as_json_complex(lhs), want=as_json_complex(rhs))
     # group law of lifted elements: associativity and inverses, drawn as
     # (e1, e2, e3) per round
     rounds = max(samples // 4, 1)
@@ -281,7 +288,7 @@ def _suite_cocycle(char, space, rng, samples, max_enum, cocycle) -> _Tally:
     lefts, rights, units = _split(mp_products(e12s + e1s + e2s, e3s + e23s + invs), 3)
     for e1, e2, a, b, unit in zip(e1s, e2s, lefts, rights, units):
         t.add_flag(a.close_to(b), kind="associativity", g=_mat_list(e1.g))
-        t.add(abs(unit.t0 - 1.0), 1e-8, kind="inverse", g=_mat_list(e2.g))
+        t.add_flag(unit.t0 == 1, kind="inverse", g=_mat_list(e2.g))
     return t
 
 
@@ -309,8 +316,7 @@ def _suite_trace(char, space, rng, samples, max_enum, cocycle) -> _Tally:
             to = trace_oracle(e)
             tf = _factor_trace(p, k, factors[sign][i])
             tc = sign * closed
-            err = max(abs(to - tf), abs(to - tc))
-            t.add(err, tol, kind="three-way", g=_mat_list(g), sign=sign,
+            t.add(abs(to - tc), tol, equal=tf == tc, kind="three-way", g=_mat_list(g), sign=sign,
                   oracle=as_json_complex(to), factor=as_json_complex(tf),
                   closed=as_json_complex(tc))
     return t
@@ -344,10 +350,8 @@ def _suite_theta(char, space, rng, samples, max_enum, cocycle) -> _Tally:
     table = character_factor_table(lifts, lags)
     for g, e, row in zip(elems, lifts, table):
         one = character_factor(e, lags[0])
-        err = float(np.max(np.abs(row - one)))
-        t.add(err, 1e-8, kind="theta-constancy", g=_mat_list(g))
-        err2 = abs(one - character_factor_doubled(e))
-        t.add(err2, 1e-8, kind="theta-doubled", g=_mat_list(g))
+        t.add_flag(bool(np.all(row == one)), kind="theta-constancy", g=_mat_list(g))
+        t.add_flag(one == character_factor_doubled(e), kind="theta-doubled", g=_mat_list(g))
     return t
 
 

@@ -33,8 +33,10 @@ from weilchar.metaplectic import (
     character_factor,
     character_factor_doubled,
     embed_doubled,
+    mp_products,
     split_lift,
-    split_value,
+    split_lifts,
+    split_values,
 )
 from weilchar.quadform import (
     QuadraticSpace,
@@ -188,42 +190,44 @@ def test_4_operator_products_follow_the_group():
     t0 = time.perf_counter()
     worst, witness = 0.0, None
 
-    # exhaustive over both lifts of every element at p = 3
+    # exhaustive over both lifts of every element at p = 3; every lift and
+    # split value from one stacked call, every product from one more
     char, sp = _setup(3, 1)
-    l0 = sp.standard_lagrangian()
-    cache = {}
-    for g in sp.elements():
-        cache[g.mat.a.tobytes()] = (
-            weil_operator(split_lift(char, g)),
-            split_value(char, g, l0),
-        )
+    elems = sp.elements()
+    plus = split_lifts(char, elems)
+    splits = split_values(char, np.stack([g.mat.a for g in elems]), sp.standard_lagrangian())
+    cache = {g.mat.a.tobytes(): (weil_operator(e), t) for g, e, t in zip(elems, plus, splits)}
 
     def op_of(e):
         base_op, t_split = cache[e.g.mat.a.tobytes()]
         return (e.t0 / t_split) * base_op
 
-    lifts = [split_lift(char, g, sign=s) for g in sp.elements() for s in (1, -1)]
+    lifts = [e if s == 1 else -e for e in plus for s in (1, -1)]
     assert len(lifts) == 48
     ops = [op_of(e) for e in lifts]
+    products = iter(mp_products([e1 for e1 in lifts for _ in lifts], lifts * len(lifts)))
     tol = 1e-8 * 3
     for i, e1 in enumerate(lifts):
         for j, e2 in enumerate(lifts):
-            err = float(np.max(np.abs(ops[i] @ ops[j] - op_of(e1 * e2))))
+            err = float(np.max(np.abs(ops[i] @ ops[j] - op_of(next(products)))))
             worst = max(worst, err)
             if err > tol and witness is None:
                 witness = (3, 1, i, j, err)
 
-    # seeded pairs on the larger cells
+    # seeded pairs on the larger cells: every (s1, s2, g1, g2) drawn first, in
+    # the order of the draws, then one stacked lift and one stacked product
     for p, n in ((5, 1), (7, 1), (3, 2)):
         char, sp = _setup(p, n)
         rng = _seeded(40, p, n)
         tol = 1e-8 * p**n
-        for _ in range(1000):
-            s1, s2 = 1 - 2 * rng.integers(0, 2, 2)
-            e1 = split_lift(char, sp.random_element(rng), sign=int(s1))
-            e2 = split_lift(char, sp.random_element(rng), sign=int(s2))
+        draws = [(*(1 - 2 * rng.integers(0, 2, 2)), sp.random_element(rng),
+                  sp.random_element(rng)) for _ in range(1000)]
+        lifted = split_lifts(char, [g for _, _, g1, g2 in draws for g in (g1, g2)])
+        lefts = [e if s == 1 else -e for (s, _, _, _), e in zip(draws, lifted[0::2])]
+        rights = [e if s == 1 else -e for (_, s, _, _), e in zip(draws, lifted[1::2])]
+        for e1, e2, e12 in zip(lefts, rights, mp_products(lefts, rights)):
             got = weil_operator(e1) @ weil_operator(e2)
-            err = float(np.max(np.abs(got - weil_operator(e1 * e2))))
+            err = float(np.max(np.abs(got - weil_operator(e12))))
             worst = max(worst, err)
             if err > tol and witness is None:
                 witness = (p, n, e1.g.mat.a.tolist(), e2.g.mat.a.tolist(), err)

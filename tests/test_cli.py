@@ -183,6 +183,44 @@ def test_table_rows_match_the_separate_closed_form_routes(capsys):
         }
 
 
+@pytest.mark.parametrize("scale", [1, 2])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_table_traces_are_exact(capsys, p, scale):
+    """Every trace is exactly (+-m, 0) or (0, +-m), m = p^(k//2) sqrt(p)^(k mod 2)
+    for k = dim ker(g - 1): the Weil indices are exact, so no float noise is
+    left, and the identity's trace is the integer p."""
+    code, out, _ = run(capsys, "table", "--p", str(p), "--psi-scale", str(scale),
+                       "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == p * (p * p - 1)
+    for row in rows:
+        k = row["dim_ker"]
+        m = p ** (k // 2) * math.sqrt(p) ** (k % 2)
+        z = (row["trace"]["re"], row["trace"]["im"])
+        assert z in ((m, 0), (-m, 0), (0, m), (0, -m)), (row["g"], z, m)
+    [ident] = [r for r in rows if r["g"] == [[1, 0], [0, 1]]]
+    assert ident["trace"] == {"re": p, "im": 0}
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (7, 1), (11, 1), (3, 2), (5, 2), (3, 3)])
+def test_trace_closed_and_factor_forms_are_equal(capsys, p, n):
+    """On seeded elements, both lifts and psi-scales 1 and 2, the closed form
+    and the factor form print equal floats (a signed zero equals zero)."""
+    sp = SymplecticSpace(Fp(p), n)
+    rng = np.random.default_rng(np.random.SeedSequence([23, p, n]))
+    for _ in range(4):
+        g = ",".join(map(str, sp.random_element(rng).mat.a.ravel()))
+        for scale in ("1", "2"):
+            for lift in ("plus", "minus"):
+                code, out, _ = run(capsys, "trace", "--p", str(p), "--n", str(n), "--g", g,
+                                   "--lift", lift, "--psi-scale", scale, "--format", "json")
+                assert code == 0
+                d = json.loads(out)
+                assert d["closed_form"] == d["factor_form"], (g, scale, lift, d)
+                assert d["agree"] is True
+
+
 def test_table_with_no_rows_prints_an_empty_list(capsys):
     code, out, err = run(capsys, "table", "--p", "5", "--samples", "0", "--max-enum", "1",
                          "--format", "json")

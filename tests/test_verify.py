@@ -5,7 +5,8 @@ import threading
 import numpy as np
 import pytest
 
-from weilchar import maslov, metaplectic, verify
+from weilchar import maslov, metaplectic, quadform, verify
+from weilchar.characters import AdditiveCharacter
 from weilchar.errors import EnumerationTooLarge
 from weilchar.field import Fp
 from weilchar.symplectic import LAGRANGIAN_CAP, SymplecticSpace
@@ -53,11 +54,13 @@ def test_corrupted_cocycle_is_caught_with_witness():
 
 def test_corrupted_cocycle_fails_the_same_checks():
     """The stacked cocycle suite flags the flipped cocycle on the same 44 of
-    64 checks as the one-pair-at-a-time suite did, first at the same pair."""
+    64 checks as the one-pair-at-a-time suite did, first at the same pair.
+    The splitting identity is an exact `==` check, so its witness carries the
+    two sides and no error or tolerance, and max_err stays 0."""
     [r] = run_verification([5], [1], seed=0, samples=6, corrupt_cocycle=True,
                            suites=("cocycle",))
-    assert (r.checked, r.failed) == (64, 44)
-    assert r.witness == {"err": 2.0, "tol": 1e-8, "kind": "splitting",
+    assert (r.checked, r.failed, r.max_err) == (64, 44, 0.0)
+    assert r.witness == {"kind": "splitting",
                          "g": [[1, 4], [0, 1]], "h": [[1, 4], [0, 1]], "l": [[1, 0]],
                          "got": {"re": -1.0, "im": -0.0}, "want": {"re": 1.0, "im": 0.0}}
 
@@ -68,8 +71,8 @@ def test_negated_lift_values_fail_the_cocycle_suite(monkeypatch):
     lifts carry the fault into the trace suite, whose closed form does not
     follow the lift; theta, homomorphism and structural checks are invariant
     under rescaling a lift and must stay ok."""
-    lift = metaplectic._lift_value
-    monkeypatch.setattr(metaplectic, "_lift_value",
+    lift = metaplectic._phase
+    monkeypatch.setattr(metaplectic, "_phase",
                         lambda char, r, x: -lift(char, r, x) if r else lift(char, r, x))
     for p, n in ((5, 1), (3, 2)):
         results = run_verification([p], [n], seed=1, samples=5,
@@ -104,6 +107,62 @@ def test_faulted_pairing_fails_the_polygon_suite(monkeypatch):
         r = by_suite.pop("polygon")
         assert not r.ok, (p, n)
         assert r.witness["kind"] in ("disc", "edge-product")
+        for r in by_suite.values():
+            assert r.ok and r.checked > 0, (p, n, r.suite, r.witness)
+
+
+def test_flipped_gamma_one_fails_the_gamma_suite(monkeypatch):
+    """A `_gamma_of` that uses -gamma(1) in place of gamma(1) negates every
+    Weil index of even rank.  The gamma suite must fail with a witness: its
+    diagonal product rule and its check against the Gauss sum by direct
+    summation both see it, the latter as on the hyperbolic plane below.  Every
+    suite that evaluates an even-rank index fails too; structural compares
+    two invariants from the same faulted rule and stays ok, and at n = 1 the
+    triples' forms have rank at most 1, so cocycle and trace stay ok."""
+    gamma_of = quadform._gamma_of
+
+    def flipped(char, rank, det):
+        g = gamma_of(char, rank, det)
+        return -g if rank and rank % 2 == 0 else g
+
+    monkeypatch.setattr(quadform, "_gamma_of", flipped)
+    char = AdditiveCharacter(Fp(5))
+    plane = quadform.hyperbolic_plane(char.field)
+    assert abs(quadform.weil_index(char, plane)
+               - quadform.weil_index_bruteforce(char, plane)) > 1
+    failing = {(5, 1): {"gamma", "polygon", "loops", "theta"},
+               (3, 2): set(SUITE_ORDER) - {"structural"}}
+    for (p, n), want in failing.items():
+        results = run_verification([p], [n], seed=1, samples=5)
+        assert {r.suite for r in results if not r.ok} == want, (p, n)
+        by_suite = {r.suite: r for r in results}
+        assert by_suite["gamma"].witness["kind"] in ("diag-product", "fast-vs-brute")
+        assert all(r.witness is not None for r in results if not r.ok)
+        assert all(r.checked > 0 for r in results)
+
+
+def test_factor_table_without_the_lift_move_fails_the_theta_suite(monkeypatch):
+    """A `character_factor_table` that drops t(l)/t0 at every l other than
+    the base makes the factor depend on l, which only the theta suite's
+    constancy check can see: the trace suite reads the table at the base
+    alone, and the other suites do not read it."""
+    table = verify.character_factor_table
+
+    def without_move(es, lags):
+        out = table(es, lags)
+        for i, e in enumerate(es):
+            for j, l in enumerate(lags):
+                if l != e.base:
+                    out[i, j] *= e.t0 / e.value_at(l)
+        return out
+
+    monkeypatch.setattr(verify, "character_factor_table", without_move)
+    for p, n in ((3, 1), (5, 1), (3, 2)):
+        results = run_verification([p], [n], seed=1, samples=5)
+        by_suite = {r.suite: r for r in results}
+        r = by_suite.pop("theta")
+        assert not r.ok, (p, n)
+        assert r.witness["kind"] == "theta-constancy"
         for r in by_suite.values():
             assert r.ok and r.checked > 0, (p, n, r.suite, r.witness)
 
