@@ -71,13 +71,6 @@ class DiagonalForm:
     def form_space(self) -> QuadraticSpace:
         return QuadraticSpace(self.l.space.field, self.gram)
 
-    def value(self, x) -> int:
-        """q(x, x) for a vector x of the support (in ambient coordinates)."""
-        c = self.support.coordinates(x)
-        if c is None:
-            raise ValueError("vector is not in the support")
-        return int((c @ self.gram.a @ c) % self.l.space.field.p)
-
 
 def diagonal_form(g: SpElement, l: Lagrangian) -> DiagonalForm:
     """The forms and subspaces of (g, l) from two solvers.  The solver of
@@ -183,8 +176,9 @@ def trace_closed_form(char: AdditiveCharacter, g: SpElement) -> complex:
 def _factor_trace(p: int, k: int, factor: complex) -> complex:
     """p^(k/2) * factor, for k = dim ker(g-1) and the phase of either closed
     form, such as t(l) * gamma(tau(graph, diagonal, l + l)).  p^(k/2) is
-    p^(k//2) * sqrt(p)^(k mod 2), so an even k gives an exact integer."""
-    return p ** (k // 2) * math.sqrt(p) ** (k % 2) * factor
+    p^(k//2) * sqrt(p)^(k mod 2), so an even k gives an exact integer.
+    Adding 0.0 turns a -0.0 part, such as the real part of (-1) * i, into 0.0."""
+    return p ** (k // 2) * math.sqrt(p) ** (k % 2) * factor + 0.0
 
 
 def trace_from_factor(e: MpElement, l: Lagrangian | None = None) -> complex:

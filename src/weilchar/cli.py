@@ -146,7 +146,7 @@ def cmd_trace(args) -> int:
     oracle = trace_oracle(e, lag)
     k, _, closed = closed_form_data(char, g)
     factor = _factor_trace(args.p, k, character_factor(e, lag))
-    closed = sign * closed
+    closed = sign * closed + 0.0
     scale = float(args.p) ** args.n
     ok_of = approx_eq(oracle, factor, scale=scale)
     ok_oc = approx_eq(oracle, closed, scale=scale)

@@ -8,8 +8,6 @@ floating point.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroFormClass
@@ -116,9 +114,6 @@ class SquareClass:
     def __repr__(self) -> str:
         tag = "square" if self.is_square else "nonsquare"
         return f"SquareClass(p={self.field.p}, rep={self.rep}, {tag})"
-
-    def as_dict(self) -> dict:
-        return {"rep": self.rep, "is_square": self.is_square}
 
 
 def _as_array(data, p: int) -> np.ndarray:
@@ -476,14 +471,6 @@ class Subspace:
         v = np.asarray(v, dtype=np.int64)
         coords, _ = self.coordinates_many(np.atleast_2d(v))
         return (v - (coords @ self.basis.a).reshape(v.shape)) % self.field.p
-
-    def contains(self, v) -> bool:
-        return self.coordinates(v) is not None
-
-    def coordinates(self, v) -> np.ndarray | None:
-        """Coefficients of v in the canonical basis, or None if v is outside."""
-        coords, inside = self.coordinates_many(np.atleast_2d(v))
-        return coords[0] if inside[0] else None
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check(other)

@@ -11,10 +11,11 @@ Kashiwara construction, with q((x, y, z)) = form(x, z) on x + y + z = 0.
 Orientations (Lagrangians with chosen bases) feed the determinant pairing
 whose product around a polygon reproduces the Weil index of the Maslov form.
 
-Intersections, pairings, edge factors, predicted ranks and discriminants and
-polygon invariants each have a stacked call over many pairs or tuples; the
-single calls are their one-element forms, so each quantity has one
-implementation.
+Intersections, pairings and polygon invariants each have a stacked call over
+many pairs or tuples, and the single calls are their one-element forms, so
+each quantity has one implementation.  Edge factors and the predicted rank
+and discriminant come only as stacks: `edge_factors` and
+`predicted_rank_discs`.
 """
 
 from __future__ import annotations
@@ -367,20 +368,20 @@ def predicted_rank_discs(
     return out
 
 
-def predicted_rank_disc(orients: Sequence[Orientation]) -> tuple[int, SquareClass]:
-    """`predicted_rank_discs` of one tuple."""
-    return predicted_rank_discs([orients])[0]
-
-
 def edge_factors(
     char: AdditiveCharacter,
     o1s: Sequence[Orientation],
     o2s: Sequence[Orientation],
     inters: np.ndarray | None = None,
 ) -> list[complex]:
-    """`edge_factor` of every pair (o1s[i], o2s[i]), from one stacked
-    pairing; `inters`, when given, is l1 ^ l2 for every pair as
-    `lagrangian_intersections` returns it."""
+    """gamma(1)^(dim V/2 - dim(l1 ^ l2) - 1) * gamma(pairing(o1, o2)) for
+    every pair (o1, o2) = (o1s[i], o2s[i]), from one stacked pairing;
+    `inters`, when given, is l1 ^ l2 for every pair as
+    `lagrangian_intersections` returns it.
+
+    The product of edge factors around a closed polygon of oriented
+    Lagrangians equals the Weil index of the polygon's Maslov form.
+    """
     if inters is None:
         inters = lagrangian_intersections([(a.lag, b.lag) for a, b in zip(o1s, o2s)])
     classes = orientation_pairings(o1s, o2s, inters)
@@ -388,12 +389,3 @@ def edge_factors(
         return []
     n = o1s[0].lag.space.n
     return [_phase(char, n - k, c.rep) for k, c in zip(_dims(inters), classes)]
-
-
-def edge_factor(char: AdditiveCharacter, o1: Orientation, o2: Orientation) -> complex:
-    """gamma(1)^(dim V/2 - dim(l1 ^ l2) - 1) * gamma(pairing(o1, o2)).
-
-    The product of edge factors around a closed polygon of oriented
-    Lagrangians equals the Weil index of the polygon's Maslov form.
-    """
-    return edge_factors(char, [o1], [o2])[0]

@@ -21,7 +21,7 @@ two completions by -U1 C^T W^T.  So the orientation pairing is the class of
 
     x(g) = det U * det [F; W] * det(-U1 C^T W^T),
 
-and m_g(l) = gamma(1)^(r - 1) * gamma(x(g)), the value `maslov.edge_factor`
+and m_g(l) = gamma(1)^(r - 1) * gamma(x(g)), the value `maslov.edge_factors`
 gives, from the same rule `quadform._phase`.  x(g) has the class of
 (-1)^n det C when r = n, and of det A when r = 0.
 
@@ -33,11 +33,15 @@ of the rref basis b of l as they are; any bases give congruent Maslov forms,
 so the Weil index is the same value.
 
 Lifts, products and character factors also come as stacks: `split_lifts`,
-`mp_products` and `character_factor_table`, whose one-element calls are
-`split_lift`, `MpElement.__mul__` and `character_factors`.  The verify suites
-evaluate each cell's lifts, products and factors through them.  The factor
-table cuts its (element, Lagrangian) pairs into stacks of at most
-`_FACTOR_STACK` pairs, so its peak memory does not grow with the table.
+`mp_products` and `character_factor_table`.  The first two have the
+one-element calls `split_lift` and `MpElement.__mul__`; `character_factor`
+is the table's single-route oracle.  The verify suites evaluate each cell's
+lifts, products and factors through the stacks.  The factor table cuts its
+(element, Lagrangian) pairs into stacks of at most `_FACTOR_STACK` pairs,
+so its peak memory does not grow with the table.
+
+Every lift value is exact, so elements compare and hash exactly, by
+(character, g, base, t0).
 """
 
 from __future__ import annotations
@@ -230,10 +234,14 @@ class MpElement:
     def __neg__(self) -> "MpElement":
         return MpElement(self.char, self.g, self.base, -self.t0)
 
-    def close_to(self, other: "MpElement") -> bool:
+    def __eq__(self, other: object) -> bool:
         """Equal character, g, base and t0; t0 is exact."""
-        return ((self.char, self.g, self.base, self.t0)
-                == (other.char, other.g, other.base, other.t0))
+        return isinstance(other, MpElement) and (
+            (self.char, self.g, self.base, self.t0)
+            == (other.char, other.g, other.base, other.t0))
+
+    def __hash__(self) -> int:
+        return hash((self.char, self.g, self.base, self.t0))
 
     def __repr__(self) -> str:
         return f"MpElement(p={self.char.p}, t0={self.t0:.6g},\n{self.g.mat.a})"
@@ -317,12 +325,6 @@ def character_factor(e: MpElement, l: Lagrangian | None = None) -> complex:
         l = e.base
     gamma = maslov_gamma(e.char, e.g.graph(), diagonal_lagrangian(e.space), l.doubled())
     return e.value_at(l) * gamma
-
-
-def character_factors(e: MpElement, lags: Sequence[Lagrangian]) -> np.ndarray:
-    """`character_factor(e, l)` for every l of lags: the one row of
-    `character_factor_table([e], lags)`."""
-    return character_factor_table([e], lags)[0]
 
 
 def character_factor_table(es: Sequence[MpElement], lags: Sequence[Lagrangian]) -> np.ndarray:

@@ -235,7 +235,3 @@ class WittInvariants:
 def witt_invariants(char: AdditiveCharacter, q: QuadraticSpace) -> WittInvariants:
     rank, det = q._rank_det()
     return WittInvariants(rank, SquareClass.of(q.field, det), _gamma_of(char, rank, det))
-
-
-def hyperbolic_plane(field: Fp) -> QuadraticSpace:
-    return QuadraticSpace(field, [[0, 1], [1, 0]])

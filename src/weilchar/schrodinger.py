@@ -13,8 +13,8 @@ the lift value.
 
 Every kernel value is read from one per-kernel phase table, psi(half * x) *
 norm at x in F_p, so the two evaluation routes share one phase -> value rule.
-`_PairKernel.values` solves for (a1, a2) pair by pair; `kernel_value`, the
-diagonal behind `trace_oracle` and `check_diagonal_kernel` use it.
+`_PairKernel.values` solves for (a1, a2) pair by pair; the diagonal behind
+`trace_oracle` and `check_diagonal_kernel` uses it.
 `_PairKernel.grid` uses that the solver's particular solution is linear in
 D = v - w, a_i = D L_i, so that with M_i = L_i J the phase splits as
 
@@ -55,46 +55,20 @@ def _check_dense(l: Lagrangian) -> None:
         raise EnumerationTooLarge(f"p^n = {size} exceeds the dense matrix cap {MAX_REP_DIM}")
 
 
-class SectionBasis:
-    """The canonical coset representatives of V/l, indexed in row-major order."""
-
-    __slots__ = ("l", "free", "reps")
-
-    def __init__(self, l: Lagrangian) -> None:
-        p = l.space.field.p
-        d = l.space.dim
-        free = [c for c in range(d) if c not in l.sub.pivots]
-        k = len(free)
-        coefs = np.indices((p,) * k).reshape(k, -1).T if k else np.zeros((1, 0), np.int64)
-        reps = np.zeros((p**k, d), dtype=np.int64)
-        if k:
-            reps[:, free] = coefs
-        reps.setflags(write=False)
-        self.l = l
-        self.free = tuple(free)
-        self.reps = reps
-
-    @property
-    def size(self) -> int:
-        return len(self.reps)
-
-    def lift(self, i: int) -> np.ndarray:
-        return self.reps[i]
-
-    def index(self, v) -> int:
-        """Index of the coset of v; reduces v to its canonical representative."""
-        p = self.l.space.field.p
-        rep = self.l.sub.coset_rep(v)
-        out = 0
-        for c in self.free:
-            out = out * p + int(rep[c])
-        return out
-
-
 @lru_cache(maxsize=512)
 def _sections(l: Lagrangian) -> np.ndarray:
-    """The read-only section representatives of l, built once per Lagrangian."""
-    return SectionBasis(l).reps
+    """The canonical coset representatives of V/l in row-major order: zero
+    at l's pivot columns, every value at the others.  Read-only, built once
+    per Lagrangian."""
+    p = l.space.field.p
+    d = l.space.dim
+    free = [c for c in range(d) if c not in l.sub.pivots]
+    k = len(free)
+    reps = np.zeros((p**k, d), dtype=np.int64)
+    if k:
+        reps[:, free] = np.indices((p,) * k).reshape(k, -1).T
+    reps.setflags(write=False)
+    return reps
 
 
 class _PairKernel:
@@ -173,20 +147,10 @@ class _PairKernel:
             out[sw[:, None] != sv[None, :]] = 0
         return out
 
-    def value(self, v, w) -> complex:
-        V = np.asarray(v, dtype=np.int64)[None, :]
-        W = np.asarray(w, dtype=np.int64)[None, :]
-        return complex(self.values(V, W)[0])
-
 
 @lru_cache(maxsize=512)
 def _pair_kernel(char: AdditiveCharacter, l1: Lagrangian, l2: Lagrangian) -> _PairKernel:
     return _PairKernel(char, l1, l2)
-
-
-def kernel_value(char: AdditiveCharacter, l1: Lagrangian, l2: Lagrangian, v, w) -> complex:
-    """The (l1, l2) kernel at arbitrary lifts (v, w); zero off v - w in l1 + l2."""
-    return _pair_kernel(char, l1, l2).value(v, w)
 
 
 def intertwiner(char: AdditiveCharacter, l1: Lagrangian, l2: Lagrangian) -> np.ndarray:
@@ -216,7 +180,7 @@ def _twisted_pair(e: MpElement, l: Lagrangian) -> tuple[_PairKernel, np.ndarray,
         raise DimensionMismatch("Lagrangian not in g's space")
     reps = _sections(l)
     moved = (reps @ g.mat.a.T) % e.char.p
-    return _pair_kernel(e.char, g.image(l), l), moved, reps
+    return _pair_kernel(e.char, l.transform(g), l), moved, reps
 
 
 def _kernel_diagonal(e: MpElement, l: Lagrangian) -> np.ndarray:

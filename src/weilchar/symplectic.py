@@ -397,15 +397,6 @@ class SpElement:
     def inv(self) -> "SpElement":
         return SpElement(self.space, self.mat.inv())
 
-    def apply(self, v) -> np.ndarray:
-        return (self.mat.a @ np.asarray(v, dtype=np.int64)) % self.space.field.p
-
-    def image(self, l: Lagrangian) -> Lagrangian:
-        return l.transform(self)
-
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.mat.a, np.eye(self.space.dim, dtype=np.int64)))
-
     def graph(self) -> Lagrangian:
         """The graph {(x, gx)} as a Lagrangian of the doubled space, built once."""
         if self._graph is None:

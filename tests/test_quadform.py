@@ -13,7 +13,6 @@ from weilchar.quadform import (
     QuadraticSpace,
     WittInvariants,
     _gammas_of,
-    hyperbolic_plane,
     weil_index,
     weil_index_bruteforce,
     witt_invariants,
@@ -93,7 +92,7 @@ def test_hyperbolic_plane_invariants():
     for p in (3, 5, 7, 11):
         f = Fp(p)
         ch = AdditiveCharacter(f)
-        h = hyperbolic_plane(f)
+        h = QuadraticSpace(f, [[0, 1], [1, 0]])
         assert h.rank() == 2
         # disc is the class of -1; gamma is 1 on a hyperbolic plane
         assert h.disc().is_square == (f.legendre(-1) == 1)
@@ -157,7 +156,7 @@ def test_witt_equal_ignores_hyperbolic_summands():
     f = Fp(7)
     ch = AdditiveCharacter(f)
     base = QuadraticSpace.diagonal(f, [3])
-    padded = base + hyperbolic_plane(f)
+    padded = base + QuadraticSpace(f, [[0, 1], [1, 0]])
     a = witt_invariants(ch, base)
     b = witt_invariants(ch, padded)
     assert not a.same(b)  # ranks differ

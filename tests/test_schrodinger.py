@@ -15,12 +15,11 @@ from weilchar.field import Fp, FpMatrix
 from weilchar.metaplectic import mp_identity, split_lift
 from weilchar.schrodinger import (
     MAX_REP_DIM,
-    SectionBasis,
     _PairKernel,
     _pair_kernel,
+    _sections,
     check_diagonal_kernel,
     intertwiner,
-    kernel_value,
     trace_oracle,
     weil_operator,
 )
@@ -38,14 +37,13 @@ def test_section_basis_roundtrip():
     rng = np.random.default_rng(10)
     for _ in range(10):
         l = sp.random_lagrangian(rng)
-        basis = SectionBasis(l)
-        assert basis.size == 25
-        for i in (0, 7, 24):
-            v = basis.lift(i)
-            assert basis.index(v) == i
-            # adding a Lagrangian vector does not change the coset index
-            shifted = (v + l.sub.basis.a[0]) % 5
-            assert basis.index(shifted) == i
+        reps = _sections(l)
+        assert len({tuple(x) for x in reps.tolist()}) == 25
+        # each row is the canonical representative of its own coset
+        assert np.array_equal(l.sub.coset_rep(reps), reps)
+        for row in l.sub.basis.a:
+            # adding a Lagrangian vector does not change the coset
+            assert np.array_equal(l.sub.coset_rep((reps + row) % 5), reps)
 
 
 def test_fourier_kernel_between_standard_transversals():
@@ -62,16 +60,17 @@ def test_kernel_vanishes_off_the_span():
     ch, sp = setup(5, 1)
     l = sp.standard_lagrangian()
     # v - w = e2 is not in l + l
-    assert kernel_value(ch, l, l, [0, 1], [0, 0]) == 0
-    assert abs(kernel_value(ch, l, l, [3, 0], [0, 0])) == 1
+    pk = _pair_kernel(ch, l, l)
+    values = pk.values(np.array([[0, 1], [3, 0]]), np.zeros((2, 2), dtype=np.int64))
+    assert values[0] == 0
+    assert abs(values[1]) == 1
 
 
 def test_kernel_requires_matching_space():
     ch, sp = setup(5, 1)
     ch3, sp2 = setup(5, 2)
     with pytest.raises(DimensionMismatch):
-        kernel_value(ch, sp.standard_lagrangian(), sp2.standard_lagrangian(),
-                     [0, 0], [0, 0, 0, 0])
+        _pair_kernel(ch, sp.standard_lagrangian(), sp2.standard_lagrangian())
     # a Lagrangian of another space is refused before any matrix product
     g = sp.element([[2, 0], [0, 3]])
     with pytest.raises(DimensionMismatch):
@@ -236,7 +235,7 @@ def test_diagonal_kernel_check_catches_a_dropped_norm(monkeypatch):
     kernel_diagonal = weilchar.schrodinger._kernel_diagonal
 
     def unnormalized(e, l):
-        pk = weilchar.schrodinger._pair_kernel(e.char, e.g.image(l), l)
+        pk = weilchar.schrodinger._pair_kernel(e.char, l.transform(e.g), l)
         return kernel_diagonal(e, l) / pk.norm
 
     ch, sp = setup(5, 2)
@@ -250,13 +249,15 @@ def test_diagonal_kernel_check_catches_a_dropped_norm(monkeypatch):
     r = check_diagonal_kernel(e, df)
     assert not r.ok
 
-    inter = g.image(l).sub.intersect(l.sub).dim
+    inter = l.transform(g).sub.intersect(l.sub).dim
     norm = 5 ** (-(l.dim - inter) / 2)
     assert norm < 1
     want = {}
-    for x in SectionBasis(l).reps:
-        if df.support.contains(x):
-            want[tuple(x.tolist())] = ch.psi((ch.field.half * df.value(x)) % 5) * norm
+    reps = _sections(l)
+    for x, c, inside in zip(reps, *df.support.coordinates_many(reps)):
+        if inside:
+            q = int(c @ df.gram.a @ c) % 5
+            want[tuple(x.tolist())] = ch.psi((ch.field.half * q) % 5) * norm
     assert want
     assert {tuple(w["x"]) for w in r.witness} == set(want)
     for w in r.witness:
@@ -287,27 +288,27 @@ def test_grid_equals_pairwise_kernel(p, n):
     g = sp.random_element(rng)
     eye = np.eye(n, dtype=np.int64)
     zero = np.zeros((n, n), dtype=np.int64)
-    l = h.image(sp.standard_lagrangian())
-    transverse = h.image(sp.lagrangian(np.hstack([zero, eye])))
+    l = sp.standard_lagrangian().transform(h)
+    transverse = sp.lagrangian(np.hstack([zero, eye])).transform(h)
     pairs = [(l, l, n), (l, transverse, 0)]
     if n > 1:
         # e_1, f_2, ..., f_n meets e_1, ..., e_n in the line of e_1
         rows = np.hstack([np.diag([1] + [0] * (n - 1)), np.diag([0] + [1] * (n - 1))])
-        pairs.append((l, h.image(sp.lagrangian(rows)), 1))
+        pairs.append((l, sp.lagrangian(rows).transform(h), 1))
     for scale in (1, 2):
         ch = AdditiveCharacter(f, scale)
         for l1, l2, inter in pairs:
             assert l1.sub.intersect(l2.sub).dim == inter
             pk = _pair_kernel(ch, l1, l2)
             assert pk.norm == float(p) ** (-(n - inter) / 2)
-            V, W = SectionBasis(l1).reps, SectionBasis(l2).reps
+            V, W = _sections(l1), _sections(l2)
             ref = _pairwise_grid(pk, V, W)
             assert np.array_equal(pk.grid(V, W), ref)
             assert np.array_equal(intertwiner(ch, l1, l2), ref)
         for elem in (sp.identity(), g):
             e = split_lift(ch, elem)
-            pk = _pair_kernel(ch, elem.image(l), l)
-            reps = SectionBasis(l).reps
+            pk = _pair_kernel(ch, l.transform(elem), l)
+            reps = _sections(l)
             moved = (reps @ elem.mat.a.T) % p
             ref = _pairwise_grid(pk, moved, reps)
             assert np.array_equal(pk.grid(moved, reps), ref)
@@ -319,7 +320,7 @@ def test_grid_refuses_phases_past_float32(monkeypatch):
     largest phase of a cell refuses that cell's grid before any matmul."""
     ch, sp = setup(7, 3)
     l = sp.standard_lagrangian()
-    reps = SectionBasis(l).reps
+    reps = _sections(l)
     pk = _pair_kernel(ch, l, l)
     top = 6 * 6**2 + 2 * 6
     monkeypatch.setattr(weilchar.schrodinger, "_EXACT_FLOAT32", top + 1)

@@ -1,6 +1,11 @@
 """The verification runner: suites, determinism, fault injection."""
 
+import importlib
+import importlib.util
+import math
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,7 +132,7 @@ def test_flipped_gamma_one_fails_the_gamma_suite(monkeypatch):
 
     monkeypatch.setattr(quadform, "_gamma_of", flipped)
     char = AdditiveCharacter(Fp(5))
-    plane = quadform.hyperbolic_plane(char.field)
+    plane = quadform.QuadraticSpace(char.field, [[0, 1], [1, 0]])
     assert abs(quadform.weil_index(char, plane)
                - quadform.weil_index_bruteforce(char, plane)) > 1
     failing = {(5, 1): {"gamma", "polygon", "loops", "theta"},
@@ -265,3 +270,26 @@ def test_suite_result_json_shape():
 def test_json_complex_shape():
     d = as_json_complex(1 - 2j)
     assert d == {"re": 1.0, "im": -2.0}
+    # a zero part is written as 0.0, whatever its sign
+    zero = as_json_complex(complex(-0.0, -0.0))
+    assert [math.copysign(1.0, x) for x in zero.values()] == [1.0, 1.0]
+
+
+def test_every_name_the_bench_tracer_counts_is_a_traced_boundary(monkeypatch):
+    """bench/tracer.py looks up each name of its call, self-time and probe
+    tables among the functions it wraps, and a name no layer defines raises
+    KeyError only in a traced bench run; here every name is checked against
+    `_targets` of its layer, with the tracer loaded from its file as it is."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("weilchar_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wanted = [(metric.split(".")[0], qual)
+              for table in (tracer.CALL_METRICS, tracer.SELF_METRICS)
+              for metric, quals in table.items() for qual in quals]
+    wanted += [(counter.split(".")[0], qual) for qual, (counter, _) in tracer._PROBES.items()]
+    assert len(set(wanted)) >= 25
+    for layer, qual in wanted:
+        mod = importlib.import_module(f"weilchar.{layer}")
+        assert qual in {t[0] for t in tracer._targets(mod, layer)}, (layer, qual)
