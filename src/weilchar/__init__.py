@@ -28,11 +28,9 @@ from .errors import (
 )
 from .field import Fp, FpMatrix, RowSolver, SquareClass, Subspace
 from .maslov import (
-    MaslovClass,
     Orientation,
     edge_factors,
     lagrangian_intersections,
-    maslov_class,
     maslov_form,
     maslov_gamma,
     maslov_invariants,
@@ -92,7 +90,6 @@ __all__ = [
     "Fp",
     "FpMatrix",
     "Lagrangian",
-    "MaslovClass",
     "MpElement",
     "Orientation",
     "QuadraticSpace",
@@ -121,7 +118,6 @@ __all__ = [
     "intertwiner",
     "kernel_of_displacement",
     "lagrangian_intersections",
-    "maslov_class",
     "maslov_form",
     "maslov_gamma",
     "maslov_invariants",

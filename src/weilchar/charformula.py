@@ -35,7 +35,7 @@ import numpy as np
 from .characters import AdditiveCharacter
 from .errors import DimensionMismatch, InvariantViolation, SingularGMinusOne
 from .field import FpMatrix, RowSolver, SquareClass, Subspace, _null_space, _rank_det, _rank_dets_many
-from .maslov import Orientation, maslov_class, orientation_pairing
+from .maslov import Orientation, maslov_form, orientation_pairing
 from .metaplectic import MpElement, character_factor
 from .quadform import QuadraticSpace, _phase, witt_invariants
 from .symplectic import (
@@ -224,8 +224,9 @@ def check_maslov_class(char: AdditiveCharacter, df: DiagonalForm) -> CheckReport
     and its discriminant vs (-1)^dim(l ^ (g-1)l) * pairing(gl, l) * disp disc."""
     g, l = df.g, df.l
     inv_q = witt_invariants(char, df.form_space())
-    mc = maslov_class(char, g.graph(), diagonal_lagrangian(g.space), l.doubled())
-    same = inv_q.same(mc.inv)
+    m = maslov_form(g.graph(), diagonal_lagrangian(g.space), l.doubled())
+    inv_m = witt_invariants(char, m)
+    same = inv_q.same(inv_m)
 
     space = g.space
     p = space.field.p
@@ -242,7 +243,7 @@ def check_maslov_class(char: AdditiveCharacter, df: DiagonalForm) -> CheckReport
         ok=ok,
         details={
             "support_inv": (inv_q.rank, inv_q.disc.rep, inv_q.gamma),
-            "maslov_inv": (mc.inv.rank, mc.inv.disc.rep, mc.inv.gamma),
+            "maslov_inv": (inv_m.rank, inv_m.disc.rep, inv_m.gamma),
             "disc_formula": want_disc.rep,
         },
     )

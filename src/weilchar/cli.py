@@ -143,7 +143,7 @@ def cmd_trace(args) -> int:
         lag = space.lagrangian(_matrix_from_flag(args.l, space.n, d))
     sign = 1 if args.lift == "plus" else -1
     e = split_lift(char, g, sign=sign)
-    oracle = trace_oracle(e, lag)
+    oracle = trace_oracle(e, lag) + 0.0
     k, _, closed = closed_form_data(char, g)
     factor = _factor_trace(args.p, k, character_factor(e, lag))
     closed = sign * closed + 0.0

@@ -20,7 +20,6 @@ and discriminant come only as stacks: `edge_factors` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,7 +42,6 @@ from .quadform import (
     _gammas_of,
     _phase,
     weil_index,
-    witt_invariants,
 )
 from .symplectic import Lagrangian, SpElement, SymplecticSpace
 
@@ -310,19 +308,6 @@ def maslov_invariants(
         for i, r, det, g in zip(at, ranks.tolist(), dets.tolist(), gammas):
             out[i] = WittInvariants(r, SquareClass.of(space.field, det), g)
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class MaslovClass:
-    """A Maslov index: its polygon representative and its Witt invariants."""
-
-    space: QuadraticSpace
-    inv: WittInvariants
-
-
-def maslov_class(char: AdditiveCharacter, *lags: Lagrangian) -> MaslovClass:
-    q = maslov_form(*lags)
-    return MaslovClass(q, witt_invariants(char, q))
 
 
 def maslov_gamma(char: AdditiveCharacter, *lags: Lagrangian) -> complex:

@@ -19,9 +19,12 @@ routes stay as the oracles they are checked against: `character_factor`,
 `character_factor_doubled`, `trace_oracle` and `closed_form_data`.
 
 Values built from gamma are exact (`characters`), so the polygon, cocycle and
-theta suites and the trace suite's closed-versus-factor test use `==`.  Only
-float oracles keep a tolerance: the Gauss sum by direct summation (gamma) and
-the lattice model (trace, loops, structural, homomorphism).
+theta suites and the trace suite's closed-versus-factor test use `==`, and the
+structural suite's kernel diagonal is exact too (`check_diagonal_kernel`).
+Only float oracles keep a tolerance: the Gauss sum by direct summation (gamma)
+and the dense lattice model (trace, loops, homomorphism).  A failed check's
+witness keeps its report's details and witness, complex values as {"re", "im"},
+so every output format can print it.
 """
 
 from __future__ import annotations
@@ -118,19 +121,26 @@ class _Tally:
 
     def add(self, err: float, tol: float, equal: bool = True, **info) -> None:
         """A check against a float oracle, passed when err <= tol and `equal`."""
-        self.checked += 1
         self.max_err = max(self.max_err, err)
-        if not (err <= tol and equal):
-            self.failed += 1
-            if self.witness is None:
-                self.witness = {"err": err, "tol": tol, **info}
+        self.add_flag(err <= tol and equal, err=err, tol=tol, **info)
 
     def add_flag(self, ok: bool, **info) -> None:
         self.checked += 1
         if not ok:
             self.failed += 1
             if self.witness is None:
-                self.witness = info
+                self.witness = _json_safe(info)
+
+
+def _json_safe(obj):
+    """obj with each complex as {"re", "im"} and each tuple as a list."""
+    if isinstance(obj, complex):
+        return as_json_complex(obj)
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    return obj
 
 
 def _mat_list(g: SpElement) -> list:
@@ -193,7 +203,7 @@ def _suite_gamma(char: AdditiveCharacter, space, rng, samples, max_enum, cocycle
         t.add_flag(abs(gam[a]) == 1, kind="modulus", a=a)
     for a in range(1, p):  # the closed form against the Gauss sum by direct summation
         gauss = weil_index_bruteforce(char, QuadraticSpace.diagonal(field, [a]))
-        t.add(abs(gam[a] - gauss), 1e-10, kind="gauss-sum", a=a, want=as_json_complex(gauss))
+        t.add(abs(gam[a] - gauss), 1e-10, kind="gauss-sum", a=a, want=gauss)
     for a in range(1, p):
         for b in range(1, p):
             t.add_flag(gam[a] * gam[b] == gam[1] * gam[a * b % p], kind="product", a=a, b=b)
@@ -248,7 +258,7 @@ def _suite_polygon(char, space, rng, samples, max_enum, cocycle) -> _Tally:
         # edge-factor product equals the polygon index, randomized orientations
         prod = math.prod(next(factors) for _ in lags)
         t.add_flag(prod == inv.gamma, kind="edge-product", lags=[_lag_list(l) for l in lags],
-                   got=as_json_complex(prod), want=as_json_complex(inv.gamma))
+                   got=prod, want=inv.gamma)
     return t
 
 
@@ -277,7 +287,7 @@ def _suite_cocycle(char, space, rng, samples, max_enum, cocycle) -> _Tally:
             lhs = sv[at[0, i]] * sv[at[1, i]] * twists[j][i]
             rhs = sv[at[2, i]]
             t.add_flag(lhs == rhs, kind="splitting", g=_mat_list(g), h=_mat_list(h),
-                       l=_lag_list(l), got=as_json_complex(lhs), want=as_json_complex(rhs))
+                       l=_lag_list(l), got=lhs, want=rhs)
     # group law of lifted elements: associativity and inverses, drawn as
     # (e1, e2, e3) per round
     rounds = max(samples // 4, 1)
@@ -317,8 +327,7 @@ def _suite_trace(char, space, rng, samples, max_enum, cocycle) -> _Tally:
             tf = _factor_trace(p, k, factors[sign][i])
             tc = sign * closed
             t.add(abs(to - tc), tol, equal=tf == tc, kind="three-way", g=_mat_list(g), sign=sign,
-                  oracle=as_json_complex(to), factor=as_json_complex(tf),
-                  closed=as_json_complex(tc))
+                  oracle=to, factor=tf, closed=tc)
     return t
 
 
@@ -360,18 +369,16 @@ def _suite_structural(char, space, rng, samples, max_enum, cocycle) -> _Tally:
     pairs = [(g, space.standard_lagrangian()) for g in _core_elements(space)]
     for _ in range(samples):
         pairs.append((space.random_element(rng), space.random_lagrangian(rng)))
-    lifts = split_lifts(char, [g for g, _ in pairs])
-    for (g, l), e in zip(pairs, lifts):
+    for g, l in pairs:
         info = {"g": _mat_list(g), "l": _lag_list(l)}
         df = diagonal_form(g, l)
-        for r in (check_kernel_dims(df), check_transfer_isometry(df),
-                  check_maslov_class(char, df)):
-            t.add_flag(r.ok, kind=r.label, details=r.details, **info)
+        reports = [check_kernel_dims(df), check_transfer_isometry(df),
+                   check_maslov_class(char, df)]
         if df.ker.dim == 0:
-            r = check_inverse_identity(df)
-            t.add_flag(r.ok, kind=r.label, **info)
-        r = check_diagonal_kernel(e, df)
-        t.add_flag(r.ok, kind=r.label, details=r.details, **info)
+            reports.append(check_inverse_identity(df))
+        reports.append(check_diagonal_kernel(char, df))
+        for r in reports:
+            t.add_flag(r.ok, kind=r.label, details=r.details, witness=r.witness, **info)
     return t
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -15,6 +16,8 @@ import pytest
 
 import weilchar
 import weilchar.cli
+import weilchar.schrodinger
+import weilchar.verify
 from weilchar.characters import AdditiveCharacter
 from weilchar.charformula import trace_closed_form
 from weilchar.cli import main
@@ -95,6 +98,20 @@ def test_trace_accepts_model_choice(capsys):
     d = json.loads(out)
     assert d["agree"] is True
     assert abs(d["oracle"]["re"] - (-1)) < 1e-9
+
+
+@pytest.mark.parametrize("argv", [("--p", "3", "--g", "2,2,0,2", "--psi-scale", "2"),
+                                  ("--p", "5", "--g", "2,0,0,3")])
+def test_trace_prints_the_oracle_zero_unsigned(capsys, argv):
+    """The oracle's exact -0.0 imaginary part prints as 0.0 in CSV and as
+    +0 in text, as the closed and factor forms do."""
+    code, out, _ = run(capsys, "trace", *argv, "--format", "csv")
+    assert code == 0
+    row = dict(zip(*csv.reader(io.StringIO(out))))
+    assert row["oracle_im"] == row["closed_im"] == "0.0"
+    code, out, _ = run(capsys, "trace", *argv)
+    assert code == 0
+    assert "oracle        = -1.000000000000+0.000000000000i" in out
 
 
 def test_trace_rejects_non_symplectic(capsys):
@@ -312,6 +329,39 @@ def test_verify_detects_corrupted_cocycle(capsys):
     assert code == 1
     assert "verdict: FAIL" in out
     assert "first witness:" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_failing_structural_check_exits_1_in_every_format(capsys, monkeypatch, fmt):
+    """A failed maslov-class check carries complex Weil indices in its
+    details; they reach the witness as {"re", "im"}, so no format crashes."""
+    check = weilchar.verify.check_maslov_class
+    monkeypatch.setattr(weilchar.verify, "check_maslov_class",
+                        lambda char, df: dataclasses.replace(check(char, df), ok=False))
+    code, out, _ = run(capsys, "verify", "--p", "5", "--suites", "structural", "--format", fmt)
+    assert code == 1
+    if fmt == "json":
+        witness = json.loads(out)["results"][0]["witness"]
+        assert witness["kind"] == "maslov-class"
+        assert set(witness["details"]["support_inv"][2]) == {"re", "im"}
+    elif fmt == "text":
+        assert "verdict: FAIL" in out and "first witness:" in out
+
+
+def test_structural_witness_lists_the_failing_diagonal_rows(capsys, monkeypatch):
+    """The suite witness keeps the rows of a failed diagonal-kernel report."""
+    kernel_diagonal = weilchar.schrodinger._kernel_diagonal
+    monkeypatch.setattr(weilchar.schrodinger, "_kernel_diagonal",
+                        lambda char, g, l: 2 * kernel_diagonal(char, g, l))
+    code, out, _ = run(capsys, "verify", "--p", "5", "--n", "1", "--suites", "structural",
+                       "--format", "json")
+    assert code == 1
+    witness = json.loads(out)["results"][0]["witness"]
+    assert witness["kind"] == "diagonal-kernel"
+    # the identity at the standard Lagrangian: every one of the 5 rows is 1
+    assert [row["x"] for row in witness["witness"]] == [[0, c] for c in range(5)]
+    for row in witness["witness"]:
+        assert row["got"] == {"re": 2.0, "im": 0.0} and row["want"] == {"re": 1.0, "im": 0.0}
 
 
 def test_verify_rejects_bad_prime_list(capsys):

@@ -11,7 +11,6 @@ from weilchar.maslov import (
     _completions,
     edge_factors,
     lagrangian_intersections,
-    maslov_class,
     maslov_form,
     maslov_gamma,
     maslov_invariants,
@@ -203,9 +202,9 @@ def test_edge_product_equals_polygon_gamma():
 def test_maslov_class_carries_invariants():
     ch, sp = setup(5, 1)
     x, y, d = standard_three(sp)
-    mc = maslov_class(ch, x, y, d)
-    assert mc.inv.rank == 1
-    assert approx_eq(mc.inv.gamma, maslov_gamma(ch, x, y, d), 1e-10)
+    inv = witt_invariants(ch, maslov_form(x, y, d))
+    assert inv.rank == 1
+    assert inv.gamma == maslov_gamma(ch, x, y, d)
 
 
 def extend_basis_by_loop(inter, lag):

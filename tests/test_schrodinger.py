@@ -11,11 +11,12 @@ import weilchar.schrodinger
 from weilchar.characters import AdditiveCharacter, approx_eq
 from weilchar.charformula import diagonal_form
 from weilchar.errors import DimensionMismatch, EnumerationTooLarge
-from weilchar.field import Fp, FpMatrix
+from weilchar.field import Fp, FpMatrix, RowSolver
 from weilchar.metaplectic import mp_identity, split_lift
 from weilchar.schrodinger import (
     MAX_REP_DIM,
     _PairKernel,
+    _kernel_diagonal,
     _pair_kernel,
     _sections,
     check_diagonal_kernel,
@@ -174,7 +175,7 @@ def test_diagonal_kernel_check_seeded():
         for _ in range(12):
             g = sp.random_element(rng)
             l = sp.random_lagrangian(rng)
-            r = check_diagonal_kernel(split_lift(ch, g), diagonal_form(g, l))
+            r = check_diagonal_kernel(ch, diagonal_form(g, l))
             assert r.ok, r.witness
 
 
@@ -182,14 +183,14 @@ def test_diagonal_kernel_check_fails_on_a_corrupted_form():
     ch, sp = setup(5, 1)
     g = sp.element([[2, 0], [0, 3]])
     l = sp.lagrangian([[1, 1]])
-    e = split_lift(ch, g)
     df = diagonal_form(g, l)
-    assert check_diagonal_kernel(e, df).ok
+    assert check_diagonal_kernel(ch, df).ok
     # a nonsquare scale of the rank-1 support form moves every nonzero phase
-    r = check_diagonal_kernel(e, replace(df, gram=FpMatrix(sp.field, 2 * df.gram.a)))
+    r = check_diagonal_kernel(ch, replace(df, gram=FpMatrix(sp.field, 2 * df.gram.a)))
     assert not r.ok and r.witness
+    # a character of another field is refused before any kernel is read
     with pytest.raises(DimensionMismatch):
-        check_diagonal_kernel(e, diagonal_form(g.inv(), l))
+        check_diagonal_kernel(AdditiveCharacter(Fp(7)), df)
 
 
 @pytest.mark.parametrize("p,n", [(97, 1), (17, 2), (7, 3), (3, 5)])
@@ -232,21 +233,17 @@ def test_dense_matrices_refuse_past_the_cap(monkeypatch):
 def test_diagonal_kernel_check_catches_a_dropped_norm(monkeypatch):
     """Without the norm every support row is off by sqrt(p): the witness lists
     exactly those rows, with the wanted values of a per-row reference loop."""
-    kernel_diagonal = weilchar.schrodinger._kernel_diagonal
-
-    def unnormalized(e, l):
-        pk = weilchar.schrodinger._pair_kernel(e.char, l.transform(e.g), l)
-        return kernel_diagonal(e, l) / pk.norm
+    def unnormalized(char, g, l):
+        return _kernel_diagonal(char, g, l) / _pair_kernel(char, l.transform(g), l).norm
 
     ch, sp = setup(5, 2)
     rng = np.random.default_rng(8)
     g = sp.random_element(rng)
     l = sp.random_lagrangian(rng)
-    e = split_lift(ch, g)
     df = diagonal_form(g, l)
-    assert check_diagonal_kernel(e, df).ok
+    assert check_diagonal_kernel(ch, df).ok
     monkeypatch.setattr(weilchar.schrodinger, "_kernel_diagonal", unnormalized)
-    r = check_diagonal_kernel(e, df)
+    r = check_diagonal_kernel(ch, df)
     assert not r.ok
 
     inter = l.transform(g).sub.intersect(l.sub).dim
@@ -266,19 +263,44 @@ def test_diagonal_kernel_check_catches_a_dropped_norm(monkeypatch):
         assert abs(w["got"] - w["want"] / norm) < 1e-12
 
 
-def _pairwise_grid(pk, V, W):
-    """Reference for `_PairKernel.grid`: every (V[j], W[i]) pair stacked and
-    solved one row at a time through `_PairKernel.values`."""
+def _solved_kernel(ch, l1, l2, V, W):
+    """Reference for the split phase: solve v - w = a1 + a2 with a_i in l_i
+    for each row pair and read psi(half (form(a1, v) + form(a2, w))) * norm,
+    zero where v - w is outside l1 + l2."""
+    p = ch.p
+    b1, b2 = l1.sub.basis.a, l2.sub.basis.a
+    solver = RowSolver(FpMatrix(ch.field, np.vstack([b1, b2])))
+    Y, ok = solver.solve_many(V - W)
+    j = l1.space.gram.a
+    A1 = Y[:, : len(b1)] @ b1 % p
+    A2 = Y[:, len(b1) :] @ b2 % p
+    q = (np.einsum("ij,ij->i", A1 @ j % p, V) + np.einsum("ij,ij->i", A2 @ j % p, W)) % p
+    norm = float(p) ** (-(solver.rank - l2.dim) / 2)
+    return np.where(ok, ch.psi_array((ch.field.half * q) % p) * norm, 0.0)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _check_against_solved(ch, l1, l2, V, W):
+    """`values` on every (V[j], W[i]) pair and `grid` on (V, W) both equal
+    the solved reference bit for bit; returns the reference grid."""
     d = V.shape[1]
     VV = np.repeat(V[None, :, :], len(W), axis=0).reshape(-1, d)
     WW = np.repeat(W[:, None, :], len(V), axis=1).reshape(-1, d)
-    return pk.values(VV, WW).reshape(len(W), len(V))
+    ref = _solved_kernel(ch, l1, l2, VV, WW)
+    pk = _pair_kernel(ch, l1, l2)
+    assert _same_bits(pk.values(VV, WW), ref)
+    ref = ref.reshape(len(W), len(V))
+    assert _same_bits(pk.grid(V, W), ref)
+    return ref
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (97, 1), (3, 2), (5, 2), (17, 2),
                                  (7, 3), (3, 5)])
 def test_grid_equals_pairwise_kernel(p, n):
-    """The split phase and syndrome match give the pairwise kernel exactly:
+    """`values` and `grid` give the kernel of the per-pair solve bit for bit:
     equal, transverse and partly meeting Lagrangians, the (g l, l) operator
     twist for g = 1 and a random g, and a character with scale 2."""
     f = Fp(p)
@@ -299,20 +321,38 @@ def test_grid_equals_pairwise_kernel(p, n):
         ch = AdditiveCharacter(f, scale)
         for l1, l2, inter in pairs:
             assert l1.sub.intersect(l2.sub).dim == inter
-            pk = _pair_kernel(ch, l1, l2)
-            assert pk.norm == float(p) ** (-(n - inter) / 2)
-            V, W = _sections(l1), _sections(l2)
-            ref = _pairwise_grid(pk, V, W)
-            assert np.array_equal(pk.grid(V, W), ref)
+            assert _pair_kernel(ch, l1, l2).norm == float(p) ** (-(n - inter) / 2)
+            ref = _check_against_solved(ch, l1, l2, _sections(l1), _sections(l2))
             assert np.array_equal(intertwiner(ch, l1, l2), ref)
         for elem in (sp.identity(), g):
             e = split_lift(ch, elem)
-            pk = _pair_kernel(ch, l.transform(elem), l)
             reps = _sections(l)
             moved = (reps @ elem.mat.a.T) % p
-            ref = _pairwise_grid(pk, moved, reps)
-            assert np.array_equal(pk.grid(moved, reps), ref)
+            ref = _check_against_solved(ch, l.transform(elem), l, moved, reps)
             assert np.max(np.abs(weil_operator(e, l) - e.value_at(l) * ref)) < 1e-12
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (7, 1), (3, 2), (5, 2), (7, 3), (3, 5)])
+def test_kernel_diagonal_equals_the_psi_array_reference(p, n):
+    """The kernel diagonal and psi(half q(x, x)) * p^(-dim(l / gl^l)/2) from
+    the support form are one root of unity times one norm, so they are equal
+    as floats, with no tolerance, on random (g, l) and both scales."""
+    f = Fp(p)
+    sp = SymplecticSpace(f, n)
+    rng = np.random.default_rng(77 * p + n)
+    for scale in (1, 2):
+        ch = AdditiveCharacter(f, scale)
+        for _ in range(4):
+            g = sp.random_element(rng)
+            l = sp.random_lagrangian(rng)
+            df = diagonal_form(g, l)
+            reps = _sections(l)
+            coords, inside = df.support.coordinates_many(reps)
+            q = np.einsum("ij,jk,ik->i", coords, df.gram.a, coords) % p
+            norm = float(p) ** (-(n - df.inter.dim) / 2)
+            want = np.where(inside, ch.psi_array((f.half * q) % p) * norm, 0.0)
+            assert np.array_equal(_kernel_diagonal(ch, g, l), want)
+            assert check_diagonal_kernel(ch, df).ok
 
 
 def test_grid_refuses_phases_past_float32(monkeypatch):
