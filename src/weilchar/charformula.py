@@ -22,27 +22,38 @@ form lives on l ^ (g-1)V.  The structural checks of this module tie their
 dimensions, Witt invariants and transfer isometry to closed formulas.  They
 take one `DiagonalForm` per (g, l), which also carries ker(g - 1) and
 g l ^ l, so each pair's form and subspaces are built once for all checks.
+`check_maslov_classes` checks the Witt data of many forms from stacked
+calls, one per quantity; `check_maslov_class` is its one-element call, and
+the tests keep the one-pair route as the reference the stack is held to.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
 from .characters import AdditiveCharacter
 from .errors import DimensionMismatch, InvariantViolation, SingularGMinusOne
-from .field import FpMatrix, RowSolver, SquareClass, Subspace, _null_space, _rank_det, _rank_dets_many
-from .maslov import Orientation, maslov_form, orientation_pairing
-from .metaplectic import MpElement, character_factor
-from .quadform import QuadraticSpace, _phase, witt_invariants
+from .field import (
+    FpMatrix,
+    RowSolver,
+    SquareClass,
+    Subspace,
+    _eliminate_many,
+    _null_space,
+    _rank_det,
+    _rank_dets_many,
+)
+from .maslov import Orientation, _polygon_rank_dets, orientation_pairings
+from .metaplectic import MpElement, _theta_triples, character_factor
+from .quadform import QuadraticSpace, WittInvariants, _gammas_of, _phase
 from .symplectic import (
     Lagrangian,
     SpElement,
     SymplecticSpace,
-    diagonal_lagrangian,
     kernel_of_displacement,
 )
 
@@ -221,32 +232,73 @@ def check_kernel_dims(df: DiagonalForm) -> CheckReport:
 
 def check_maslov_class(char: AdditiveCharacter, df: DiagonalForm) -> CheckReport:
     """Witt data of the support form vs the Maslov index of (graph, diag, l+l),
-    and its discriminant vs (-1)^dim(l ^ (g-1)l) * pairing(gl, l) * disp disc."""
-    g, l = df.g, df.l
-    inv_q = witt_invariants(char, df.form_space())
-    m = maslov_form(g.graph(), diagonal_lagrangian(g.space), l.doubled())
-    inv_m = witt_invariants(char, m)
-    same = inv_q.same(inv_m)
+    and its discriminant vs (-1)^dim(l ^ (g-1)l) * pairing(gl, l) * disp disc.
 
-    space = g.space
-    p = space.field.p
-    gm1 = (g.mat.a - np.eye(space.dim, dtype=np.int64)) % p
-    moved_l = Subspace.from_rows(space.field, space.dim, (l.sub.basis.a @ gm1.T) % p)
-    o = Orientation.default(l)
-    pair = orientation_pairing(o.transform(g), o, df.inter)
-    sign = pow(-1, l.sub.intersect(moved_l).dim, p)
-    want_disc = SquareClass.of(space.field, sign) * pair * closed_form_data(char, g)[1]
-    disc_ok = inv_q.disc == want_disc
-    ok = same and disc_ok
-    return CheckReport(
-        label="maslov-class",
-        ok=ok,
-        details={
-            "support_inv": (inv_q.rank, inv_q.disc.rep, inv_q.gamma),
-            "maslov_inv": (inv_m.rank, inv_m.disc.rep, inv_m.gamma),
-            "disc_formula": want_disc.rep,
-        },
-    )
+    The one-element call of `check_maslov_classes`."""
+    return check_maslov_classes(char, [df])[0]
+
+
+def check_maslov_classes(char: AdditiveCharacter, dfs: Sequence[DiagonalForm]) -> list[CheckReport]:
+    """`check_maslov_class` of every form of one space, from stacked calls.
+
+    The support grams, zero-padded to one size, take one `_rank_dets_many`,
+    and the rref bases of (graph, diagonal, l + l) one `_polygon_rank_dets`.
+    dim(l ^ (g-1)l) is n + rank (g-1)l - rank [l; (g-1)l], with both ranks
+    from one stacked elimination.  The pairings of (g l, l) take one
+    `orientation_pairings` call, with g l ^ l from the forms zero-padded as
+    `inters`, and the displacement classes one `closed_form_data_many`."""
+    if not dfs:
+        return []
+    space = dfs[0].g.space
+    if any(df.g.space != space or df.l.space != space for df in dfs):
+        raise DimensionMismatch("Maslov classes need one space")
+    field, n, d = space.field, space.n, space.dim
+    p = field.p
+    nb = len(dfs)
+    eye = np.eye(d, dtype=np.int64)
+    mats = np.stack([df.g.mat.a for df in dfs])
+    bl = np.stack([df.l.sub.basis.a for df in dfs])
+
+    grams = np.zeros((nb,) + (max(df.gram.nrows for df in dfs),) * 2, dtype=np.int64)
+    for gram, df in zip(grams, dfs):
+        gram[:df.gram.nrows, :df.gram.nrows] = df.gram.a
+    if np.any((grams - grams.swapaxes(1, 2)) % p):
+        raise DimensionMismatch("gram must be symmetric")
+    invs = []
+    for ranks, dets in (_rank_dets_many(grams, field),
+                        _polygon_rank_dets(space.doubled(),
+                                           _theta_triples(mats.swapaxes(1, 2), bl))):
+        invs.append([WittInvariants(r, SquareClass.of(field, det), gamma) for r, det, gamma
+                     in zip(ranks.tolist(), dets.tolist(), _gammas_of(char, ranks, dets))])
+
+    # the ranks of [0; (g-1)l] and of [l; (g-1)l] from one stack
+    rows = np.zeros((2, nb, 2 * n, d), dtype=np.int64)
+    rows[:, :, n:] = bl @ (mats - eye).swapaxes(1, 2) % p
+    rows[1, :, :n] = bl
+    ranks = _eliminate_many(rows.reshape(2 * nb, 2 * n, d), field)[2].reshape(2, nb)
+    meets = (n + ranks[0] - ranks[1]).tolist()
+
+    inters = np.zeros((nb, max(df.inter.dim for df in dfs), d), dtype=np.int64)
+    for inter, df in zip(inters, dfs):
+        inter[:df.inter.dim] = df.inter.basis.a
+    orients = [Orientation.default(df.l) for df in dfs]
+    pairs = orientation_pairings([o.transform(df.g) for o, df in zip(orients, dfs)], orients,
+                                 inters)
+    closed = closed_form_data_many(char, space, mats)
+
+    reports = []
+    for inv_q, inv_m, meet, pair, (_, disc, _) in zip(*invs, meets, pairs, closed):
+        want_disc = SquareClass.of(field, pow(-1, meet, p)) * pair * disc
+        reports.append(CheckReport(
+            label="maslov-class",
+            ok=inv_q.same(inv_m) and inv_q.disc == want_disc,
+            details={
+                "support_inv": (inv_q.rank, inv_q.disc.rep, inv_q.gamma),
+                "maslov_inv": (inv_m.rank, inv_m.disc.rep, inv_m.gamma),
+                "disc_formula": want_disc.rep,
+            },
+        ))
+    return reports
 
 
 def check_transfer_isometry(df: DiagonalForm) -> CheckReport:

@@ -92,8 +92,11 @@ def _check_oracle_rows(p: int, n: int) -> None:
 
 
 def _check_sampling(args) -> None:
-    """--samples and --max-enum count work to do; a negative count is bad input."""
-    for flag, value in (("--samples", args.samples), ("--max-enum", args.max_enum)):
+    """--samples and --max-enum count work to do, and --seed seeds the
+    draws; a negative value of any is bad input, whether or not the cell
+    draws at all."""
+    for flag, value in (("--samples", args.samples), ("--max-enum", args.max_enum),
+                        ("--seed", args.seed)):
         if value < 0:
             raise InputError(f"{flag} must be >= 0, got {value}")
 

@@ -269,12 +269,17 @@ def _polygon_rank_dets(space: SymplecticSpace, bases: np.ndarray) -> tuple[np.nd
     (B, m, k, d) stack of Lagrangian bases.
 
     The null rows, the grams and their ranks and pivot minors come from
-    stacked eliminations, padded to one shape; zero rows and columns leave
-    the rank and the pivot minor of a gram as they are, so the values equal
-    those of `maslov_form` on the same bases.
+    stacked eliminations, padded to one shape.  The null rows of each tuple
+    move ahead of its zero rows, in order, and the stack is cut at its
+    largest nullity, so the grams are that wide and not m k.  Zero rows and
+    columns leave the rank and the pivot minor of a gram as they are, so
+    the values equal those of `maslov_form` on the same bases.
     """
     nb, m, k, d = bases.shape
     sol = _null_rows_many(bases.reshape(nb, m * k, d).transpose(0, 2, 1), space.field)
+    nonzero = sol.any(axis=2)
+    order = np.argsort(~nonzero, axis=1, kind="stable")[:, :nonzero.sum(axis=1).max(initial=0)]
+    sol = np.take_along_axis(sol, order[:, :, None], axis=1)
     return _rank_dets_many(_polygon_grams(sol, bases, space.gram.a, space.field), space.field)
 
 

@@ -33,12 +33,14 @@ of the rref basis b of l as they are; any bases give congruent Maslov forms,
 so the Weil index is the same value.
 
 Lifts, products and character factors also come as stacks: `split_lifts`,
-`mp_products` and `character_factor_table`.  The first two have the
-one-element calls `split_lift` and `MpElement.__mul__`; `character_factor`
-is the table's single-route oracle.  The verify suites evaluate each cell's
-lifts, products and factors through the stacks.  The factor table cuts its
-(element, Lagrangian) pairs into stacks of at most `_FACTOR_STACK` pairs,
-so its peak memory does not grow with the table.
+`mp_products`, `character_factor_table` and `character_factors_doubled`.
+The first two have the one-element calls `split_lift` and
+`MpElement.__mul__`; `character_factor` is the table's single-route oracle
+and `character_factor_doubled` the doubled stack's.  The verify suites
+evaluate each cell's lifts, products and factors through the stacks, and
+the theta suite keeps both single routes for one element per cell.  The
+factor table cuts its (element, Lagrangian) pairs into stacks of at most
+`_FACTOR_STACK` pairs, so its peak memory does not grow with the table.
 
 Every lift value is exact, so elements compare and hash exactly, by
 (character, g, base, t0).
@@ -64,9 +66,10 @@ from .symplectic import (
 )
 
 # Most (element, Lagrangian) pairs in one stack of `character_factor_table`.
-# The factor time per pair stops falling from about 150 pairs per stack up,
-# while a stack's peak memory grows by about 10 kB per pair at n = 2: one
-# stack per cell took 450 MB in the theta suite at (3, 3), 200 pairs 46 MB.
+# On 2 cores with Python 3.11, the factor time per pair stops falling from
+# about 150 pairs per stack up, near 40 us per pair at (3, 2), while a
+# stack's peak memory grows by about 5 kB per pair at n = 2: one stack per
+# cell took 250 MB in the theta suite at (3, 3), 200 pairs 40 MB.
 _FACTOR_STACK = 200
 
 
@@ -327,15 +330,31 @@ def character_factor(e: MpElement, l: Lagrangian | None = None) -> complex:
     return e.value_at(l) * gamma
 
 
+def _theta_triples(g_t: np.ndarray, bl: np.ndarray) -> np.ndarray:
+    """The (B, 3, d, 2d) rref bases of (graph(g), diagonal, l + l) in the
+    doubled space, for a stack of g^T and one of the rref bases bl of l."""
+    nb, d, _ = g_t.shape
+    n = bl.shape[1]
+    eye = np.eye(d, dtype=np.int64)
+    out = np.zeros((nb, 3, d, 2 * d), dtype=np.int64)
+    # the graph [I | g^T] and the diagonal [I | I]
+    out[:, :2, :, :d] = eye
+    out[:, 0, :, d:] = g_t
+    out[:, 1, :, d:] = eye
+    # l + l: the rows (b, 0) and (0, b) are in rref because b is
+    out[:, 2, :n, :d] = bl
+    out[:, 2, n:, d:] = bl
+    return out
+
+
 def character_factor_table(es: Sequence[MpElement], lags: Sequence[Lagrangian]) -> np.ndarray:
     """The (E, L) array of `character_factor(e, l)` for e in es and l in
     lags, each equal to it (`==`).
 
     The (e, l) pairs are cut into stacks of at most `_FACTOR_STACK`, and the
     (graph, diagonal, l + l) and (base, g base, g l, l) forms of a stack are
-    each built, reduced and evaluated in one `_maslov_gammas` call.  The
-    graph basis [I | g^T] is already in rref, and g base takes the moved
-    basis of base as it is.
+    each built, reduced and evaluated in one `_maslov_gammas` call; g base
+    takes the moved basis of base as it is.
     """
     out = np.zeros((len(es), len(lags)), dtype=complex)
     if not es or not lags:
@@ -346,25 +365,16 @@ def character_factor_table(es: Sequence[MpElement], lags: Sequence[Lagrangian]) 
     if any(l.space != space for l in lags):
         raise DimensionMismatch("Lagrangian not in g's space")
     p = space.field.p
-    n, d = space.n, space.dim
     g_t = np.stack([e.g.mat.a.T for e in es])
-    graphs = np.concatenate([np.broadcast_to(np.eye(d, dtype=np.int64), g_t.shape), g_t], axis=2)
     base = np.stack([e.base.sub.basis.a for e in es])
     ends = np.stack([base, base @ g_t % p], axis=1)
     t0 = [e.t0 for e in es]
-    diagonal = diagonal_lagrangian(space).sub.basis.a
     b = np.stack([l.sub.basis.a for l in lags])
     pairs = len(es) * len(lags)
     for start in range(0, pairs, _FACTOR_STACK):
         ei, li = np.divmod(np.arange(start, min(start + _FACTOR_STACK, pairs)), len(lags))
         bl = b[li]
-        doubled = np.zeros((len(ei), 3, d, 2 * d), dtype=np.int64)
-        doubled[:, 0] = graphs[ei]
-        doubled[:, 1] = diagonal
-        # l + l: the rows (b, 0) and (0, b) are in rref because b is
-        doubled[:, 2, :n, :d] = bl
-        doubled[:, 2, n:, d:] = bl
-        gammas = _maslov_gammas(char, space.doubled(), doubled)
+        gammas = _maslov_gammas(char, space.doubled(), _theta_triples(g_t[ei], bl))
         four = np.concatenate([ends[ei], (bl @ g_t[ei] % p)[:, None], bl[:, None]], axis=1)
         # At l = base the form of (base, g base, g base, base) is zero, since
         # q = form(x2 + x3, x1 - x4) = -form(x1 + x4, x1 - x4) = 0 on x1, x4 in base;
@@ -381,3 +391,26 @@ def character_factor_doubled(e: MpElement) -> complex:
     A second single-route oracle of `character_factor_table`, by another
     construction; the theta suite holds it to `character_factor`."""
     return embed_doubled(e).value_at(diagonal_lagrangian(e.space))
+
+
+def character_factors_doubled(es: Sequence[MpElement]) -> list[complex]:
+    """`character_factor_doubled(e)` for every e of es, each equal to it (`==`).
+
+    The four-gons (l + l, (1, g)(l + l), (1, g) diagonal, diagonal) of all
+    elements, on the bases `value_at` takes for them, go into one
+    `_maslov_gammas` call on the doubled space, with l the base of each e."""
+    if not es:
+        return []
+    char, space = es[0].char, es[0].space
+    if any(e.char != char or e.space != space for e in es):
+        raise DimensionMismatch("doubled factors need one character and one space")
+    n, d = space.n, space.dim
+    g_t = np.stack([e.g.mat.a.T for e in es])
+    b = np.stack([e.base.sub.basis.a for e in es])
+    graph, diagonal, doubled = np.moveaxis(_theta_triples(g_t, b), 1, 0)
+    # (1, g) moves the rows (0, b) of l + l to (0, b g^T), and the diagonal to the graph
+    moved = doubled.copy()
+    moved[:, n:, d:] = b @ g_t % space.field.p
+    four = np.stack([doubled, moved, graph, diagonal], axis=1)
+    gammas = _maslov_gammas(char, space.doubled(), four)
+    return [gamma * e.t0 for e, gamma in zip(es, gammas)]

@@ -9,14 +9,19 @@ fail with a witness; it exists to prove the harness can catch a wrong
 cocycle.
 
 A suite evaluates its cell's lifts, products and character factors as
-stacks (`split_lifts`, `mp_products`, `character_factor_table`), one call per
-cell where a loop would make one per element; the factor table bounds the
-size of each stack it evaluates.  The polygon suite does the same for its
-tuples: one stack of edge intersections shared by the predicted rank and
-disc (`predicted_rank_discs`) and the edge factors (`edge_factors`), and one
-stack of polygon forms per tuple length (`maslov_invariants`).  The single
-routes stay as the oracles they are checked against: `character_factor`,
-`character_factor_doubled`, `trace_oracle` and `closed_form_data`.
+stacks (`split_lifts`, `mp_products`, `character_factor_table`,
+`character_factors_doubled`), one call per cell where a loop would make one
+per element; the factor table bounds the size of each stack it evaluates.
+The polygon suite does the same for its tuples: one stack of edge
+intersections shared by the predicted rank and disc (`predicted_rank_discs`)
+and the edge factors (`edge_factors`), and one stack of polygon forms per
+tuple length (`maslov_invariants`).  The trace suite takes its closed forms
+from one `closed_form_data_many` call, and the structural suite its Maslov
+classes from one `check_maslov_classes` call.  The theta suite holds each
+table row to its own first entry and that entry to the stacked doubled
+factor; only the cell's last element, a random draw when samples > 0, goes
+through the single routes `character_factor` and `character_factor_doubled`,
+as the cell's independent oracle.  `trace_oracle` stays one call per element.
 
 Values built from gamma are exact (`characters`), so the polygon, cocycle and
 theta suites and the trace suite's closed-versus-factor test use `==`, and the
@@ -40,9 +45,9 @@ from .charformula import (
     _factor_trace,
     check_inverse_identity,
     check_kernel_dims,
-    check_maslov_class,
+    check_maslov_classes,
     check_transfer_isometry,
-    closed_form_data,
+    closed_form_data_many,
     diagonal_form,
 )
 from .errors import EnumerationTooLarge
@@ -60,6 +65,7 @@ from .metaplectic import (
     character_factor,
     character_factor_doubled,
     character_factor_table,
+    character_factors_doubled,
     mp_cocycles,
     mp_products,
     split_lifts,
@@ -319,8 +325,8 @@ def _suite_trace(char, space, rng, samples, max_enum, cocycle) -> _Tally:
     # both lifts' factors at the base, the Lagrangian `trace_from_factor` defaults to
     table = character_factor_table(lifts[1] + lifts[-1], [space.standard_lagrangian()])
     factors = dict(zip((1, -1), table.reshape(2, -1).tolist()))
-    for i, g in enumerate(elems):
-        k, _, closed = closed_form_data(char, g)
+    closeds = closed_form_data_many(char, space, np.stack([g.mat.a for g in elems]))
+    for i, (g, (k, _, closed)) in enumerate(zip(elems, closeds)):
         for sign in (1, -1):
             e = lifts[sign][i]
             to = trace_oracle(e)
@@ -357,10 +363,15 @@ def _suite_theta(char, space, rng, samples, max_enum, cocycle) -> _Tally:
     lags = _some_lagrangians(space, rng, samples, max_enum, len(elems))
     lifts = split_lifts(char, elems)
     table = character_factor_table(lifts, lags)
-    for g, e, row in zip(elems, lifts, table):
-        one = character_factor(e, lags[0])
+    ones = table[:, 0].tolist()
+    doubled = character_factors_doubled(lifts[:-1])
+    # the last element, a random draw when samples > 0, is held to both single
+    # routes: one oracle per cell that shares no stack with the others
+    ones[-1] = character_factor(lifts[-1], lags[0])
+    doubled.append(character_factor_doubled(lifts[-1]))
+    for g, row, one, dbl in zip(elems, table, ones, doubled):
         t.add_flag(bool(np.all(row == one)), kind="theta-constancy", g=_mat_list(g))
-        t.add_flag(one == character_factor_doubled(e), kind="theta-doubled", g=_mat_list(g))
+        t.add_flag(one == dbl, kind="theta-doubled", g=_mat_list(g))
     return t
 
 
@@ -369,11 +380,10 @@ def _suite_structural(char, space, rng, samples, max_enum, cocycle) -> _Tally:
     pairs = [(g, space.standard_lagrangian()) for g in _core_elements(space)]
     for _ in range(samples):
         pairs.append((space.random_element(rng), space.random_lagrangian(rng)))
-    for g, l in pairs:
+    dfs = [diagonal_form(g, l) for g, l in pairs]
+    for (g, l), df, maslov in zip(pairs, dfs, check_maslov_classes(char, dfs)):
         info = {"g": _mat_list(g), "l": _lag_list(l)}
-        df = diagonal_form(g, l)
-        reports = [check_kernel_dims(df), check_transfer_isometry(df),
-                   check_maslov_class(char, df)]
+        reports = [check_kernel_dims(df), check_transfer_isometry(df), maslov]
         if df.ker.dim == 0:
             reports.append(check_inverse_identity(df))
         reports.append(check_diagonal_kernel(char, df))

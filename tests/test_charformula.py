@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from weilchar.characters import AdditiveCharacter, approx_eq
 from weilchar.charformula import (
+    CheckReport,
     DiagonalForm,
     check_inverse_identity,
     check_kernel_dims,
     check_maslov_class,
+    check_maslov_classes,
     check_transfer_isometry,
     closed_form_data,
     closed_form_data_many,
@@ -21,11 +23,18 @@ from weilchar.charformula import (
     trace_closed_form,
     trace_from_factor,
 )
-from weilchar.errors import SingularGMinusOne
+from weilchar.errors import InvariantViolation, SingularGMinusOne, ZeroFormClass
 from weilchar.field import Fp, FpMatrix, RowSolver, SquareClass, Subspace
+from weilchar.maslov import Orientation, maslov_form, orientation_pairing
 from weilchar.metaplectic import split_lift
+from weilchar.quadform import witt_invariants
 from weilchar.schrodinger import trace_oracle
-from weilchar.symplectic import SymplecticSpace, displacement_disc, kernel_of_displacement
+from weilchar.symplectic import (
+    SymplecticSpace,
+    diagonal_lagrangian,
+    displacement_disc,
+    kernel_of_displacement,
+)
 from weilchar.verify import _core_elements
 
 
@@ -205,6 +214,82 @@ def test_structural_checks_fail_on_a_corrupted_form():
     assert not check_kernel_dims(wrong_ker).ok
     with pytest.raises(SingularGMinusOne):
         check_inverse_identity(wrong_ker)
+
+
+def maslov_class_reference(char, df):
+    """The one-pair maslov-class check, kept as the reference of the stacked
+    `check_maslov_classes`: single Witt invariants of the support form and of
+    maslov_form(graph, diagonal, l + l), one intersection, one pairing and
+    one closed form."""
+    g, l = df.g, df.l
+    inv_q = witt_invariants(char, df.form_space())
+    m = maslov_form(g.graph(), diagonal_lagrangian(g.space), l.doubled())
+    inv_m = witt_invariants(char, m)
+    same = inv_q.same(inv_m)
+
+    space = g.space
+    p = space.field.p
+    gm1 = (g.mat.a - np.eye(space.dim, dtype=np.int64)) % p
+    moved_l = Subspace.from_rows(space.field, space.dim, (l.sub.basis.a @ gm1.T) % p)
+    o = Orientation.default(l)
+    pair = orientation_pairing(o.transform(g), o, df.inter)
+    sign = pow(-1, l.sub.intersect(moved_l).dim, p)
+    want_disc = SquareClass.of(space.field, sign) * pair * closed_form_data(char, g)[1]
+    disc_ok = inv_q.disc == want_disc
+    ok = same and disc_ok
+    return CheckReport(
+        label="maslov-class",
+        ok=ok,
+        details={
+            "support_inv": (inv_q.rank, inv_q.disc.rep, inv_q.gamma),
+            "maslov_inv": (inv_m.rank, inv_m.disc.rep, inv_m.gamma),
+            "disc_formula": want_disc.rep,
+        },
+    )
+
+
+def reference_or_error(char, df):
+    """The reference report, or the type of the error it raises, which the
+    stacked check must raise too."""
+    try:
+        return maslov_class_reference(char, df)
+    except (InvariantViolation, ZeroFormClass) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("p,n,scale", [(5, 1, 1), (7, 1, 2), (3, 2, 1), (5, 2, 2)])
+def test_stacked_maslov_classes_equal_the_reference(p, n, scale):
+    """Over the core elements at the standard Lagrangian and random (g, l),
+    and over forms with one field swapped for another pair's or the support
+    gram scaled by a nonsquare, `check_maslov_classes` equals the reference
+    report for report, in one stack, and alone where the reference raises."""
+    f = Fp(p)
+    ch, sp = AdditiveCharacter(f, scale), SymplecticSpace(f, n)
+    rng = np.random.default_rng(41 * p + n)
+    pairs = [(g, sp.standard_lagrangian()) for g in _core_elements(sp)]
+    pairs += [(sp.random_element(rng), sp.random_lagrangian(rng)) for _ in range(8)]
+    dfs = [diagonal_form(g, l) for g, l in pairs]
+    wants = [maslov_class_reference(ch, df) for df in dfs]
+    assert all(w.ok for w in wants)
+    assert check_maslov_classes(ch, dfs) == wants
+    assert [check_maslov_class(ch, df) for df in dfs] == wants
+
+    corrupted = []
+    for i, df in enumerate(dfs):
+        other = dfs[(i + 1) % len(dfs)]
+        corrupted += [replace(df, **{fd.name: getattr(other, fd.name)}) for fd in fields(df)]
+        corrupted.append(replace(df, gram=FpMatrix(f, f.nonsquare * df.gram.a)))
+    refs = [reference_or_error(ch, df) for df in corrupted]
+    kept = [(df, ref) for df, ref in zip(corrupted, refs) if isinstance(ref, CheckReport)]
+    assert check_maslov_classes(ch, [df for df, _ in kept]) == [ref for _, ref in kept]
+    for df, ref in zip(corrupted, refs):
+        if not isinstance(ref, CheckReport):
+            with pytest.raises(ref):
+                check_maslov_classes(ch, [df])
+    # both routes raise on some swapped g, l or g l ^ l, and fail on others
+    assert any(isinstance(r, CheckReport) and not r.ok for r in refs)
+    assert any(not isinstance(r, CheckReport) for r in refs)
+    assert check_maslov_classes(ch, []) == []
 
 
 def test_inverse_identity_seeded():

@@ -335,9 +335,10 @@ def test_verify_detects_corrupted_cocycle(capsys):
 def test_failing_structural_check_exits_1_in_every_format(capsys, monkeypatch, fmt):
     """A failed maslov-class check carries complex Weil indices in its
     details; they reach the witness as {"re", "im"}, so no format crashes."""
-    check = weilchar.verify.check_maslov_class
-    monkeypatch.setattr(weilchar.verify, "check_maslov_class",
-                        lambda char, df: dataclasses.replace(check(char, df), ok=False))
+    check = weilchar.verify.check_maslov_classes
+    monkeypatch.setattr(weilchar.verify, "check_maslov_classes",
+                        lambda char, dfs: [dataclasses.replace(r, ok=False)
+                                           for r in check(char, dfs)])
     code, out, _ = run(capsys, "verify", "--p", "5", "--suites", "structural", "--format", fmt)
     assert code == 1
     if fmt == "json":
@@ -455,6 +456,18 @@ def test_negative_sampling_counts_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "must be >= 0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--p", "3"),
+    ("table", "--p", "5", "--n", "2", "--samples", "2"),
+    ("table", "--p", "3"),
+])
+def test_negative_seed_exits_2(capsys, argv):
+    """A negative seed is bad input for verify and for a sampled or an
+    exhaustive table, not an internal fault of the seed sequence."""
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert (code, out, err) == (2, "", "error: --seed must be >= 0, got -1\n")
 
 
 @pytest.mark.parametrize("fault", [ValueError, InvariantViolation])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weilchar.characters import AdditiveCharacter, approx_eq
 from weilchar.errors import ArityError, InvariantViolation
@@ -9,6 +11,7 @@ from weilchar.field import Fp, FpMatrix, RowSolver, SquareClass, Subspace
 from weilchar.maslov import (
     Orientation,
     _completions,
+    _maslov_gammas,
     edge_factors,
     lagrangian_intersections,
     maslov_form,
@@ -382,3 +385,41 @@ def test_stacked_polygon_invariants_equal_the_single_calls(cell):
         predicted_rank_discs([[Orientation.default(pool[0])]])
     with pytest.raises(ArityError):
         maslov_invariants(ch, [(pool[0],)])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 3), st.sampled_from([1, 2]),
+       st.integers(0, 2**32 - 1))
+def test_compact_polygon_stacks_equal_the_single_forms(p, n, scale, seed):
+    """Stacks of mixed nullity: random tuples of length 2 to 5 with repeated
+    Lagrangians, (l, g l) for the identity g, transverse pairs (nullity 0)
+    and the theta triple (graph g, diagonal, l + l) at g = 1 and at a random
+    g.  `_maslov_gammas` on each length's stack and `maslov_invariants` on
+    all tuples equal `witt_invariants(char, maslov_form(*lags))` bit for bit.
+    The stack of transverse pairs alone has 0 x 0 compact grams."""
+    field = Fp(p)
+    ch, sp = AdditiveCharacter(field, scale), SymplecticSpace(field, n)
+    rng = np.random.default_rng(seed)
+    pool = [sp.random_lagrangian(rng) for _ in range(3)]
+    x, y, _ = standard_three(sp)
+    g = sp.random_element(rng)
+    transverse = [(x, y), (x.transform(g), y.transform(g))]
+    tuples = list(transverse) + [(pool[0], pool[0].transform(sp.identity()))]
+    for m in (2, 3, 4, 5):
+        for _ in range(3):
+            tuples.append(tuple(pool[i] for i in rng.integers(0, len(pool), m)))
+    tuples += [(pool[1],) * 3, (pool[0], pool[1], pool[0], pool[1], pool[2])]
+    diagonal = sp.identity().graph()
+    doubled = [(h.graph(), diagonal, l.doubled()) for h in (sp.identity(), g) for l in pool[:2]]
+
+    def want(lags):
+        inv = witt_invariants(ch, maslov_form(*lags))
+        return inv.rank, inv.disc, inv.gamma
+
+    for group in [transverse, doubled] + [[t for t in tuples if len(t) == m] for m in (2, 3, 4, 5)]:
+        space = group[0][0].space
+        bases = np.array([[l.sub.basis.a for l in lags] for lags in group])
+        assert _maslov_gammas(ch, space, bases) == [want(lags)[2] for lags in group]
+    for group in (tuples, doubled):
+        got = [(inv.rank, inv.disc, inv.gamma) for inv in maslov_invariants(ch, group)]
+        assert got == [want(lags) for lags in group]

@@ -16,6 +16,7 @@ from weilchar.metaplectic import (
     character_factor,
     character_factor_doubled,
     character_factor_table,
+    character_factors_doubled,
     embed_doubled,
     mp_cocycle,
     mp_cocycles,
@@ -433,6 +434,27 @@ def test_theta_doubled_route_agrees():
     for _ in range(20):
         e = split_lift(ch, sp.random_element(rng))
         assert approx_eq(character_factor(e), character_factor_doubled(e), 1e-8)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)])
+@pytest.mark.parametrize("scale", [1, 2])
+def test_stacked_doubled_factors_equal_single_calls(p, n, scale):
+    """Both lifts of the core and random elements, and lifts rebased off
+    the standard Lagrangian, in one stack: each stacked doubled factor is
+    `==` the single route's."""
+    f = Fp(p)
+    ch, sp = AdditiveCharacter(f, scale), SymplecticSpace(f, n)
+    rng = np.random.default_rng(37 * p + n)
+    gs = _core_elements(sp) + [sp.random_element(rng) for _ in range(4)]
+    es = [e for sign in (1, -1) for e in split_lifts(ch, gs, sign=sign)]
+    rebase = sp.random_lagrangian(rng)
+    es += [e.rebased(rebase) for e in es[len(gs) - 2:len(gs) + 2]]
+    assert character_factors_doubled(es) == [character_factor_doubled(e) for e in es]
+    assert character_factors_doubled([]) == []
+    with pytest.raises(DimensionMismatch):
+        character_factors_doubled([es[0], split_lift(AdditiveCharacter(f, 3 - scale), gs[1])])
+    with pytest.raises(DimensionMismatch):
+        character_factors_doubled([es[0], split_lift(ch, SymplecticSpace(f, n + 1).identity())])
 
 
 def test_embed_doubled_is_homomorphism():

@@ -172,6 +172,26 @@ def test_factor_table_without_the_lift_move_fails_the_theta_suite(monkeypatch):
             assert r.ok and r.checked > 0, (p, n, r.suite, r.witness)
 
 
+def test_negated_stacked_doubled_factor_fails_the_theta_suite(monkeypatch):
+    """Negating the stacked doubled factor of the second element, which is
+    not the cell's single-route oracle, must fail theta's doubled check; no
+    other suite reads the doubled route."""
+    stacked = verify.character_factors_doubled
+
+    def negated(es):
+        out = stacked(es)
+        out[1] = -out[1]
+        return out
+
+    monkeypatch.setattr(verify, "character_factors_doubled", negated)
+    for p, n in ((5, 1), (3, 2)):
+        by_suite = {r.suite: r for r in run_verification([p], [n], seed=1, samples=5)}
+        r = by_suite.pop("theta")
+        assert (r.failed, r.witness["kind"]) == (1, "theta-doubled"), (p, n)
+        for r in by_suite.values():
+            assert r.ok and r.checked > 0, (p, n, r.suite, r.witness)
+
+
 def test_samples_zero_still_checks_structural_cores():
     results = run_verification([5], [1], seed=0, samples=0)
     for r in results:
