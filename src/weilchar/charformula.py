@@ -22,6 +22,8 @@ form lives on l ^ (g-1)V.  The structural checks of this module tie their
 dimensions, Witt invariants and transfer isometry to closed formulas.  They
 take one `DiagonalForm` per (g, l), which also carries ker(g - 1) and
 g l ^ l, so each pair's form and subspaces are built once for all checks.
+`diagonal_forms` builds the forms of many pairs from stacked solvers and
+null spaces, each equal to the one-pair `diagonal_form`.
 `check_maslov_classes` checks the Witt data of many forms from stacked
 calls, one per quantity; `check_maslov_class` is its one-element call, and
 the tests keep the one-pair route as the reference the stack is held to.
@@ -43,9 +45,11 @@ from .field import (
     SquareClass,
     Subspace,
     _eliminate_many,
+    _null_rows_many,
     _null_space,
     _rank_det,
     _rank_dets_many,
+    _solvers_many,
 )
 from .maslov import Orientation, _polygon_rank_dets, orientation_pairings
 from .metaplectic import MpElement, _theta_triples, character_factor
@@ -141,6 +145,123 @@ def diagonal_form(g: SpElement, l: Lagrangian) -> DiagonalForm:
     )
 
 
+def _kernel_rows(stack: np.ndarray, field) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, free) for a (B, r, c) stack: the rref basis `FpMatrix.kernel`
+    gives for each matrix, as the rows rows[b][free[b]] of a (B, c, c) stack
+    whose other rows are zero, pivoted at the columns where free[b] is set.
+
+    `_null_rows_many` of the stack with its columns reversed, reversed along
+    both axes, is that basis padded in place: reversal is the same map
+    `FpMatrix.kernel` applies to `_null_space`, row by row.
+    """
+    rows = _null_rows_many(stack[:, :, ::-1], field)[:, ::-1, ::-1]
+    return rows, np.diagonal(rows, axis1=1, axis2=2) == 1
+
+
+def _subspaces(field, rows: np.ndarray, free: np.ndarray, pivots=None) -> list[Subspace]:
+    """The subspaces of F_p^c spanned by rows[b][free[b]], a (B, c', c) stack
+    of rref bases in place; each pivots at pivots[b][free[b]], or at the
+    columns free[b] when pivots is None."""
+    ambient = rows.shape[2]
+    if pivots is None:
+        pivots = np.broadcast_to(np.arange(rows.shape[1]), free.shape)
+    return [Subspace(field, ambient, FpMatrix(field, r[m]), tuple(c[m].tolist()))
+            for r, m, c in zip(rows, free, pivots)]
+
+
+def diagonal_forms(gs: Sequence[SpElement], ls: Sequence[Lagrangian]) -> list[DiagonalForm]:
+    """`diagonal_form(g, l)` for every pair (gs[i], ls[i]) of one space,
+    each equal to it field by field (`==`), with the same rref bases.
+
+    One `_solvers_many` solves S = [g bl; bl; (g-1) bl] and (g-1)^T, the
+    latter padded with n zero rows, which add zero columns to its solution
+    map and leave its syndrome as it is.  One `_null_rows_many` gives the
+    supports, ker(g - 1), and the combinations c of bl with c bl in (g-1)V
+    and with c bl in g l, which is form(c bl, g bl) = 0 because g l is
+    Lagrangian.  For c in rref, c bl is in rref too: bl has unit columns at
+    its pivots P, so c bl has unit columns at P[Q] for the pivots Q of c,
+    and zeros left of them.  So l ^ (g-1)V and g l ^ l take no further
+    elimination.
+    """
+    if len(gs) != len(ls):
+        raise DimensionMismatch("need one Lagrangian per element")
+    if not gs:
+        return []
+    space = gs[0].space
+    if any(g.space != space for g in gs) or any(l.space != space for l in ls):
+        raise DimensionMismatch("Lagrangian not in g's space")
+    field, n, d = space.field, space.n, space.dim
+    p = field.p
+    form = space.gram.a
+    nb = len(gs)
+    mats = np.stack([g.mat.a for g in gs])
+    gm1 = (mats - np.eye(d, dtype=np.int64)) % p
+    gm1_t = gm1.swapaxes(1, 2)
+    bl = np.stack([l.sub.basis.a for l in ls])
+    lpiv = np.array([l.sub.pivots for l in ls]).reshape(nb, n)
+    gbl = bl @ mats.swapaxes(1, 2) % p
+    systems = np.zeros((2, nb, 3 * n, d), dtype=np.int64)
+    systems[0] = np.concatenate([gbl, bl, bl @ gm1_t % p], axis=1)
+    systems[1, :, :d] = gm1_t
+    sol, syn, _ = _solvers_many(systems.reshape(2 * nb, 3 * n, d), field)
+
+    # the constraints of four kernels in one stack, zero-padded to d + n rows
+    # and d columns: the support, where (g-1)x has zero syndrome modulo S
+    # and x ranges over coset reps of l; ker(g - 1); the c with c bl of zero
+    # syndrome modulo (g-1)^T, for l ^ (g-1)V; and the c with
+    # c bl J (g bl)^T = 0, for g l ^ l.  A zero column adds a free unit row
+    # at its own index, so the kernels in c are the first n rows and columns.
+    cons = np.zeros((4, nb, d + n, d), dtype=np.int64)
+    cons[0, :, :d] = syn[:nb].swapaxes(1, 2) @ gm1 % p
+    cons[0, np.arange(nb)[:, None], d + np.arange(n), lpiv] = 1
+    cons[1, :, :d] = gm1
+    cons[2, :, :d, :n] = (bl @ syn[nb:] % p).swapaxes(1, 2)
+    cons[3, :, :n, :n] = gbl @ form.T @ bl.swapaxes(1, 2) % p
+    rows, free = _kernel_rows(cons.reshape(4 * nb, d + n, d), field)
+    sup, ker = rows[:nb], rows[nb:2 * nb]
+    spans = rows[2 * nb:, :n, :n] @ np.concatenate([bl, bl]) % p
+    dual, inter = spans[:nb], spans[nb:]
+    sup_free, cfree = free[:nb], free[2 * nb:, :n]
+
+    # decompose (g-1)x = g a + b + (g-1)c with a, b, c in l; q(x, y) = form(a+b, y)
+    moved = sup @ gm1_t % p
+    if np.any(moved @ syn[:nb] % p):
+        raise InvariantViolation("support vector has no decomposition")
+    y = moved @ sol[:nb] % p
+    transfer = (y[:, :, :n] + y[:, :, n:2 * n]) @ bl % p
+    gram = transfer @ form @ sup.swapaxes(1, 2) % p
+    if np.any((gram - gram.swapaxes(1, 2)) % p):
+        raise InvariantViolation("support form is not symmetric")
+
+    # dual: q'(a, b) = form(a, y) with b = (g-1)y
+    pre = dual @ sol[nb:, :, :d] % p
+    if np.any(dual @ syn[nb:] % p):
+        raise InvariantViolation("dual support vector is outside (g-1)V")
+    dual_gram = dual @ form @ pre.swapaxes(1, 2) % p
+    if np.any((dual_gram - dual_gram.swapaxes(1, 2)) % p):
+        raise InvariantViolation("dual form is not symmetric")
+
+    supports = _subspaces(field, sup, sup_free)
+    kers = _subspaces(field, ker, free[nb:2 * nb])
+    duals = _subspaces(field, dual, cfree[:nb], lpiv)
+    inters = _subspaces(field, inter, cfree[nb:], lpiv)
+    return [
+        DiagonalForm(
+            g=g,
+            l=l,
+            support=support,
+            gram=FpMatrix(field, gm[m][:, m]),
+            transfer=FpMatrix(field, tr[m]),
+            dual_support=dual_support,
+            dual_gram=FpMatrix(field, dg[dm][:, dm]),
+            ker=k,
+            inter=i,
+        )
+        for g, l, support, m, gm, tr, dual_support, dm, dg, k, i in zip(
+            gs, ls, supports, sup_free, gram, transfer, duals, cfree[:nb], dual_gram, kers, inters)
+    ]
+
+
 def _displacement_grams(mats: np.ndarray, gram: np.ndarray, p: int) -> np.ndarray:
     """(g - 1)^T J for each g of a (..., d, d) array: entry (i, j) is form((g-1)e_i, e_j)."""
     return (np.swapaxes(mats, -1, -2) - np.eye(gram.shape[0], dtype=np.int64)) @ gram % p
@@ -206,10 +327,11 @@ class CheckReport:
 
 
 def check_kernel_dims(df: DiagonalForm) -> CheckReport:
-    """Radical and rank of the support form against their closed formulas."""
+    """Radical and rank of the support form against their closed formulas.
+    dim(l ^ ker(g - 1)) is dim l + dim ker(g - 1) - rank [l; ker(g - 1)]."""
     n = df.g.space.n
     ker = df.ker
-    lker = df.l.sub.intersect(ker).dim
+    lker = n + ker.dim - FpMatrix(ker.field, np.vstack([df.l.sub.basis.a, ker.basis.a])).rank()
     q = df.form_space()
     want_rad = ker.dim - lker
     want_rank = n - ker.dim - df.inter.dim + 2 * lker

@@ -393,6 +393,32 @@ def _null_rows_many(stack: np.ndarray, field: Fp) -> np.ndarray:
     return rows % field.p
 
 
+def _solvers_many(stack: np.ndarray, field: Fp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The `RowSolver` of every matrix M of a (B, r, c) stack, from one
+    `_eliminate_many` of the stack of [M^T | I]: (solutions, syndromes,
+    ranks), with solutions (B, c, r) and syndromes (B, c, c).
+
+    Each solution equals `RowSolver(M).solution`, and the first c - rank
+    columns of each syndrome equal `RowSolver(M).syndrome`; its other
+    columns are zero, so d @ syndrome = 0 still holds exactly when d is in
+    the row space of M.
+    """
+    nb, r, c = stack.shape
+    eye = np.broadcast_to(np.eye(c, dtype=np.int64), (nb, c, c))
+    red, pivots, _, _ = _eliminate_many(np.concatenate([stack.swapaxes(1, 2), eye], axis=2), field)
+    pivots = pivots[:, :r]
+    ranks = pivots.sum(axis=1)
+    solutions = np.zeros((nb, c, r), dtype=np.int64)
+    b, k = np.nonzero(pivots)
+    # the pivot of column k sits in row (number of pivots up to k) - 1
+    solutions[b, :, k] = red[b, np.cumsum(pivots, axis=1)[b, k] - 1, r:]
+    # row rank + i of the tableau is syndrome column i, for i < c - rank
+    at = np.arange(c)
+    rows = red[np.arange(nb)[:, None], (at + ranks[:, None]) % c, r:]
+    syndromes = (rows * (at < c - ranks[:, None])[:, :, None]).swapaxes(1, 2)
+    return solutions, syndromes, ranks
+
+
 class RowSolver:
     """Solves y @ M = d over F_p for a fixed (r, c) matrix M and many d.
 
@@ -400,7 +426,8 @@ class RowSolver:
     [T M^T | T].  Its first rank rows give y at the pivot columns, scattered
     once into the (c, r) `solution`, y = d @ solution.  Its other rows span
     the left null space of M^T: d @ syndrome = 0 for their (c, c - rank)
-    transpose exactly when d is in the row space of M.
+    transpose exactly when d is in the row space of M.  `_solvers_many` is
+    its stacked twin.
     """
 
     __slots__ = ("field", "solution", "syndrome", "rank")

@@ -38,9 +38,46 @@ The first two have the one-element calls `split_lift` and
 `MpElement.__mul__`; `character_factor` is the table's single-route oracle
 and `character_factor_doubled` the doubled stack's.  The verify suites
 evaluate each cell's lifts, products and factors through the stacks, and
-the theta suite keeps both single routes for one element per cell.  The
-factor table cuts its (element, Lagrangian) pairs into stacks of at most
-`_FACTOR_STACK` pairs, so its peak memory does not grow with the table.
+the theta suite keeps both single routes for one element per cell.
+
+The factor table evaluates t(l) gamma(tau(graph(g), diagonal, l + l)) for
+every (e, l) pair without the polygon forms of `maslov`, whose null spaces
+are those of 6n and 4n stacked basis rows per pair.  It solves the systems
+of an element once per stack and takes each pair's form on a section of
+at most 2n vectors that leaves out only radical directions, so the Weil
+index is the same.  With bl the rref basis of l, M = g^T - 1,
+F = J (g - 1) and x, y rows:
+
+- Triple.  The null rows (a, b, c1, c2) of [graph; diagonal; l + l] have
+  b = -a - c1 bl and a M = (c1 - c2) bl, and the doubled gram diag(-J, J)
+  makes Kashiwara's form q = form(x2, x1) = -(a + c1 bl) F a^T.  A row
+  with c1 = c2 = 0 has a g^T = a, so a J (g - 1) = 0 and F a^T = 0: it is
+  radical.  The rest is spanned by (c1 = e_i, c2 = e_i, a = 0) and by
+  (c1 = 0, c2 = -delta, a = delta bl Sol_M) for delta in the left null
+  space of bl Syn_M, the delta with delta bl in the row space of M.  Sol_M
+  and Syn_M are the solution map and syndrome of M.  The gram there is
+  [[0, -1/2 bl F a^T], [^T, -1/2 a (F + F^T) a^T]].
+- Four-gon (base, g base, g l, l).  With x4 = -(x1 + x2 + x3) in l, q =
+  form(x2, x1) + form(x3, x1 + x2), and a row with x3 = x4 = 0 has
+  x1 = -x2 in base ^ g base, where the form vanishes: radical.  For
+  U = [b; b g^T] and w in the left null space of [bl g^T; bl] Syn_U,
+  y = w [bl g^T; bl] = x3 + x4 is in the row space of U, and
+  (a1, a2) = -y Sol_U gives x1 + x2 = -y.  The gram on those w is
+  1/2 (A + A^T) with A = x2 J x1^T - x3 J y^T.
+
+A stack of pairs takes one `_solvers_many` of its elements' M and U, one
+`_null_rows_many` of both null spaces, and one `_rank_dets_many` of both
+2n x 2n gram stacks.  The stacks hold at most `_FACTOR_STACK` pairs, so
+peak memory does not grow with the table.  On 2 cores with Python 3.11
+the time per pair at (3, 3) is about 25 us at 200 and 300 pairs per stack
+and 22 us from 500 up, while peak RSS grows with the stack: the theta
+suite on every Lagrangian of (3, 3) with 17 elements peaks at 38.5, 39.1,
+40.7 and 44.4 MB at 200, 300, 500 and 1000 pairs, and the six cells of
+the `verify-sweep` benchmark, both seeds in one process, at 39.0, 39.2
+and 39.9 MB at 200, 300 and 500 pairs, against 39.1 MB for the polygon
+forms in 200-pair stacks.  200 keeps that peak; the extra stacks cost
+those cells under 1 % of their time.
+`character_factors_doubled` cuts its elements by the same bound.
 
 Every lift value is exact, so elements compare and hash exactly, by
 (character, g, base, t0).
@@ -54,9 +91,9 @@ import numpy as np
 
 from .characters import AdditiveCharacter
 from .errors import DimensionMismatch
-from .field import FpMatrix, _eliminate_many
+from .field import FpMatrix, _eliminate_many, _null_rows_many, _rank_dets_many, _solvers_many
 from .maslov import _bases_form, _maslov_gammas, maslov_gamma
-from .quadform import _phase, weil_index
+from .quadform import _gamma_values, _phase, weil_index
 from .symplectic import (
     Lagrangian,
     SpElement,
@@ -65,11 +102,9 @@ from .symplectic import (
     standard_gram,
 )
 
-# Most (element, Lagrangian) pairs in one stack of `character_factor_table`.
-# On 2 cores with Python 3.11, the factor time per pair stops falling from
-# about 150 pairs per stack up, near 40 us per pair at (3, 2), while a
-# stack's peak memory grows by about 5 kB per pair at n = 2: one stack per
-# cell took 250 MB in the theta suite at (3, 3), 200 pairs 40 MB.
+# Most (element, Lagrangian) pairs in one stack of `character_factor_table`,
+# and most elements in one stack of `character_factors_doubled`.  See the
+# module docstring for how it was chosen.
 _FACTOR_STACK = 200
 
 
@@ -347,14 +382,39 @@ def _theta_triples(g_t: np.ndarray, bl: np.ndarray) -> np.ndarray:
     return out
 
 
+def _triple_grams(bl: np.ndarray, alpha: np.ndarray, f: np.ndarray, field) -> np.ndarray:
+    """The (B, 2n, 2n) grams [[0, -1/2 bl F a^T], [^T, -1/2 a (F + F^T) a^T]]
+    of the Kashiwara form of (graph(g), diagonal, l + l) on the section of
+    the module docstring, for stacks of bl, of the rows alpha of its delta
+    part and of F = J (g - 1)."""
+    p = field.p
+    nb, n, _ = bl.shape
+    a_t = alpha.swapaxes(1, 2)
+    out = np.zeros((nb, 2 * n, 2 * n), dtype=np.int64)
+    out[:, :n, n:] = -field.half * (bl @ f % p @ a_t) % p
+    out[:, n:, :n] = out[:, :n, n:].swapaxes(1, 2)
+    out[:, n:, n:] = -field.half * (alpha @ ((f + f.swapaxes(1, 2)) % p) % p @ a_t) % p
+    return out
+
+
+def _fourgon_grams(x1: np.ndarray, x2: np.ndarray, x3: np.ndarray, y: np.ndarray,
+                   form: np.ndarray, field) -> np.ndarray:
+    """The grams 1/2 (A + A^T), A = x2 J x1^T - x3 J y^T, of the four-gon
+    form form(x2, x1) + form(x3, x1 + x2) on rows with x1 + x2 = -y."""
+    p = field.p
+    a = (x2 @ form % p @ x1.swapaxes(1, 2) - x3 @ form % p @ y.swapaxes(1, 2)) % p
+    return field.half * (a + a.swapaxes(1, 2)) % p
+
+
 def character_factor_table(es: Sequence[MpElement], lags: Sequence[Lagrangian]) -> np.ndarray:
     """The (E, L) array of `character_factor(e, l)` for e in es and l in
     lags, each equal to it (`==`).
 
-    The (e, l) pairs are cut into stacks of at most `_FACTOR_STACK`, and the
-    (graph, diagonal, l + l) and (base, g base, g l, l) forms of a stack are
-    each built, reduced and evaluated in one `_maslov_gammas` call; g base
-    takes the moved basis of base as it is.
+    The (e, l) pairs are cut into stacks of at most `_FACTOR_STACK`.  A
+    stack solves the systems of its elements, g^T - 1 and [b; b g^T], in
+    one `_solvers_many`, takes the null spaces of its pairs in one
+    `_null_rows_many`, and reduces the 2n x 2n grams of the triple and the
+    four-gon of every pair (module docstring) in one `_rank_dets_many`.
     """
     out = np.zeros((len(es), len(lags)), dtype=complex)
     if not es or not lags:
@@ -364,24 +424,52 @@ def character_factor_table(es: Sequence[MpElement], lags: Sequence[Lagrangian]) 
         raise DimensionMismatch("factor table needs one character and one space")
     if any(l.space != space for l in lags):
         raise DimensionMismatch("Lagrangian not in g's space")
-    p = space.field.p
-    g_t = np.stack([e.g.mat.a.T for e in es])
+    field, n, d = space.field, space.n, space.dim
+    p = field.p
+    form = space.gram.a
+    eye = np.eye(d, dtype=np.int64)
+    mats = np.stack([e.g.mat.a for e in es])
     base = np.stack([e.base.sub.basis.a for e in es])
-    ends = np.stack([base, base @ g_t % p], axis=1)
-    t0 = [e.t0 for e in es]
+    t0 = np.array([e.t0 for e in es])
     b = np.stack([l.sub.basis.a for l in lags])
     pairs = len(es) * len(lags)
     for start in range(0, pairs, _FACTOR_STACK):
         ei, li = np.divmod(np.arange(start, min(start + _FACTOR_STACK, pairs)), len(lags))
+        k = len(ei)
+        # the elements of the stack, once each: g^T - 1 and U = [b; b g^T]
+        first = ei[0]
+        g = mats[first:ei[-1] + 1]
+        g_t = g.swapaxes(1, 2)
+        b0 = base[first:ei[-1] + 1]
+        gb0 = b0 @ g_t % p
+        sol, syn, _ = _solvers_many(np.concatenate([g_t - eye, np.concatenate([b0, gb0], axis=1)]),
+                                    field)
+        m = len(g)
+        at = ei - first
         bl = b[li]
-        gammas = _maslov_gammas(char, space.doubled(), _theta_triples(g_t[ei], bl))
-        four = np.concatenate([ends[ei], (bl @ g_t[ei] % p)[:, None], bl[:, None]], axis=1)
-        # At l = base the form of (base, g base, g base, base) is zero, since
-        # q = form(x2 + x3, x1 - x4) = -form(x1 + x4, x1 - x4) = 0 on x1, x4 in base;
-        # its index is exactly 1 + 0j, so t(base) = t0 needs no special case.
-        moves = _maslov_gammas(char, space, four)
-        for i, j, t, gamma in zip(ei, li, moves, gammas):
-            out[i, j] = t * t0[i] * gamma
+        blg = bl @ g_t[at] % p
+        z = np.concatenate([blg, bl], axis=1)
+        # delta in the left null of bl Syn_M, zero-padded to 2n columns, and
+        # w in the left null of [bl g^T; bl] Syn_U, in one stack
+        cons = np.zeros((2 * k, d, 2 * n), dtype=np.int64)
+        cons[:k, :, :n] = (bl @ syn[:m][at] % p).swapaxes(1, 2)
+        cons[k:] = (z @ syn[m:][at] % p).swapaxes(1, 2)
+        null = _null_rows_many(cons, field)
+        alpha = null[:k, :n, :n] @ (bl @ sol[:m][at] % p) % p
+        f = form @ (g - eye) % p
+        w = null[k:]
+        y = w @ z % p
+        coefs = -y @ sol[m:][at] % p
+        x1 = coefs[:, :, :n] @ b0[at] % p
+        x2 = coefs[:, :, n:] @ gb0[at] % p
+        x3 = w[:, :, :n] @ blg % p
+        # At l = base the four-gon form is zero, since q = form(x2 + x3, x1 - x4)
+        # = -form(x1 + x4, x1 - x4) = 0 on x1, x4 in base; so is its gram on any
+        # section, whose index is exactly 1 + 0j: t(base) = t0 needs no special case.
+        grams = np.concatenate([_triple_grams(bl, alpha, f[at], field),
+                                _fourgon_grams(x1, x2, x3, y, form, field)])
+        gammas = _gamma_values(char, *_rank_dets_many(grams, field))
+        out[ei, li] = gammas[k:] * t0[ei] * gammas[:k]
     return out
 
 
@@ -396,21 +484,25 @@ def character_factor_doubled(e: MpElement) -> complex:
 def character_factors_doubled(es: Sequence[MpElement]) -> list[complex]:
     """`character_factor_doubled(e)` for every e of es, each equal to it (`==`).
 
-    The four-gons (l + l, (1, g)(l + l), (1, g) diagonal, diagonal) of all
+    The four-gons (l + l, (1, g)(l + l), (1, g) diagonal, diagonal) of the
     elements, on the bases `value_at` takes for them, go into one
-    `_maslov_gammas` call on the doubled space, with l the base of each e."""
+    `_maslov_gammas` call on the doubled space per stack of at most
+    `_FACTOR_STACK` elements, with l the base of each e."""
     if not es:
         return []
     char, space = es[0].char, es[0].space
     if any(e.char != char or e.space != space for e in es):
         raise DimensionMismatch("doubled factors need one character and one space")
     n, d = space.n, space.dim
-    g_t = np.stack([e.g.mat.a.T for e in es])
-    b = np.stack([e.base.sub.basis.a for e in es])
-    graph, diagonal, doubled = np.moveaxis(_theta_triples(g_t, b), 1, 0)
-    # (1, g) moves the rows (0, b) of l + l to (0, b g^T), and the diagonal to the graph
-    moved = doubled.copy()
-    moved[:, n:, d:] = b @ g_t % space.field.p
-    four = np.stack([doubled, moved, graph, diagonal], axis=1)
-    gammas = _maslov_gammas(char, space.doubled(), four)
+    gammas = []
+    for start in range(0, len(es), _FACTOR_STACK):
+        part = es[start:start + _FACTOR_STACK]
+        g_t = np.stack([e.g.mat.a.T for e in part])
+        b = np.stack([e.base.sub.basis.a for e in part])
+        graph, diagonal, doubled = np.moveaxis(_theta_triples(g_t, b), 1, 0)
+        # (1, g) moves the rows (0, b) of l + l to (0, b g^T), and the diagonal to the graph
+        moved = doubled.copy()
+        moved[:, n:, d:] = b @ g_t % space.field.p
+        four = np.stack([doubled, moved, graph, diagonal], axis=1)
+        gammas += _maslov_gammas(char, space.doubled(), four)
     return [gamma * e.t0 for e, gamma in zip(es, gammas)]

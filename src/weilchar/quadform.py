@@ -14,7 +14,7 @@ index is gamma(1)^(r-1) * gamma(d), and 1 when r = 0.  Both factors are one
 of +1, -1, +i, -i (`characters`), so the index is exact.  `_gammas_of`
 turns the (rank, det) pairs of a whole stack of grams, from
 `field._rank_dets_many`, into Weil indices, reading gamma once per (rank,
-square class).
+square class); `_gamma_values` gives them as an array.
 
 `diagonal_transform` keeps an explicit congruence to a diagonal form.  It
 splits off one anisotropic vector v at a time and keeps the part of the span
@@ -170,18 +170,22 @@ def weil_index(char: AdditiveCharacter, q: QuadraticSpace) -> complex:
     return _gamma_of(char, *q._rank_det())
 
 
+def _gamma_values(char: AdditiveCharacter, ranks: np.ndarray, dets: np.ndarray) -> np.ndarray:
+    """`_gamma_of` of every (rank, det) pair as a complex array, evaluated
+    once per distinct (rank, square class): the value depends on det only
+    through its class, whose representative it is read at."""
+    field = char.field
+    codes = 2 * ranks + field.squares[dets % char.p]
+    counts = np.bincount(codes)
+    table = np.zeros(len(counts), dtype=complex)
+    for c in np.flatnonzero(counts).tolist():
+        table[c] = _gamma_of(char, c // 2, 1 if c % 2 else field.nonsquare)
+    return table[codes]
+
+
 def _gammas_of(char: AdditiveCharacter, ranks: np.ndarray, dets: np.ndarray) -> list[complex]:
-    """`_gamma_of` of every (rank, det) pair, evaluated once per distinct
-    (rank, square class): the value depends on det only through its class."""
-    squares = char.field.squares[dets % char.p].tolist()
-    values: dict[tuple[int, bool], complex] = {}
-    out = []
-    for rank, det, square in zip(ranks.tolist(), dets.tolist(), squares):
-        g = values.get((rank, square))
-        if g is None:
-            g = values[rank, square] = _gamma_of(char, rank, det)
-        out.append(g)
-    return out
+    """`_gamma_values` as a list of Python complex values."""
+    return _gamma_values(char, ranks, dets).tolist()
 
 
 def weil_index_bruteforce(

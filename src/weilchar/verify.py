@@ -11,13 +11,16 @@ cocycle.
 A suite evaluates its cell's lifts, products and character factors as
 stacks (`split_lifts`, `mp_products`, `character_factor_table`,
 `character_factors_doubled`), one call per cell where a loop would make one
-per element; the factor table bounds the size of each stack it evaluates.
+per element; the factor table and the doubled factors bound the size of
+each stack they evaluate, and the theta suite's table never exceeds
+`_THETA_FACTOR_BUDGET` factors (`_some_lagrangians`).
 The polygon suite does the same for its tuples: one stack of edge
 intersections shared by the predicted rank and disc (`predicted_rank_discs`)
 and the edge factors (`edge_factors`), and one stack of polygon forms per
 tuple length (`maslov_invariants`).  The trace suite takes its closed forms
-from one `closed_form_data_many` call, and the structural suite its Maslov
-classes from one `check_maslov_classes` call.  The theta suite holds each
+from one `closed_form_data_many` call, and the structural suite its forms
+from one `diagonal_forms` call and its Maslov classes from one
+`check_maslov_classes` call.  The theta suite holds each
 table row to its own first entry and that entry to the stacked doubled
 factor; only the cell's last element, a random draw when samples > 0, goes
 through the single routes `character_factor` and `character_factor_doubled`,
@@ -48,7 +51,7 @@ from .charformula import (
     check_maslov_classes,
     check_transfer_isometry,
     closed_form_data_many,
-    diagonal_form,
+    diagonal_forms,
 )
 from .errors import EnumerationTooLarge
 from .field import Fp, FpMatrix
@@ -75,8 +78,7 @@ from .quadform import QuadraticSpace, weil_index, weil_index_bruteforce
 from .schrodinger import MAX_REP_DIM, check_diagonal_kernel, intertwiner, trace_oracle, weil_operator
 from .symplectic import LAGRANGIAN_CAP, Lagrangian, SpElement, SymplecticSpace
 
-# most character factors (Lagrangians x elements) the theta suite evaluates when
-# it enumerates every Lagrangian
+# most character factors (Lagrangians x elements) the theta suite evaluates
 _THETA_FACTOR_BUDGET = 20_000
 
 
@@ -191,12 +193,22 @@ def _some_lagrangians(
     space: SymplecticSpace, rng, samples: int, max_enum: int, n_elems: int
 ) -> list[Lagrangian]:
     """Every Lagrangian when the n_elems * count character factors the theta
-    suite then evaluates fit the budget, else the standard three and samples."""
-    if space.lagrangian_count() * n_elems <= min(max_enum, _THETA_FACTOR_BUDGET):
+    suite then evaluates fit the budget.  Past it, distinct Lagrangians, as
+    many as fit the budget but no more than the standard three and
+    max(samples, 3) draws: the standard three first, then random draws that
+    skip repeats.  One Lagrangian at least, when n_elems alone exceeds it."""
+    budget = min(max_enum, _THETA_FACTOR_BUDGET)
+    count = space.lagrangian_count()
+    if count * n_elems <= budget:
         return list(space.all_lagrangians())
-    out = _standard_lagrangians(space)
-    for _ in range(max(samples, 3)):
-        out.append(space.random_lagrangian(rng))
+    want = max(1, min(count, budget // n_elems, 3 + max(samples, 3)))
+    out = _standard_lagrangians(space)[:want]
+    seen = set(out)
+    while len(out) < want:
+        l = space.random_lagrangian(rng)
+        if l not in seen:
+            seen.add(l)
+            out.append(l)
     return out
 
 
@@ -380,7 +392,7 @@ def _suite_structural(char, space, rng, samples, max_enum, cocycle) -> _Tally:
     pairs = [(g, space.standard_lagrangian()) for g in _core_elements(space)]
     for _ in range(samples):
         pairs.append((space.random_element(rng), space.random_lagrangian(rng)))
-    dfs = [diagonal_form(g, l) for g, l in pairs]
+    dfs = diagonal_forms([g for g, _ in pairs], [l for _, l in pairs])
     for (g, l), df, maslov in zip(pairs, dfs, check_maslov_classes(char, dfs)):
         info = {"g": _mat_list(g), "l": _lag_list(l)}
         reports = [check_kernel_dims(df), check_transfer_isometry(df), maslov]

@@ -20,10 +20,16 @@ from weilchar.charformula import (
     closed_form_data,
     closed_form_data_many,
     diagonal_form,
+    diagonal_forms,
     trace_closed_form,
     trace_from_factor,
 )
-from weilchar.errors import InvariantViolation, SingularGMinusOne, ZeroFormClass
+from weilchar.errors import (
+    DimensionMismatch,
+    InvariantViolation,
+    SingularGMinusOne,
+    ZeroFormClass,
+)
 from weilchar.field import Fp, FpMatrix, RowSolver, SquareClass, Subspace
 from weilchar.maslov import Orientation, maslov_form, orientation_pairing
 from weilchar.metaplectic import split_lift
@@ -157,6 +163,40 @@ def test_diagonal_form_equals_the_sum_route(p, n):
         assert got.dual_support.pivots == want.dual_support.pivots
         kers.add(got.ker.dim)
     assert 0 in kers and sp.dim in kers
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
+def test_stacked_diagonal_forms_equal_single_forms(p, n):
+    """`diagonal_forms` equals `diagonal_form` field by field, with the same
+    pivots, in one stack: the identity, the transvections and the other core
+    elements at the standard and at random Lagrangians, -1, and random
+    pairs; at n = 1 every element at every Lagrangian."""
+    ch, sp = setup(p, n)
+    rng = np.random.default_rng(43 * p + n)
+    std = sp.standard_lagrangian()
+    minus_one = sp.element(-np.eye(sp.dim, dtype=np.int64))
+    core = _core_elements(sp)
+    pairs = [(g, std) for g in core] + [(g, sp.random_lagrangian(rng)) for g in core]
+    pairs += [(minus_one, std), (minus_one, sp.random_lagrangian(rng))]
+    pairs += [(sp.random_element(rng), sp.random_lagrangian(rng)) for _ in range(30)]
+    if n == 1:
+        pairs += [(g, l) for g in sp.elements() for l in sp.all_lagrangians()]
+    got = diagonal_forms([g for g, _ in pairs], [l for _, l in pairs])
+    assert len(got) == len(pairs)
+    kers = set()
+    for df, (g, l) in zip(got, pairs):
+        want = diagonal_form(g, l)
+        for f in fields(DiagonalForm):
+            assert getattr(df, f.name) == getattr(want, f.name), f.name
+        for name in ("support", "dual_support", "ker", "inter"):
+            assert getattr(df, name).pivots == getattr(want, name).pivots, name
+        kers.add(df.ker.dim)
+    assert 0 in kers and sp.dim in kers
+    assert diagonal_forms([], []) == []
+    with pytest.raises(DimensionMismatch):
+        diagonal_forms(core[:2], [std])
+    with pytest.raises(DimensionMismatch):
+        diagonal_forms(core[:1], [SymplecticSpace(sp.field, n + 1).standard_lagrangian()])
 
 
 def test_structural_checks_sl2_exhaustive_p3():

@@ -10,9 +10,10 @@ from weilchar import metaplectic
 from weilchar.characters import AdditiveCharacter, approx_eq
 from weilchar.errors import DimensionMismatch
 from weilchar.field import Fp, Subspace
-from weilchar.maslov import Orientation, edge_factors, maslov_gamma
+from weilchar.maslov import Orientation, _maslov_gammas, edge_factors, maslov_gamma
 from weilchar.metaplectic import (
     MpElement,
+    _theta_triples,
     character_factor,
     character_factor_doubled,
     character_factor_table,
@@ -410,22 +411,108 @@ def test_factor_table_rows_equal_character_factors():
 
 def test_factor_table_stacks_are_bounded(monkeypatch):
     """At (3, 3), 5 elements times 1,120 Lagrangians go through stacks of at
-    most the bound, two `_maslov_gammas` calls per stack, covering every pair."""
+    most the bound: per stack one `_solvers_many` of its elements, one
+    `_null_rows_many` and one `_rank_dets_many` of two forms per pair,
+    covering every pair."""
     ch, sp = setup(3, 3)
     lags = sp.all_lagrangians()
     es = split_lifts(ch, _core_elements(sp))
+    seen = {name: [] for name in ("_solvers_many", "_null_rows_many", "_rank_dets_many")}
+    for name, sizes in seen.items():
+        def spy(stack, field, _call=getattr(metaplectic, name), _sizes=sizes):
+            _sizes.append(len(stack))
+            return _call(stack, field)
+        monkeypatch.setattr(metaplectic, name, spy)
+    character_factor_table(es, lags)
+    pairs = [size // 2 for size in seen["_rank_dets_many"]]
+    assert max(pairs) <= metaplectic._FACTOR_STACK
+    assert sum(pairs) == 5 * 1120
+    assert [size // 2 for size in seen["_null_rows_many"]] == pairs
+    # an element's systems are solved once per stack it reaches
+    assert len(seen["_solvers_many"]) == len(pairs)
+    assert all(size // 2 <= min(k, 5) for size, k in zip(seen["_solvers_many"], pairs))
+
+
+def test_doubled_factor_stacks_are_bounded(monkeypatch):
+    """All 1,320 elements of SL2(F_11) go through doubled stacks of at most
+    the bound, whose values equal one unbounded stack's."""
+    ch, sp = setup(11, 1)
+    es = split_lifts(ch, sp.elements())
     seen = []
     gammas = metaplectic._maslov_gammas
 
     def spy(char, space, bases):
-        seen.append((space, len(bases)))
+        seen.append(len(bases))
         return gammas(char, space, bases)
 
     monkeypatch.setattr(metaplectic, "_maslov_gammas", spy)
-    character_factor_table(es, lags)
-    assert max(size for _, size in seen) <= metaplectic._FACTOR_STACK
-    for space in (sp, sp.doubled()):
-        assert sum(size for s, size in seen if s is space) == 5 * 1120
+    got = character_factors_doubled(es)
+    stacks = len(seen)
+    assert max(seen) <= metaplectic._FACTOR_STACK < len(es) == sum(seen)
+    monkeypatch.setattr(metaplectic, "_FACTOR_STACK", len(es))
+    assert got == character_factors_doubled(es)
+    assert seen[stacks:] == [len(es)]
+
+
+def reference_factor_table(es, lags):
+    """The polygon-form reference of `character_factor_table`: the Maslov
+    forms of (graph(g), diagonal, l + l) and of (base, g base, g l, l) of
+    every pair, from `_theta_triples` and the moved bases, in one
+    `_maslov_gammas` call each per stack of 200 pairs."""
+    char, space = es[0].char, es[0].space
+    p = space.field.p
+    g_t = np.stack([e.g.mat.a.T for e in es])
+    base = np.stack([e.base.sub.basis.a for e in es])
+    ends = np.stack([base, base @ g_t % p], axis=1)
+    b = np.stack([l.sub.basis.a for l in lags])
+    out = np.zeros((len(es), len(lags)), dtype=complex)
+    pairs = len(es) * len(lags)
+    for start in range(0, pairs, 200):
+        ei, li = np.divmod(np.arange(start, min(start + 200, pairs)), len(lags))
+        bl = b[li]
+        gammas = _maslov_gammas(char, space.doubled(), _theta_triples(g_t[ei], bl))
+        four = np.concatenate([ends[ei], (bl @ g_t[ei] % p)[:, None], bl[:, None]], axis=1)
+        moves = _maslov_gammas(char, space, four)
+        for i, j, t, gamma in zip(ei, li, moves, gammas):
+            out[i, j] = t * es[i].t0 * gamma
+    return out
+
+
+def both_lifts_and_rebased(ch, gs, lags, rebased):
+    """The lifts of gs, alternately the split lift and its negative, with
+    `rebased` of them anchored at Lagrangians spread over lags."""
+    es = [e if i % 2 else -e for i, e in enumerate(split_lifts(ch, gs))]
+    step = max(len(es) // rebased, 1)
+    for k, i in enumerate(range(0, len(es), step)):
+        es[i] = es[i].rebased(lags[(7 * k + 1) % len(lags)])
+    return es
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("scale", [1, 2])
+def test_factor_table_equals_the_polygon_reference_on_sl2(p, scale):
+    """Every element of SL2(F_p) at every Lagrangian, both lifts and some
+    rebased: the table from 2n x 2n grams equals the polygon forms' (`==`)."""
+    f = Fp(p)
+    ch, sp = AdditiveCharacter(f, scale), SymplecticSpace(f, 1)
+    lags = sp.all_lagrangians()
+    es = both_lifts_and_rebased(ch, sp.elements(), lags, 12)
+    assert any(e.base != sp.standard_lagrangian() for e in es)
+    table = character_factor_table(es, lags)
+    assert np.array_equal(table, reference_factor_table(es, lags))
+
+
+def test_factor_table_equals_the_polygon_reference_on_sp4():
+    """2,074 elements of Sp4(F_3), every 25th of the group, at all 40
+    Lagrangians with psi-scale 2, both lifts and some rebased."""
+    f = Fp(3)
+    ch, sp = AdditiveCharacter(f, 2), SymplecticSpace(f, 2)
+    lags = sp.all_lagrangians()
+    gs = [sp.element(m) for m in sp.element_matrices()[::25]]
+    es = both_lifts_and_rebased(ch, gs, lags, 20)
+    assert len(es) == 2074
+    table = character_factor_table(es, lags)
+    assert np.array_equal(table, reference_factor_table(es, lags))
 
 
 def test_theta_doubled_route_agrees():

@@ -192,6 +192,64 @@ def test_negated_stacked_doubled_factor_fails_the_theta_suite(monkeypatch):
             assert r.ok and r.checked > 0, (p, n, r.suite, r.witness)
 
 
+def _theta_trace_failures(p, n):
+    results = run_verification([p], [n], seed=1, samples=5, suites=("theta", "trace"))
+    return {r.suite: (r.failed, r.witness and r.witness["kind"]) for r in results}
+
+
+def test_doubled_delta_block_fails_theta_and_trace(monkeypatch):
+    """The delta-delta block of the reduced (graph, diagonal, l + l) gram
+    without its 1/2 scales that block by 2.  Where 2 is a nonsquare (p = 3,
+    5) the theta and trace suites fail with a witness; at p = 7, where
+    2 = 3^2, diag(1/3, 3) is a congruence from the right gram to the wrong
+    one, so no check can see it."""
+    grams = metaplectic._triple_grams
+
+    def without_half(bl, alpha, f, field):
+        out = grams(bl, alpha, f, field)
+        n = bl.shape[1]
+        out[:, n:, n:] = 2 * out[:, n:, n:] % field.p
+        return out
+
+    monkeypatch.setattr(metaplectic, "_triple_grams", without_half)
+    for p, n in ((3, 1), (5, 1), (3, 2), (5, 2)):
+        got = _theta_trace_failures(p, n)
+        assert got["theta"][0] > 0 and got["theta"][1] == "theta-constancy", (p, n)
+        assert got["trace"][0] > 0 and got["trace"][1] == "three-way", (p, n)
+    assert _theta_trace_failures(7, 1) == {"theta": (0, None), "trace": (0, None)}
+
+
+def test_negated_off_diagonal_block_is_a_congruence(monkeypatch):
+    """Negating both off-diagonal blocks of the reduced triple gram is the
+    congruence by diag(-1, 1), so the factors and every check stay as they
+    are: it is no fault."""
+    grams = metaplectic._triple_grams
+
+    def negated(bl, alpha, f, field):
+        out = grams(bl, alpha, f, field)
+        n = bl.shape[1]
+        out[:, :n, n:] = -out[:, :n, n:] % field.p
+        out[:, n:, :n] = -out[:, n:, :n] % field.p
+        return out
+
+    monkeypatch.setattr(metaplectic, "_triple_grams", negated)
+    for p, n in ((3, 1), (5, 2)):
+        assert _theta_trace_failures(p, n) == {"theta": (0, None), "trace": (0, None)}
+
+
+def test_four_gon_without_its_second_term_fails_theta(monkeypatch):
+    """The reduced four-gon gram without form(x3, x1 + x2), here by x3 = 0,
+    changes t(l) away from the base, which theta's constancy check sees;
+    the trace suite reads the table at the base alone."""
+    grams = metaplectic._fourgon_grams
+    monkeypatch.setattr(metaplectic, "_fourgon_grams",
+                        lambda x1, x2, x3, y, form, field: grams(x1, x2, 0 * x3, y, form, field))
+    for p, n in ((3, 1), (7, 1), (3, 2)):
+        got = _theta_trace_failures(p, n)
+        assert got["theta"][0] > 0 and got["theta"][1] == "theta-constancy", (p, n)
+        assert got["trace"] == (0, None), (p, n)
+
+
 def test_samples_zero_still_checks_structural_cores():
     results = run_verification([5], [1], seed=0, samples=0)
     for r in results:
@@ -213,6 +271,42 @@ def test_theta_enumerates_only_within_budget(p, n, samples, exhaustive):
         assert lags == sp.all_lagrangians()
     else:
         assert len(lags) == 3 + max(samples, 3)
+
+
+def test_theta_lagrangians_never_exceed_the_budget():
+    """At (3, 2), 40 Lagrangians times 500 elements fit the budget and
+    enumerate; from 501 elements on the suite takes as many distinct
+    Lagrangians as fit, the standard three first, and one when the elements
+    alone exceed it."""
+    sp = SymplecticSpace(Fp(3), 2)
+    budget = verify._THETA_FACTOR_BUDGET
+    assert 40 * 500 == budget
+    rng = np.random.default_rng(0)
+    assert _some_lagrangians(sp, rng, 495, LAGRANGIAN_CAP, 500) == sp.all_lagrangians()
+    std = verify._standard_lagrangians(sp)
+    for n_elems, want in ((501, 39), (2005, 9), (budget // 2, 2), (budget + 1, 1)):
+        lags = _some_lagrangians(sp, rng, n_elems - 5, LAGRANGIAN_CAP, n_elems)
+        assert len(lags) == len(set(lags)) == want, n_elems
+        assert lags[:3] == std[:want]
+        assert len(lags) * n_elems <= max(budget, n_elems)
+    # a smaller max_enum is a smaller budget
+    lags = _some_lagrangians(sp, rng, 5, 100, 10)
+    assert len(lags) == len(set(lags)) == 8
+
+
+def test_theta_table_stays_within_the_budget_past_its_edge(monkeypatch):
+    """With the budget cut to 400 factors, 40 Lagrangians times 10 elements
+    still enumerate at (3, 2), and 11 elements take 9 distinct Lagrangians:
+    the standard three and samples draws."""
+    monkeypatch.setattr(verify, "_THETA_FACTOR_BUDGET", 400)
+    table = verify.character_factor_table
+    shapes = []
+    monkeypatch.setattr(verify, "character_factor_table",
+                        lambda es, lags: shapes.append((len(es), len(set(lags)))) or table(es, lags))
+    for samples in (5, 6):
+        (r,) = run_verification([3], [2], seed=1, samples=samples, suites=("theta",))
+        assert r.ok and r.checked == 2 * (5 + samples)
+    assert shapes == [(10, 40), (11, 9)]
 
 
 def test_determinism_for_fixed_seed():
