@@ -22,11 +22,13 @@ form lives on l ^ (g-1)V.  The structural checks of this module tie their
 dimensions, Witt invariants and transfer isometry to closed formulas.  They
 take one `DiagonalForm` per (g, l), which also carries ker(g - 1) and
 g l ^ l, so each pair's form and subspaces are built once for all checks.
-`diagonal_forms` builds the forms of many pairs from stacked solvers and
-null spaces, each equal to the one-pair `diagonal_form`.
-`check_maslov_classes` checks the Witt data of many forms from stacked
-calls, one per quantity; `check_maslov_class` is its one-element call, and
-the tests keep the one-pair route as the reference the stack is held to.
+
+The forms and the Maslov classes each have a stacked call over many pairs,
+and the single call is its one-element form, so each has one implementation:
+`diagonal_forms` builds the forms from stacked solvers and null spaces, and
+`check_maslov_classes` the Witt data of many forms from one stacked call per
+quantity.  The tests hold each stack to an independent one-pair route, the
+forms to `diagonal_form_by_sums`, built through sums and `intersect`.
 """
 
 from __future__ import annotations
@@ -41,12 +43,10 @@ from .characters import AdditiveCharacter
 from .errors import DimensionMismatch, InvariantViolation, SingularGMinusOne
 from .field import (
     FpMatrix,
-    RowSolver,
     SquareClass,
     Subspace,
     _eliminate_many,
     _null_rows_many,
-    _null_space,
     _rank_det,
     _rank_dets_many,
     _solvers_many,
@@ -88,61 +88,8 @@ class DiagonalForm:
 
 
 def diagonal_form(g: SpElement, l: Lagrangian) -> DiagonalForm:
-    """The forms and subspaces of (g, l) from two solvers.  The solver of
-    S = [g bl; bl; (g-1) bl], whose rows span g l + l, gives the support as
-    the x with (g-1)x of zero syndrome and the decomposition of (g-1)x; the
-    solver of (g-1)^T gives l ^ (g-1)V and the preimages of its basis."""
-    if l.space != g.space:
-        raise DimensionMismatch("Lagrangian not in g's space")
-    space = g.space
-    field = space.field
-    p = field.p
-    d = space.dim
-    eye = np.eye(d, dtype=np.int64)
-    gm1 = (g.mat.a - eye) % p
-    bl = l.sub.basis.a
-    k = bl.shape[0]
-    gbl = (bl @ g.mat.a.T) % p
-    solver = RowSolver(FpMatrix(field, np.vstack([gbl, bl, (bl @ gm1.T) % p])))
-
-    # support: (g-1)x has zero syndrome modulo S, and x ranges over coset reps of l
-    cons = np.vstack([solver.syndrome.T @ gm1 % p, eye[list(l.sub.pivots)]])
-    support = FpMatrix(field, cons).kernel()
-
-    # decompose (g-1)x = g a + b + (g-1)c with a, b, c in l; q(x, y) = form(a+b, y)
-    sup = support.basis.a
-    y, ok = solver.solve_many((sup @ gm1.T) % p)
-    if not ok.all():
-        raise InvariantViolation("support vector has no decomposition")
-    transfer = ((y[:, :k] + y[:, k : 2 * k]) @ bl) % p
-    gram = (transfer @ space.gram.a @ sup.T) % p
-    if np.any((gram - gram.T) % p):
-        raise InvariantViolation("support form is not symmetric")
-
-    # dual: S' = l ^ (g-1)V, the combinations of bl with zero syndrome modulo
-    # (g-1)^T, and q'(a, b) = form(a, y) with b = (g-1)y
-    image = RowSolver(FpMatrix(field, gm1.T))
-    coefs = _null_space((bl @ image.syndrome % p).T, field)[0]
-    dual_support = Subspace.from_rows(field, d, coefs @ bl)
-    db = dual_support.basis.a
-    pre, ok = image.solve_many(db)
-    if not ok.all():
-        raise InvariantViolation("dual support vector is outside (g-1)V")
-    dual_gram = (db @ space.gram.a @ pre.T) % p
-    if np.any((dual_gram - dual_gram.T) % p):
-        raise InvariantViolation("dual form is not symmetric")
-
-    return DiagonalForm(
-        g=g,
-        l=l,
-        support=support,
-        gram=FpMatrix(field, gram),
-        transfer=FpMatrix(field, transfer),
-        dual_support=dual_support,
-        dual_gram=FpMatrix(field, dual_gram),
-        ker=kernel_of_displacement(g),
-        inter=Subspace.from_rows(field, d, gbl).intersect(l.sub),
-    )
+    """The `DiagonalForm` of (g, l): the one-element call of `diagonal_forms`."""
+    return diagonal_forms([g], [l])[0]
 
 
 def _kernel_rows(stack: np.ndarray, field) -> tuple[np.ndarray, np.ndarray]:
@@ -170,18 +117,20 @@ def _subspaces(field, rows: np.ndarray, free: np.ndarray, pivots=None) -> list[S
 
 
 def diagonal_forms(gs: Sequence[SpElement], ls: Sequence[Lagrangian]) -> list[DiagonalForm]:
-    """`diagonal_form(g, l)` for every pair (gs[i], ls[i]) of one space,
-    each equal to it field by field (`==`), with the same rref bases.
+    """The `DiagonalForm` of every pair (gs[i], ls[i]) of one space, each
+    subspace with the rref basis `Subspace.from_rows` gives it.
 
-    One `_solvers_many` solves S = [g bl; bl; (g-1) bl] and (g-1)^T, the
-    latter padded with n zero rows, which add zero columns to its solution
-    map and leave its syndrome as it is.  One `_null_rows_many` gives the
-    supports, ker(g - 1), and the combinations c of bl with c bl in (g-1)V
-    and with c bl in g l, which is form(c bl, g bl) = 0 because g l is
-    Lagrangian.  For c in rref, c bl is in rref too: bl has unit columns at
-    its pivots P, so c bl has unit columns at P[Q] for the pivots Q of c,
-    and zeros left of them.  So l ^ (g-1)V and g l ^ l take no further
-    elimination.
+    One `_solvers_many` solves S = [g bl; bl; (g-1) bl], whose rows span
+    g l + l, and (g-1)^T, the latter padded with n zero rows, which add zero
+    columns to its solution map and leave its syndrome as it is.  The
+    support is the x with (g-1)x of zero syndrome modulo S, and the solution
+    map of S decomposes (g-1)x; that of (g-1)^T gives the preimages of the
+    dual basis.  One `_null_rows_many` gives the supports, ker(g - 1), and
+    the combinations c of bl with c bl in (g-1)V and with c bl in g l, which
+    is form(c bl, g bl) = 0 because g l is Lagrangian.  For c in rref, c bl
+    is in rref too: bl has unit columns at its pivots P, so c bl has unit
+    columns at P[Q] for the pivots Q of c, and zeros left of them.  So
+    l ^ (g-1)V and g l ^ l take no further elimination.
     """
     if len(gs) != len(ls):
         raise DimensionMismatch("need one Lagrangian per element")

@@ -15,9 +15,9 @@ from weilchar.characters import AdditiveCharacter
 from weilchar.charformula import (
     check_inverse_identity,
     check_kernel_dims,
-    check_maslov_class,
+    check_maslov_classes,
     check_transfer_isometry,
-    diagonal_form,
+    diagonal_forms,
     trace_closed_form,
     trace_from_factor,
 )
@@ -358,36 +358,35 @@ def test_9_support_form_structure():
     t0 = time.perf_counter()
     checked, witness = 0, None
 
-    def examine(char, g, l):
+    def examine(char, pairs):
         nonlocal checked, witness
         field = char.field
-        df = diagonal_form(g, l)
-        sym = not np.any((df.gram.a - df.gram.a.T) % field.p)
-        sym = sym and not np.any((df.dual_gram.a - df.dual_gram.a.T) % field.p)
-        reports = {
-            "symmetry": sym,
-            "transfer-isometry": check_transfer_isometry(df).ok,
-            "witt-class": check_maslov_class(char, df).ok,
-            "kernel-dims": check_kernel_dims(df).ok,
-        }
-        eye = np.eye(g.space.dim, dtype=np.int64)
-        if FpMatrix(field, g.mat.a - eye).det() != 0:
-            reports["inverse-scalar"] = check_inverse_identity(df).ok
-        checked += 1
-        for name, good in reports.items():
-            if not good and witness is None:
-                witness = (name, field.p, g.mat.a.tolist(), l.sub.basis.a.tolist())
+        dfs = diagonal_forms([g for g, _ in pairs], [l for _, l in pairs])
+        for df, maslov in zip(dfs, check_maslov_classes(char, dfs)):
+            g, l = df.g, df.l
+            sym = not np.any((df.gram.a - df.gram.a.T) % field.p)
+            sym = sym and not np.any((df.dual_gram.a - df.dual_gram.a.T) % field.p)
+            reports = {
+                "symmetry": sym,
+                "transfer-isometry": check_transfer_isometry(df).ok,
+                "witt-class": maslov.ok,
+                "kernel-dims": check_kernel_dims(df).ok,
+            }
+            eye = np.eye(g.space.dim, dtype=np.int64)
+            if FpMatrix(field, g.mat.a - eye).det() != 0:
+                reports["inverse-scalar"] = check_inverse_identity(df).ok
+            checked += 1
+            for name, good in reports.items():
+                if not good and witness is None:
+                    witness = (name, field.p, g.mat.a.tolist(), l.sub.basis.a.tolist())
 
     char5, sp5 = _setup(5, 1)
     lags = sp5.all_lagrangians()
-    for g in sp5.elements():
-        for l in lags:
-            examine(char5, g, l)
+    examine(char5, [(g, l) for g in sp5.elements() for l in lags])
 
     char3, sp3 = _setup(3, 2)
     rng = _seeded(90)
-    for _ in range(200):
-        examine(char3, sp3.random_element(rng), sp3.random_lagrangian(rng))
+    examine(char3, [(sp3.random_element(rng), sp3.random_lagrangian(rng)) for _ in range(200)])
 
     ok = witness is None
     _report(ok, f"support-form structure (symmetry, isometry, Witt class, kernel "

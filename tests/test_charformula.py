@@ -80,10 +80,8 @@ def test_closed_form_scalar_case_table():
 def test_diagonal_form_support_structure():
     ch, sp = setup(5, 1)
     rng = np.random.default_rng(19)
-    for _ in range(25):
-        g = sp.random_element(rng)
-        l = sp.random_lagrangian(rng)
-        df = diagonal_form(g, l)
+    pairs = [(sp.random_element(rng), sp.random_lagrangian(rng)) for _ in range(25)]
+    for (g, l), df in zip(pairs, diagonal_forms([g for g, _ in pairs], [l for _, l in pairs])):
         assert not np.any((df.gram.a - df.gram.a.T) % 5)
         for c in l.sub.pivots:
             if df.support.dim:
@@ -104,9 +102,9 @@ def test_diagonal_form_support_excludes_off_support_vectors():
 
 
 def diagonal_form_by_sums(g, l):
-    """Reference for `diagonal_form`: membership in g l + l through the dot
+    """Reference for `diagonal_forms`: membership in g l + l through the dot
     complement of the sum, and l ^ (g-1)V and g l ^ l through `intersect`,
-    the construction the one-system route replaced."""
+    one pair at a time and with no stacked elimination."""
     space = g.space
     field = space.field
     p = field.p
@@ -144,8 +142,9 @@ def diagonal_form_by_sums(g, l):
 
 @pytest.mark.parametrize("p, n", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
 def test_diagonal_form_equals_the_sum_route(p, n):
-    """Every field equals the reference's, on the core elements at the
-    standard Lagrangian, on -1 (g - 1 invertible, so the dual syndrome has no
+    """Every field of `diagonal_form`, the one-element stack, equals the
+    reference's, with the same pivots, on the core elements at the standard
+    Lagrangian, on -1 (g - 1 invertible, so the dual syndrome has no
     columns) and on random pairs."""
     ch, sp = setup(p, n)
     rng = np.random.default_rng(37 * p + n)
@@ -159,18 +158,20 @@ def test_diagonal_form_equals_the_sum_route(p, n):
         got, want = diagonal_form(g, l), diagonal_form_by_sums(g, l)
         for f in fields(DiagonalForm):
             assert getattr(got, f.name) == getattr(want, f.name), f.name
-        assert got.support.pivots == want.support.pivots
-        assert got.dual_support.pivots == want.dual_support.pivots
+        for name in ("support", "dual_support", "ker", "inter"):
+            assert getattr(got, name).pivots == getattr(want, name).pivots, name
         kers.add(got.ker.dim)
     assert 0 in kers and sp.dim in kers
 
 
 @pytest.mark.parametrize("p, n", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
 def test_stacked_diagonal_forms_equal_single_forms(p, n):
-    """`diagonal_forms` equals `diagonal_form` field by field, with the same
-    pivots, in one stack: the identity, the transvections and the other core
-    elements at the standard and at random Lagrangians, -1, and random
-    pairs; at n = 1 every element at every Lagrangian."""
+    """One `diagonal_forms` stack equals the reference and the one-element
+    stacks of `diagonal_form` field by field, with the same pivots, so no
+    pair's form depends on the others in its stack: the identity, the
+    transvections and the other core elements at the standard and at random
+    Lagrangians, -1 at both, and random pairs; at n = 1 every element at
+    every Lagrangian."""
     ch, sp = setup(p, n)
     rng = np.random.default_rng(43 * p + n)
     std = sp.standard_lagrangian()
@@ -185,11 +186,11 @@ def test_stacked_diagonal_forms_equal_single_forms(p, n):
     assert len(got) == len(pairs)
     kers = set()
     for df, (g, l) in zip(got, pairs):
-        want = diagonal_form(g, l)
-        for f in fields(DiagonalForm):
-            assert getattr(df, f.name) == getattr(want, f.name), f.name
-        for name in ("support", "dual_support", "ker", "inter"):
-            assert getattr(df, name).pivots == getattr(want, name).pivots, name
+        for want in (diagonal_form_by_sums(g, l), diagonal_form(g, l)):
+            for f in fields(DiagonalForm):
+                assert getattr(df, f.name) == getattr(want, f.name), f.name
+            for name in ("support", "dual_support", "ker", "inter"):
+                assert getattr(df, name).pivots == getattr(want, name).pivots, name
         kers.add(df.ker.dim)
     assert 0 in kers and sp.dim in kers
     assert diagonal_forms([], []) == []
@@ -201,22 +202,19 @@ def test_stacked_diagonal_forms_equal_single_forms(p, n):
 
 def test_structural_checks_sl2_exhaustive_p3():
     ch, sp = setup(3, 1)
-    for g in sp.elements():
-        for l in sp.all_lagrangians():
-            df = diagonal_form(g, l)
-            assert check_kernel_dims(df).ok
-            assert check_transfer_isometry(df).ok
-            assert check_maslov_class(ch, df).ok
+    pairs = [(g, l) for g in sp.elements() for l in sp.all_lagrangians()]
+    for df in diagonal_forms([g for g, _ in pairs], [l for _, l in pairs]):
+        assert check_kernel_dims(df).ok
+        assert check_transfer_isometry(df).ok
+        assert check_maslov_class(ch, df).ok
 
 
 def test_structural_checks_seeded_sp4():
     ch, sp = setup(3, 2)
     rng = np.random.default_rng(23)
     lags = sp.all_lagrangians()
-    for _ in range(40):
-        g = sp.random_element(rng)
-        l = lags[int(rng.integers(0, len(lags)))]
-        df = diagonal_form(g, l)
+    pairs = [(sp.random_element(rng), lags[int(rng.integers(0, len(lags)))]) for _ in range(40)]
+    for df in diagonal_forms([g for g, _ in pairs], [l for _, l in pairs]):
         assert check_kernel_dims(df).ok
         assert check_transfer_isometry(df).ok
         assert check_maslov_class(ch, df).ok
@@ -308,7 +306,7 @@ def test_stacked_maslov_classes_equal_the_reference(p, n, scale):
     rng = np.random.default_rng(41 * p + n)
     pairs = [(g, sp.standard_lagrangian()) for g in _core_elements(sp)]
     pairs += [(sp.random_element(rng), sp.random_lagrangian(rng)) for _ in range(8)]
-    dfs = [diagonal_form(g, l) for g, l in pairs]
+    dfs = diagonal_forms([g for g, _ in pairs], [l for _, l in pairs])
     wants = [maslov_class_reference(ch, df) for df in dfs]
     assert all(w.ok for w in wants)
     assert check_maslov_classes(ch, dfs) == wants
@@ -337,14 +335,13 @@ def test_inverse_identity_seeded():
         ch, sp = setup(p, n)
         rng = np.random.default_rng(29 * p + n)
         eye = FpMatrix.identity(sp.field, sp.dim)
-        done = 0
-        while done < 25:
+        pairs = []
+        while len(pairs) < 25:
             g = sp.random_element(rng)
-            if (g.mat - eye).det() == 0:
-                continue
-            l = sp.random_lagrangian(rng)
-            assert check_inverse_identity(diagonal_form(g, l)).ok
-            done += 1
+            if (g.mat - eye).det() != 0:
+                pairs.append((g, sp.random_lagrangian(rng)))
+        for df in diagonal_forms([g for g, _ in pairs], [l for _, l in pairs]):
+            assert check_inverse_identity(df).ok
 
 
 def test_trace_from_factor_matches_closed_form():

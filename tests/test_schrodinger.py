@@ -9,7 +9,7 @@ import pytest
 
 import weilchar.schrodinger
 from weilchar.characters import AdditiveCharacter, approx_eq
-from weilchar.charformula import diagonal_form
+from weilchar.charformula import diagonal_form, diagonal_forms
 from weilchar.errors import DimensionMismatch, EnumerationTooLarge
 from weilchar.field import Fp, FpMatrix, RowSolver
 from weilchar.metaplectic import mp_identity, split_lift
@@ -172,10 +172,9 @@ def test_diagonal_kernel_check_seeded():
     for p, n in ((5, 1), (7, 1), (3, 2)):
         ch, sp = setup(p, n)
         rng = np.random.default_rng(41 * p + n)
-        for _ in range(12):
-            g = sp.random_element(rng)
-            l = sp.random_lagrangian(rng)
-            r = check_diagonal_kernel(ch, diagonal_form(g, l))
+        pairs = [(sp.random_element(rng), sp.random_lagrangian(rng)) for _ in range(12)]
+        for df in diagonal_forms([g for g, _ in pairs], [l for _, l in pairs]):
+            r = check_diagonal_kernel(ch, df)
             assert r.ok, r.witness
 
 
@@ -340,18 +339,17 @@ def test_kernel_diagonal_equals_the_psi_array_reference(p, n):
     f = Fp(p)
     sp = SymplecticSpace(f, n)
     rng = np.random.default_rng(77 * p + n)
-    for scale in (1, 2):
+    pairs = [(sp.random_element(rng), sp.random_lagrangian(rng)) for _ in range(8)]
+    dfs = diagonal_forms([g for g, _ in pairs], [l for _, l in pairs])
+    for scale, half in ((1, dfs[:4]), (2, dfs[4:])):
         ch = AdditiveCharacter(f, scale)
-        for _ in range(4):
-            g = sp.random_element(rng)
-            l = sp.random_lagrangian(rng)
-            df = diagonal_form(g, l)
-            reps = _sections(l)
+        for df in half:
+            reps = _sections(df.l)
             coords, inside = df.support.coordinates_many(reps)
             q = np.einsum("ij,jk,ik->i", coords, df.gram.a, coords) % p
             norm = float(p) ** (-(n - df.inter.dim) / 2)
             want = np.where(inside, ch.psi_array((f.half * q) % p) * norm, 0.0)
-            assert np.array_equal(_kernel_diagonal(ch, g, l), want)
+            assert np.array_equal(_kernel_diagonal(ch, df.g, df.l), want)
             assert check_diagonal_kernel(ch, df).ok
 
 
