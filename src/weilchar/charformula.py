@@ -12,9 +12,10 @@ The displacement pairing is not symmetric unless (g-1)^2 = 0, but its gram
 G = (g-1)^T J has ker(g-1) as both its left and its right radical.  So with I
 the pivot columns of rref(G), the minor G[I, I] is the pairing on a complement
 of ker(g-1): k = dim V - |I|, and det G[I, I] has the class of the
-discriminant.  `closed_form_data` takes both from two eliminations, and
-`closed_form_data_many` from two stacked eliminations of a whole stack of
-elements; `symplectic.displacement_disc` keeps the complement route.
+discriminant.  `closed_form_data_many` takes both from one
+`field._rank_dets_many` of a whole stack of elements, and `closed_form_data`
+is its one-element call; `symplectic.displacement_disc` keeps the
+complement route.
 
 The diagonal support form (S_hat, q) describes where the diagonal of the
 operator kernel is supported in V/l and which phases appear there; its dual
@@ -46,8 +47,7 @@ from .field import (
     SquareClass,
     Subspace,
     _eliminate_many,
-    _null_rows_many,
-    _rank_det,
+    _kernel_rows,
     _rank_dets_many,
     _solvers_many,
 )
@@ -92,19 +92,6 @@ def diagonal_form(g: SpElement, l: Lagrangian) -> DiagonalForm:
     return diagonal_forms([g], [l])[0]
 
 
-def _kernel_rows(stack: np.ndarray, field) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, free) for a (B, r, c) stack: the rref basis `FpMatrix.kernel`
-    gives for each matrix, as the rows rows[b][free[b]] of a (B, c, c) stack
-    whose other rows are zero, pivoted at the columns where free[b] is set.
-
-    `_null_rows_many` of the stack with its columns reversed, reversed along
-    both axes, is that basis padded in place: reversal is the same map
-    `FpMatrix.kernel` applies to `_null_space`, row by row.
-    """
-    rows = _null_rows_many(stack[:, :, ::-1], field)[:, ::-1, ::-1]
-    return rows, np.diagonal(rows, axis1=1, axis2=2) == 1
-
-
 def _subspaces(field, rows: np.ndarray, free: np.ndarray, pivots=None) -> list[Subspace]:
     """The subspaces of F_p^c spanned by rows[b][free[b]], a (B, c', c) stack
     of rref bases in place; each pivots at pivots[b][free[b]], or at the
@@ -125,7 +112,7 @@ def diagonal_forms(gs: Sequence[SpElement], ls: Sequence[Lagrangian]) -> list[Di
     columns to its solution map and leave its syndrome as it is.  The
     support is the x with (g-1)x of zero syndrome modulo S, and the solution
     map of S decomposes (g-1)x; that of (g-1)^T gives the preimages of the
-    dual basis.  One `_null_rows_many` gives the supports, ker(g - 1), and
+    dual basis.  One `_kernel_rows` gives the supports, ker(g - 1), and
     the combinations c of bl with c bl in (g-1)V and with c bl in g l, which
     is form(c bl, g bl) = 0 because g l is Lagrangian.  For c in rref, c bl
     is in rref too: bl has unit columns at its pivots P, so c bl has unit
@@ -211,26 +198,10 @@ def diagonal_forms(gs: Sequence[SpElement], ls: Sequence[Lagrangian]) -> list[Di
     ]
 
 
-def _displacement_grams(mats: np.ndarray, gram: np.ndarray, p: int) -> np.ndarray:
-    """(g - 1)^T J for each g of a (..., d, d) array: entry (i, j) is form((g-1)e_i, e_j)."""
-    return (np.swapaxes(mats, -1, -2) - np.eye(gram.shape[0], dtype=np.int64)) @ gram % p
-
-
-def _closed_form(
-    char: AdditiveCharacter, d: int, r: int, det: int
-) -> tuple[int, SquareClass, complex]:
-    """(k, disc, trace) from the rank r and pivot-minor det of the displacement gram."""
-    k = d - r
-    return k, SquareClass.of(char.field, det), _factor_trace(char.p, k, _phase(char, r, det))
-
-
 def closed_form_data(char: AdditiveCharacter, g: SpElement) -> tuple[int, SquareClass, complex]:
-    """(dim ker(g-1), displacement disc, closed-form trace) from two eliminations.
-
-    The single-route oracle of its stacked twin `closed_form_data_many`."""
-    space = g.space
-    gram = _displacement_grams(g.mat.a, space.gram.a, char.p)
-    return _closed_form(char, space.dim, *_rank_det(gram, char.field))
+    """(dim ker(g-1), displacement disc, closed-form trace): the one-element
+    call of `closed_form_data_many`."""
+    return closed_form_data_many(char, g.space, g.mat.a[None])[0]
 
 
 def closed_form_data_many(
@@ -238,14 +209,17 @@ def closed_form_data_many(
 ) -> list[tuple[int, SquareClass, complex]]:
     """`closed_form_data` for every element of Sp(space) in a (B, d, d) stack.
 
-    Two stacked eliminations serve the whole stack, and each tuple equals the
-    single route's under `==`; the tail is evaluated once per distinct
-    (rank, det) pair.
+    The displacement grams (g - 1)^T J, entry (i, j) form((g-1)e_i, e_j),
+    take one `_rank_dets_many`; k = d - rank, the disc and the trace are
+    evaluated once per distinct (rank, det) pair.
     """
-    grams = _displacement_grams(np.asarray(mats, dtype=np.int64), space.gram.a, char.p)
+    d, p = space.dim, char.p
+    mats = np.asarray(mats, dtype=np.int64)
+    grams = (mats.swapaxes(1, 2) - np.eye(d, dtype=np.int64)) @ space.gram.a % p
     ranks, dets = _rank_dets_many(grams, char.field)
     keys = list(zip(ranks.tolist(), dets.tolist()))
-    data = {key: _closed_form(char, space.dim, *key) for key in set(keys)}
+    data = {(r, det): (d - r, SquareClass.of(char.field, det),
+                       _factor_trace(p, d - r, _phase(char, r, det))) for r, det in set(keys)}
     return [data[key] for key in keys]
 
 

@@ -4,6 +4,12 @@ Matrices are immutable numpy int64 arrays with entries reduced mod p.  Subspaces
 are canonicalized to their reduced row echelon basis, so equality and hashing
 are structural and cheap.  All eliminations are exact; nothing here touches
 floating point.
+
+Each quantity built on an elimination has one implementation, on a (B, r, c)
+stack, and a single call is its one-element stack.  `_eliminate_many` alone
+picks the pivot loop: the scalar `_eliminate` for a stack of one, several
+times cheaper there, and the stacked loop otherwise.  Only `FpMatrix.rref`
+and `FpMatrix.det` call `_eliminate` directly.
 """
 
 from __future__ import annotations
@@ -202,14 +208,10 @@ class FpMatrix:
 
     def kernel(self) -> "Subspace":
         """The right null space {x : A x = 0} as a subspace of F_p^ncols, from
-        one elimination.  Take the null rows of A with its columns reversed and
-        reverse them along both axes: each row has a 1 at its own free column,
-        zeros at the other free columns and entries only at pivot columns to
-        its right.  That is already the rref basis, pivoted at the free columns."""
-        ncols = self.ncols
-        rows, free = _null_space(self.a[:, ::-1], self.field)
-        pivots = tuple(ncols - 1 - c for c in reversed(free))
-        return Subspace(self.field, ncols, FpMatrix(self.field, rows[::-1, ::-1]), pivots)
+        one elimination: the one-element call of `_kernel_rows`."""
+        rows, free = _kernel_rows(self.a[None], self.field)
+        pivots = tuple(np.flatnonzero(free[0]).tolist())
+        return Subspace(self.field, self.ncols, FpMatrix(self.field, rows[0][free[0]]), pivots)
 
     def det(self) -> int:
         if self.nrows != self.ncols:
@@ -217,15 +219,13 @@ class FpMatrix:
         return _eliminate(self.a, self.field)[2]
 
     def inv(self) -> "FpMatrix":
-        """The inverse, read off the rref [I | A^-1] of [A | I], whose first
-        n columns are all pivots exactly when A is invertible."""
-        n = self.nrows
-        if n != self.ncols:
+        """The inverse: the one-element call of `_inverses_many`."""
+        if self.nrows != self.ncols:
             raise DimensionMismatch("inverse of a non-square matrix")
-        red, pivots, _ = _eliminate(np.hstack([self.a, np.eye(n, dtype=np.int64)]), self.field)
-        if pivots[:n] != tuple(range(n)):
+        ok, inverses = _inverses_many(self.a[None], self.field)
+        if not ok[0]:
             raise ZeroDivisionError("matrix is singular")
-        return FpMatrix(self.field, red[:, n:])
+        return FpMatrix(self.field, inverses[0])
 
 
 def _eliminate(a: np.ndarray, field: Fp):
@@ -233,8 +233,8 @@ def _eliminate(a: np.ndarray, field: Fp):
 
     Returns (reduced, pivots, det): the reduced row echelon form, its pivot
     columns, and the determinant of a (0 unless a is square of full rank).
-    This loop and its stacked twin `_eliminate_many` are the module's two
-    pivot loops; one matrix at a time, this one is several times cheaper.
+    This is the scalar pivot loop; `_eliminate_many` runs it on a stack of
+    one matrix, where it is several times cheaper than the stacked loop.
     """
     p = field.p
     nrows, ncols = a.shape
@@ -267,25 +267,30 @@ def _eliminate(a: np.ndarray, field: Fp):
 
 
 def _eliminate_many(stack: np.ndarray, field: Fp):
-    """`_eliminate` for every matrix of a (B, r, c) stack, in one pivot loop.
+    """`_eliminate` for every matrix of a (B, r, c) stack.
 
     Returns (reduced, pivots, ranks, dets): the (B, r, c) reduced row echelon
     forms, a (B, c) mask of their pivot columns, and per matrix its rank and
-    determinant (0 unless square of full rank).  Each matrix takes the pivot
+    determinant (0 unless square of full rank).  A stack of one matrix runs
+    the scalar loop `_eliminate`; a larger one runs one pivot loop for the
+    whole stack, once per column.  There each matrix takes the pivot
     `_eliminate` takes, its first nonzero entry at or below its own current
-    row, so every output equals the single loop's bit for bit; the Python
-    loop runs once per column for the whole stack.
+    row, so every output equals the scalar loop's bit for bit.
 
     Reduction is lazy: each step reduces only column c and the pivot rows, so
     the other entries grow by at most (p - 1)^2 per column, far inside int64,
     and the stack is reduced once at the end.
     """
     p = field.p
-    work = np.array(stack, dtype=np.int64) % p
+    work = np.asarray(stack, dtype=np.int64) % p
     nb, nrows, ncols = work.shape
+    pivots = np.zeros((nb, ncols), dtype=bool)
+    if nb == 1:
+        red, piv, det = _eliminate(work[0], field)
+        pivots[0, list(piv)] = True
+        return red[None], pivots, np.array([len(piv)]), np.array([det])
     row = np.zeros(nb, dtype=np.int64)
     det = np.ones(nb, dtype=np.int64)
-    pivots = np.zeros((nb, ncols), dtype=bool)
     inv = field.inverses
     below = np.arange(nrows)
     for c in range(ncols):
@@ -320,29 +325,21 @@ def _eliminate_many(stack: np.ndarray, field: Fp):
     return work, pivots, row, det
 
 
-def _rank_det(a: np.ndarray, field: Fp) -> tuple[int, int]:
-    """(r, det a[I, I]) for I the pivot columns of rref(a); (0, 1) when r = 0.
+def _rank_dets_many(stack: np.ndarray, field: Fp) -> tuple[np.ndarray, np.ndarray]:
+    """(ranks, dets) for a (B, r, r) stack: the rank of each a and det a[I, I]
+    for I the pivot columns of rref(a), 1 when the rank is 0.
 
     The columns I of a square a span its column space, so span(e_i : i in I)
-    has dimension r and meets the right radical {w : a w = 0} only in 0.
+    has dimension |I| and meets the right radical {w : a w = 0} only in 0.
     When the left radical {v : v a = 0} is that same subspace, as for a
     symmetric gram or the displacement gram (g - 1)^T J of a symplectic g,
     a is a nondegenerate pairing on V / radical and a[I, I] is that pairing
     on the complement span(e_i : i in I): nonsingular, and its determinant
     changes by a square under a change of complement.
-    """
-    pivots = list(_eliminate(a, field)[1])
-    if not pivots:
-        return 0, 1
-    return len(pivots), _eliminate(a[np.ix_(pivots, pivots)], field)[2]
 
-
-def _rank_dets_many(stack: np.ndarray, field: Fp) -> tuple[np.ndarray, np.ndarray]:
-    """`_rank_det` for every matrix of a (B, r, r) stack: (ranks, dets).
-
-    One stacked elimination gives each rank and pivot set I; a second, of the
-    stack with every entry outside I x I replaced by the identity's, gives
-    det a[I, I], which is 1 when r = 0.
+    One elimination gives each rank and pivot set I; a second, of the stack
+    with every entry outside I x I replaced by the identity's, gives
+    det a[I, I].
     """
     _, pivots, ranks, _ = _eliminate_many(stack, field)
     eye = np.eye(stack.shape[1], dtype=np.int64)
@@ -361,36 +358,39 @@ def _inverses_many(stack: np.ndarray, field: Fp) -> tuple[np.ndarray, np.ndarray
     return ok, red[ok, :, n:]
 
 
-def _null_space(a: np.ndarray, field: Fp) -> tuple[np.ndarray, list[int]]:
-    """(rows, free): a basis of {x : a x = 0} as rows and the free columns of
-    rref(a).  Row k has a 1 at free[k], zeros at the other free columns and
-    minus column free[k] of rref(a) at the pivot columns."""
-    red, pivots, _ = _eliminate(a, field)
-    ncols = a.shape[1]
-    free = [c for c in range(ncols) if c not in pivots]
-    rows = np.zeros((len(free), ncols), dtype=np.int64)
-    rows[np.arange(len(free)), free] = 1
-    rows[:, list(pivots)] = (-red[: len(pivots), free].T) % field.p
-    return rows, free
-
-
 def _null_rows_many(stack: np.ndarray, field: Fp) -> np.ndarray:
-    """The rows of `_null_space` for every matrix of a (B, r, c) stack, padded
-    to (B, c, c).
+    """A basis of {x : a x = 0} for every matrix a of a (B, r, c) stack, as
+    rows in column order padded to (B, c, c).
 
-    For red the rref of a matrix and S the (r, c) selector of its pivot
-    entries, row j of I - red^T S is the null row `_null_space` gives for a
-    free column j, and zero for a pivot column j, because the pivot columns
-    of an rref are unit vectors.  So the rows are that basis in column order,
-    padded with zero rows.
+    For red the rref of a and S the (r, c) selector of its pivot entries,
+    row j of I - red^T S is, for a free column j, the null row with a 1 at j,
+    zeros at the other free columns and minus column j of red at the pivot
+    columns, and zero for a pivot column j, because the pivot columns of an
+    rref are unit vectors.
     """
-    red, pivots, _, _ = _eliminate_many(stack, field)
-    nb, _, ncols = red.shape
-    rows = np.tile(np.eye(ncols, dtype=np.int64), (nb, 1, 1))
+    red, pivots, ranks, _ = _eliminate_many(stack, field)
+    nb, nrows, ncols = red.shape
+    rows = np.zeros((nb, ncols, ncols), dtype=np.int64)
     b, k = np.nonzero(pivots)
-    # the pivot of column k sits in row (number of pivots up to k) - 1
-    rows[b, :, k] -= red[b, np.cumsum(pivots, axis=1)[b, k] - 1]
-    return rows % field.p
+    # the pivot rows of an rref are its first rank rows, in pivot order
+    rows[b, :, k] = -red[np.arange(nrows) < ranks[:, None]]
+    rows += np.eye(ncols, dtype=np.int64)
+    rows %= field.p
+    return rows
+
+
+def _kernel_rows(stack: np.ndarray, field: Fp) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, free) for a (B, r, c) stack: the rref basis of {x : a x = 0}
+    for each matrix a, as the rows rows[b][free[b]] of a (B, c, c) stack
+    whose other rows are zero, pivoted at the columns where free[b] is set.
+
+    Take the null rows of a with its columns reversed and reverse them along
+    both axes: each row has a 1 at its own free column, zeros at the other
+    free columns and entries only at pivot columns to its right.  That is
+    already the rref basis, pivoted at the free columns, padded in place.
+    """
+    rows = _null_rows_many(stack[:, :, ::-1], field)[:, ::-1, ::-1]
+    return rows, np.diagonal(rows, axis1=1, axis2=2) == 1
 
 
 def _solvers_many(stack: np.ndarray, field: Fp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -398,10 +398,9 @@ def _solvers_many(stack: np.ndarray, field: Fp) -> tuple[np.ndarray, np.ndarray,
     `_eliminate_many` of the stack of [M^T | I]: (solutions, syndromes,
     ranks), with solutions (B, c, r) and syndromes (B, c, c).
 
-    Each solution equals `RowSolver(M).solution`, and the first c - rank
-    columns of each syndrome equal `RowSolver(M).syndrome`; its other
-    columns are zero, so d @ syndrome = 0 still holds exactly when d is in
-    the row space of M.
+    The first c - rank columns of each syndrome are the `RowSolver`
+    syndrome; its other columns are zero, so d @ syndrome = 0 still holds
+    exactly when d is in the row space of M.
     """
     nb, r, c = stack.shape
     eye = np.broadcast_to(np.eye(c, dtype=np.int64), (nb, c, c))
@@ -410,10 +409,10 @@ def _solvers_many(stack: np.ndarray, field: Fp) -> tuple[np.ndarray, np.ndarray,
     ranks = pivots.sum(axis=1)
     solutions = np.zeros((nb, c, r), dtype=np.int64)
     b, k = np.nonzero(pivots)
-    # the pivot of column k sits in row (number of pivots up to k) - 1
-    solutions[b, :, k] = red[b, np.cumsum(pivots, axis=1)[b, k] - 1, r:]
-    # row rank + i of the tableau is syndrome column i, for i < c - rank
     at = np.arange(c)
+    # the pivot rows of an rref are its first rank rows, in pivot order
+    solutions[b, :, k] = red[at < ranks[:, None], r:]
+    # row rank + i of the tableau is syndrome column i, for i < c - rank
     rows = red[np.arange(nb)[:, None], (at + ranks[:, None]) % c, r:]
     syndromes = (rows * (at < c - ranks[:, None])[:, :, None]).swapaxes(1, 2)
     return solutions, syndromes, ranks
@@ -426,21 +425,18 @@ class RowSolver:
     [T M^T | T].  Its first rank rows give y at the pivot columns, scattered
     once into the (c, r) `solution`, y = d @ solution.  Its other rows span
     the left null space of M^T: d @ syndrome = 0 for their (c, c - rank)
-    transpose exactly when d is in the row space of M.  `_solvers_many` is
-    its stacked twin.
+    transpose exactly when d is in the row space of M.  The maps are the
+    one-element call of `_solvers_many`.
     """
 
     __slots__ = ("field", "solution", "syndrome", "rank")
 
     def __init__(self, M: FpMatrix) -> None:
         self.field = M.field
-        r, c = M.shape
-        red, pivots, _ = _eliminate(np.hstack([M.a.T, np.eye(c, dtype=np.int64)]), M.field)
-        pivots = [k for k in pivots if k < r]
-        self.rank = len(pivots)
-        self.solution = np.zeros((c, r), dtype=np.int64)
-        self.solution[:, pivots] = red[: self.rank, r:].T
-        self.syndrome = red[self.rank :, r:].T
+        solutions, syndromes, ranks = _solvers_many(M.a[None], M.field)
+        self.rank = int(ranks[0])
+        self.solution = solutions[0]
+        self.syndrome = syndromes[0, :, : M.ncols - self.rank]
 
     def solve_many(self, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solutions for each row of D: (Y, ok) with Y[i] valid iff ok[i]."""
@@ -509,7 +505,7 @@ class Subspace:
         """U ^ W from the null rows (a, b) of [U; W]^T: a U = -b W spans it."""
         self._check(other)
         u = self.basis.a
-        coefs = _null_space(np.vstack([u, other.basis.a]).T, self.field)[0]
+        coefs = _null_rows_many(np.vstack([u, other.basis.a]).T[None], self.field)[0]
         return Subspace.from_rows(self.field, self.ambient, coefs[:, : self.dim] @ u)
 
     def complement_std(self) -> "Subspace":

@@ -33,7 +33,6 @@ from .field import (
     Subspace,
     _eliminate_many,
     _null_rows_many,
-    _null_space,
     _rank_dets_many,
 )
 from .quadform import (
@@ -87,15 +86,10 @@ class Orientation:
         return cls._spanning(lag, FpMatrix(field, c @ lag.sub.basis.a))
 
     def transform(self, g: SpElement) -> "Orientation":
-        """The image orientation on g(l), transported by g.
-
-        g l is built from the moved basis itself, which therefore spans it.
-        """
-        space = self.lag.space
-        moved = FpMatrix(space.field, self.obasis.a @ g.mat.a.T)
-        return Orientation._spanning(
-            Lagrangian(space, Subspace.from_rows(space.field, space.dim, moved.a)), moved
-        )
+        """The image orientation on g(l), transported by g: the moved basis
+        spans g l, since the orientation basis spans l."""
+        moved = FpMatrix(self.lag.space.field, self.obasis.a @ g.mat.a.T)
+        return Orientation._spanning(self.lag.transform(g), moved)
 
     def scaled(self, c: int) -> "Orientation":
         b = self.obasis.a.copy()
@@ -236,14 +230,9 @@ def maslov_form(*lags: Lagrangian) -> QuadraticSpace:
 
 
 def _bases_form(space: SymplecticSpace, bases: Sequence[np.ndarray]) -> QuadraticSpace:
-    """`maslov_form` of the Lagrangians spanned by the given bases, any bases."""
-    field = space.field
-    stacked = np.vstack(bases)
-    # rows w with w @ stacked = 0; any basis will do, as the gram only changes by congruence
-    sol = _null_space(stacked.T, field)[0]
-    gram = _polygon_grams(sol[None], stacked.reshape(1, len(bases), space.n, space.dim),
-                          space.gram.a, field)
-    return QuadraticSpace(field, gram[0])
+    """`maslov_form` of the Lagrangians spanned by the given bases, any bases:
+    the one-element call of `_compact_polygon_grams`."""
+    return QuadraticSpace(space.field, _compact_polygon_grams(space, np.array(bases)[None])[0])
 
 
 def _polygon_grams(sol: np.ndarray, bases: np.ndarray, form: np.ndarray, field: Fp) -> np.ndarray:
@@ -264,23 +253,29 @@ def _polygon_grams(sol: np.ndarray, bases: np.ndarray, form: np.ndarray, field: 
     return (field.half * (a + a.transpose(0, 2, 1))) % p
 
 
-def _polygon_rank_dets(space: SymplecticSpace, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`QuadraticSpace._rank_det` of the polygon form of every tuple of a
-    (B, m, k, d) stack of Lagrangian bases.
+def _compact_polygon_grams(space: SymplecticSpace, bases: np.ndarray) -> np.ndarray:
+    """The grams of the polygon forms of every tuple of a (B, m, k, d) stack
+    of Lagrangian bases, padded to one shape.
 
-    The null rows, the grams and their ranks and pivot minors come from
-    stacked eliminations, padded to one shape.  The null rows of each tuple
+    The null rows come from one stacked elimination.  Those of each tuple
     move ahead of its zero rows, in order, and the stack is cut at its
-    largest nullity, so the grams are that wide and not m k.  Zero rows and
-    columns leave the rank and the pivot minor of a gram as they are, so
-    the values equal those of `maslov_form` on the same bases.
+    largest nullity, so the grams are that wide and not m k; for one tuple
+    they are its null basis.  Zero rows and columns leave the rank and the
+    pivot minor of a gram as they are.
     """
     nb, m, k, d = bases.shape
     sol = _null_rows_many(bases.reshape(nb, m * k, d).transpose(0, 2, 1), space.field)
     nonzero = sol.any(axis=2)
     order = np.argsort(~nonzero, axis=1, kind="stable")[:, :nonzero.sum(axis=1).max(initial=0)]
     sol = np.take_along_axis(sol, order[:, :, None], axis=1)
-    return _rank_dets_many(_polygon_grams(sol, bases, space.gram.a, space.field), space.field)
+    return _polygon_grams(sol, bases, space.gram.a, space.field)
+
+
+def _polygon_rank_dets(space: SymplecticSpace, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`QuadraticSpace._rank_det` of the polygon form of every tuple of a
+    (B, m, k, d) stack of Lagrangian bases: one `_rank_dets_many` of the
+    compact grams, equal to those of `maslov_form` on the same bases."""
+    return _rank_dets_many(_compact_polygon_grams(space, bases), space.field)
 
 
 def _maslov_gammas(

@@ -11,10 +11,11 @@ spans a complement of the radical, so the nondegenerate part has rank r and
 discriminant the class of d = det gram[I, I].  Since gamma is a character of
 the Witt group with gamma(a) = gamma(1) * (a/p) (Lion-Vergne 1980), the Weil
 index is gamma(1)^(r-1) * gamma(d), and 1 when r = 0.  Both factors are one
-of +1, -1, +i, -i (`characters`), so the index is exact.  `_gammas_of`
-turns the (rank, det) pairs of a whole stack of grams, from
-`field._rank_dets_many`, into Weil indices, reading gamma once per (rank,
-square class); `_gamma_values` gives them as an array.
+of +1, -1, +i, -i (`characters`), so the index is exact.  The (rank, det)
+pairs come from `field._rank_dets_many`, of one gram as its one-element
+stack (`QuadraticSpace._rank_det`) or of a whole stack at once; `_gammas_of`
+turns a stack's pairs into Weil indices, reading gamma once per (rank,
+square class), and `_gamma_values` gives them as an array.
 
 `diagonal_transform` keeps an explicit congruence to a diagonal form.  It
 splits off one anisotropic vector v at a time and keeps the part of the span
@@ -30,7 +31,7 @@ import numpy as np
 
 from .characters import AdditiveCharacter
 from .errors import DimensionMismatch, EnumerationTooLarge
-from .field import Fp, FpMatrix, SquareClass, Subspace, _rank_det
+from .field import Fp, FpMatrix, SquareClass, Subspace, _rank_dets_many
 
 BRUTE_CAP = 10**6
 
@@ -120,7 +121,8 @@ class QuadraticSpace:
 
     def _rank_det(self) -> tuple[int, int]:
         """(r, det gram[I, I]) for I the pivot columns of rref(gram); (0, 1) when r = 0."""
-        return _rank_det(self.gram.a, self.field)
+        ranks, dets = _rank_dets_many(self.gram.a[None], self.field)
+        return int(ranks[0]), int(dets[0])
 
     def disc(self) -> SquareClass:
         """Discriminant of the nondegenerate part; class of 1 when rank is 0."""

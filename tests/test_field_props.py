@@ -1,7 +1,9 @@
 """Property tests for the F_p elimination kernel behind rref, det, inv, kernel,
-RowSolver and Subspace.intersect, on small random matrices, for its stacked
-form against a per-matrix loop, and for RowSolver's solution and syndrome
-maps against the tableau solver they replaced."""
+RowSolver and Subspace.intersect, on small random matrices; for every stacked
+helper, its one-element call (the scalar pivot loop) against its slice of a
+whole-stack call (the stacked loop) and against references built on the
+scalar loop; and for RowSolver's solution and syndrome maps against the
+tableau solver they replaced."""
 
 import itertools
 
@@ -18,8 +20,10 @@ from weilchar.field import (
     _eliminate,
     _eliminate_many,
     _inverses_many,
+    _kernel_rows,
     _null_rows_many,
-    _null_space,
+    _rank_dets_many,
+    _solvers_many,
 )
 
 PROPS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -128,6 +132,29 @@ class TableauSolver:
         Y = np.zeros((len(D), self.nrows), dtype=np.int64)
         Y[:, list(self.pivots)] = T[:, : self.rank]
         return Y, ok
+
+
+def null_space_by_loop(a, field):
+    """Reference for `_null_rows_many`: (rows, free), a basis of
+    {x : a x = 0} as rows and the free columns of rref(a).  Row k has a 1 at
+    free[k], zeros at the other free columns and minus column free[k] of
+    rref(a) at the pivot columns."""
+    red, pivots, _ = _eliminate(a, field)
+    ncols = a.shape[1]
+    free = [c for c in range(ncols) if c not in pivots]
+    rows = np.zeros((len(free), ncols), dtype=np.int64)
+    rows[np.arange(len(free)), free] = 1
+    rows[:, list(pivots)] = (-red[: len(pivots), free].T) % field.p
+    return rows, free
+
+
+def rank_det_by_loop(a, field):
+    """Reference for `_rank_dets_many`: (r, det a[I, I]) for I the pivot
+    columns of rref(a), from two scalar eliminations; (0, 1) when r = 0."""
+    pivots = list(_eliminate(a, field)[1])
+    if not pivots:
+        return 0, 1
+    return len(pivots), _eliminate(a[np.ix_(pivots, pivots)], field)[2]
 
 
 def all_vectors(p, k):
@@ -239,33 +266,89 @@ def stacks(draw):
     return Fp(p), out
 
 
-@PROPS
-@given(stacks())
-def test_eliminate_many_equals_the_single_loop(fs):
-    """Stacked elimination, null rows and (square stacks) inverses match the
-    per-matrix routes."""
-    field, stack = fs
+def stacked_outputs(stack, field):
+    """Every stacked helper's output on one stack, each as a list of
+    per-matrix arrays, so a one-element call compares with a slice."""
     nb, rows, cols = stack.shape
+    out = {}
     red, pivots, ranks, dets = _eliminate_many(stack, field)
     assert red.shape == stack.shape and pivots.shape == (nb, cols)
     assert ranks.shape == dets.shape == (nb,)
+    out["eliminate"] = list(zip(red, pivots, ranks, dets))
     null = _null_rows_many(stack, field)
     assert null.shape == (nb, cols, cols)
-    for i, a in enumerate(stack):
-        one_red, one_piv, one_det = _eliminate(a, field)
-        assert np.array_equal(red[i], one_red)
-        assert tuple(np.flatnonzero(pivots[i])) == one_piv
-        assert ranks[i] == len(one_piv)
-        assert dets[i] == one_det
-        free = [c for c in range(cols) if c not in one_piv]
-        assert np.array_equal(null[i][free], _null_space(a, field)[0])
-        assert not null[i][list(one_piv)].any()
+    out["null"] = list(null)
+    out["kernel"] = list(zip(*_kernel_rows(stack, field)))
+    out["solvers"] = list(zip(*_solvers_many(stack, field)))
     if rows == cols:
+        out["rank_dets"] = list(zip(*_rank_dets_many(stack, field)))
         ok, inverses = _inverses_many(stack, field)
-        assert np.array_equal(ok, dets != 0)
         assert len(inverses) == ok.sum()
-        for a, a_inv in zip(stack[ok], inverses):
-            assert np.array_equal(a_inv, FpMatrix(field, a).inv().a)
+        at = np.cumsum(ok) - 1
+        out["inverses"] = [(o, inverses[i] if o else None) for o, i in zip(ok, at)]
+    return out
+
+
+def assert_same(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(g, np.ndarray) or isinstance(w, np.ndarray):
+            assert np.array_equal(g, w)
+        elif isinstance(g, tuple):
+            assert_same(g, w)
+        else:
+            assert g == w
+
+
+@PROPS
+@given(stacks())
+def test_eliminate_many_equals_the_single_loop(fs):
+    """For each matrix of a stack, the one-element call of every stacked
+    helper (the scalar pivot loop) equals its slice of the whole-stack call
+    (the stacked loop at B = 6), and both equal the references built on the
+    scalar loop."""
+    field, stack = fs
+    p = field.p
+    nb, rows, cols = stack.shape
+    whole = stacked_outputs(stack, field)
+    for i, a in enumerate(stack):
+        single = stacked_outputs(a[None], field)
+        for name, values in single.items():
+            assert_same(values[0], whole[name][i])
+
+        one_red, one_piv, one_det = _eliminate(a, field)
+        red, pivots, rank, det = whole["eliminate"][i]
+        assert np.array_equal(red, one_red)
+        assert tuple(np.flatnonzero(pivots)) == one_piv
+        assert (rank, det) == (len(one_piv), one_det)
+
+        null_rows, free = null_space_by_loop(a, field)
+        assert np.array_equal(whole["null"][i][free], null_rows)
+        assert not whole["null"][i][list(one_piv)].any()
+
+        kernel, kfree = whole["kernel"][i]
+        ref = Subspace.from_rows(field, cols, null_rows)
+        assert np.array_equal(kernel[kfree], ref.basis.a)
+        assert tuple(np.flatnonzero(kfree)) == ref.pivots
+        assert not kernel[~kfree].any()
+
+        solution, syndrome, srank = whole["solvers"][i]
+        tab = TableauSolver(FpMatrix(field, a))
+        want = np.zeros((cols, rows), dtype=np.int64)
+        want[:, list(tab.pivots)] = tab.tableau[: tab.rank].T
+        assert srank == tab.rank
+        assert np.array_equal(solution, want)
+        assert np.array_equal(syndrome[:, : cols - srank], tab.tableau[tab.rank :].T)
+        assert not syndrome[:, cols - srank :].any()
+
+        if rows == cols:
+            assert tuple(whole["rank_dets"][i]) == rank_det_by_loop(a, field)
+            ok, a_inv = whole["inverses"][i]
+            assert ok == (one_det != 0)
+            if ok:
+                eye = np.eye(rows, dtype=np.int64)
+                assert np.array_equal(a @ a_inv % p, eye)
+                assert np.array_equal(a_inv @ a % p, eye)
 
 
 @st.composite
@@ -299,7 +382,7 @@ def kernel_inputs(draw):
 def test_kernel_from_one_elimination_equals_the_rref_of_the_null_rows(fa):
     field, a = fa
     ker = FpMatrix(field, a).kernel()
-    ref = Subspace.from_rows(field, a.shape[1], _null_space(a, field)[0])
+    ref = Subspace.from_rows(field, a.shape[1], null_space_by_loop(a, field)[0])
     assert ker.pivots == ref.pivots
     assert ker.basis == ref.basis
     assert ker.ambient == ref.ambient == a.shape[1]
@@ -322,10 +405,15 @@ def test_full_and_zero_subspaces_equal_their_rref_forms(p, ambient):
 @pytest.mark.parametrize("p", [3, 5, 7, 97])
 def test_eliminate_many_reduces_columns_past_the_last_pivot(p):
     """Wide stacks of full row rank finish their pivots before the last
-    column; the columns after it must come out reduced like the single loop's."""
+    column; the columns after it must come out reduced like the single loop's,
+    in the stacked loop and in the one-element call.  At p = 3 this includes
+    the shapes the dense trace cells eliminate one matrix at a time."""
     field = Fp(p)
     rng = np.random.default_rng(p)
-    for rows, cols in ((1, 4), (2, 5), (3, 7), (4, 9), (6, 6), (5, 3)):
+    shapes = [(1, 4), (2, 5), (3, 7), (4, 9), (6, 6), (5, 3)]
+    if p == 3:
+        shapes += [(5, 15), (5, 5), (10, 20)]
+    for rows, cols in shapes:
         stack = rng.integers(0, p, (8, rows, cols))
         red, pivots, ranks, dets = _eliminate_many(stack, field)
         for i, a in enumerate(stack):
@@ -333,3 +421,7 @@ def test_eliminate_many_reduces_columns_past_the_last_pivot(p):
             assert np.array_equal(red[i], one_red)
             assert tuple(np.flatnonzero(pivots[i])) == one_piv
             assert (ranks[i], dets[i]) == (len(one_piv), one_det)
+            single = _eliminate_many(a[None], field)
+            assert np.array_equal(single[0][0], one_red)
+            assert np.array_equal(single[1][0], pivots[i])
+            assert (single[2][0], single[3][0]) == (ranks[i], dets[i])
