@@ -10,8 +10,10 @@ Matrices on the command line are row-major comma-separated residues.
 
 `table` goes from one (N, 2n, 2n) stack of group elements to its output
 text: the whole group from `SymplecticSpace.element_matrices` when it fits,
-else `--samples` seeded random draws, and one stacked closed-form call for
-all rows.  Its JSON comes from a fixed-shape writer that prints exactly what
+else `--samples` seeded random elements from one
+`SymplecticSpace.random_element_matrices` call, which draws them as stacks
+of bounded size, and one stacked closed-form call for all rows.  Its JSON
+comes from a fixed-shape writer that prints exactly what
 `json.dumps(rows, indent=2, sort_keys=True)` prints; every other command
 goes through `json.dumps`.  `verify --suites` picks the suites to run, and
 the dense cap binds only when a dense suite is picked.
@@ -182,14 +184,13 @@ def cmd_trace(args) -> int:
 def _table_rows(args, char, space):
     """(g, dim_ker, disc, trace, formula_used) per row, g as nested lists of
     ints read off one (N, dim, dim) stack: the whole group when it fits,
-    else `--samples` random draws."""
+    else the `--samples` stacked random draws of `random_element_matrices`,
+    seeded by (seed, p, n); no row builds an `SpElement`."""
     if space.order() <= min(GROUP_CAP, args.max_enum):
         mats = space.element_matrices()
     else:
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, args.p, args.n]))
-        d = space.dim
-        mats = np.array([space.random_element(rng).mat.a for _ in range(args.samples)],
-                        dtype=np.int64).reshape(-1, d, d)
+        mats = space.random_element_matrices(args.samples, rng)
     for g, (k, disc, tr) in zip(mats.tolist(), closed_form_data_many(char, space, mats)):
         yield g, k, disc, tr, "closed-singular" if k else "closed"
 

@@ -13,10 +13,12 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionMismatch, EnumerationTooLarge, InvariantViolation
-from .field import Fp, FpMatrix, SquareClass, Subspace, _inverses_many
+from .field import Fp, FpMatrix, SquareClass, Subspace, _inverses_many, _kernel_rows
 
 LAGRANGIAN_CAP = 100_000
 GROUP_CAP = 100_000
+# the most bases one stacked draw holds; a larger sample takes several
+_DRAW_STACK = 1024
 
 
 def standard_gram(field: Fp, n: int) -> FpMatrix:
@@ -151,49 +153,43 @@ class SymplecticSpace:
         self._lagrangians = out
         return out
 
-    def _symplectic_basis(self, draw) -> np.ndarray:
-        """Columns (e_1..e_n, f_1..f_n) with form(e_i, f_j) = delta_ij and every
-        other pairing zero.  `draw(kb, accept)` returns a vector of the row span
-        of kb that `accept` allows; each pair is drawn from the symplectic
-        complement of the pairs before it, given by its rref basis kb.
+    def _symplectic_bases(self, count: int, rng: np.random.Generator | None) -> np.ndarray:
+        """A (count, dim, dim) stack of symplectic bases: columns (e_1..e_n,
+        f_1..f_n) with form(e_i, f_j) = delta_ij and every other pairing zero.
+
+        Step i takes each basis's pair (e_i, f_i) from its own symplectic
+        complement of the pairs before it, given by its rref basis kb, as
+        `_pick_rows` does: random rows with a Generator, the first accepted
+        rows of each kb with rng None.  A stack of one thus consumes the rng
+        as one basis drawn on its own.
 
         The next complement is {y kb : [e gram; f gram] kb^T y = 0}.  With R'
         the rref kernel basis of that 2 x k system, R' kb is already the rref
-        basis: kb has unit pivot columns P, so (R' kb)[:, P] = R'.
+        basis: kb has unit pivot columns P, so (R' kb)[:, P] = R'.  One
+        `_kernel_rows` gives R' for the whole stack.
         """
-        p = self.field.p
+        field, n, d = self.field, self.n, self.dim
+        p = field.p
         gram = self.gram.a
-        es: list[np.ndarray] = []
-        fs: list[np.ndarray] = []
-        kb = Subspace.full(self.field, self.dim).basis.a
-        for i in range(self.n):
+        bases = np.zeros((count, d, d), dtype=np.int64)
+        kb = np.eye(d, dtype=np.int64)[None].repeat(count, axis=0)
+        for i in range(n):
             if i:
-                cons = np.stack([es[-1], fs[-1]]) @ gram
-                kb = FpMatrix(self.field, cons @ kb.T).kernel().basis.a @ kb % p
-            e = draw(kb, lambda v: bool(np.any(v)))
-            eg = (e @ gram) % p
-            f = draw(kb, lambda v: int(eg @ v) % p != 0)
-            es.append(e)
-            fs.append((f * self.field.inv(int(eg @ f))) % p)
-        return np.stack(es + fs, axis=1)
-
-    def _random_basis(self, rng) -> np.ndarray:
-        rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-        p = self.field.p
-
-        def draw(kb, accept):
-            while True:
-                v = (rng.integers(0, p, kb.shape[0]) @ kb) % p
-                if accept(v):
-                    return v
-
-        return self._symplectic_basis(draw)
+                cons = bases[:, :, [i - 1, n + i - 1]].swapaxes(1, 2) @ gram
+                rows, free = _kernel_rows(cons @ kb.swapaxes(1, 2) % p, field)
+                kb = rows[free].reshape(count, d - 2 * i, -1) @ kb % p
+            e = _pick_rows(kb, rng, p)
+            eg = e @ gram % p
+            f = _pick_rows(kb, rng, p, eg)
+            bases[:, :, i] = e
+            bases[:, :, n + i] = f * field.inverses[(f * eg).sum(axis=1) % p][:, None] % p
+        return bases
 
     def _darboux_basis(self) -> np.ndarray:
         """The first symplectic basis B found from the canonical basis of
         each complement: B^T gram B = J, and B = I for gram J."""
         if self._darboux is None:
-            b = self._symplectic_basis(lambda kb, accept: next(v for v in kb if accept(v)))
+            b = self._symplectic_bases(1, None)[0]
             self._darboux = (b, FpMatrix(self.field, b).inv().a)
         return self._darboux[0]
 
@@ -202,15 +198,47 @@ class SymplecticSpace:
         self._darboux_basis()
         return self._darboux[1]
 
+    def _checked_group_stack(self, mats: np.ndarray, made: str) -> np.ndarray:
+        """The (N, dim, dim) stack mats, read-only, once one stacked test
+        shows that every matrix preserves the gram."""
+        gram = self.gram.a
+        if np.any((mats.swapaxes(1, 2) @ gram @ mats - gram) % self.field.p):
+            raise InvariantViolation(f"a {made} group element does not preserve the symplectic form")
+        mats.setflags(write=False)
+        return mats
+
+    def random_element_matrices(self, count: int, rng) -> np.ndarray:
+        """`count` uniformly random group elements as a read-only (count,
+        dim, dim) stack, the sampled twin of `element_matrices`: a random
+        symplectic basis M has M^T gram M = J, so M B^-1 preserves the gram
+        (B as in `_darboux_inv`), and one stacked test checks that.
+
+        The bases are drawn in stacks of at most `_DRAW_STACK`, one after
+        another from rng, so the draw's working memory is bounded for any
+        count; up to `_DRAW_STACK` elements are drawn as one stack.
+        """
+        rng = np.random.default_rng(rng)
+        p, d = self.field.p, self.dim
+        binv = self._darboux_inv()
+        stacks = [self._symplectic_bases(min(_DRAW_STACK, count - start), rng) @ binv % p
+                  for start in range(0, count, _DRAW_STACK)]
+        mats = np.concatenate(stacks) if stacks else np.zeros((0, d, d), dtype=np.int64)
+        return self._checked_group_stack(mats, "drawn")
+
     def random_element(self, rng) -> "SpElement":
-        """Uniformly random group element: a random symplectic basis M has
-        M^T gram M = J, so M B^-1 preserves the gram (B as in `_darboux_inv`)."""
-        m = self._random_basis(rng)
-        return self.element((m @ self._darboux_inv()) % self.field.p)
+        """A uniformly random group element, `random_element_matrices(1,
+        rng)[0]` as a checked element: the one-element call of the stacked
+        draw, which takes from rng what this call always took, so seeded
+        draws keep their values."""
+        basis = self._symplectic_bases(1, np.random.default_rng(rng))[0]
+        return self.element(basis @ self._darboux_inv() % self.field.p)
 
     def random_lagrangian(self, rng) -> "Lagrangian":
-        """The span of e_1..e_n of a random symplectic basis."""
-        return self.lagrangian(self._random_basis(rng)[:, : self.n].T)
+        """The span of e_1..e_n of a random symplectic basis: the one-element
+        call of the stacked draw, which takes from rng what this call always
+        took, so seeded draws keep their values."""
+        basis = self._symplectic_bases(1, np.random.default_rng(rng))[0]
+        return self.lagrangian(basis[:, : self.n].T)
 
     def elements(self) -> list["SpElement"]:
         """The whole group as elements, in the order of `element_matrices`."""
@@ -249,11 +277,7 @@ class SymplecticSpace:
         mats = mats[np.lexsort(flat.T[::-1])]
         if len(mats) != order:
             raise InvariantViolation(f"built {len(mats)} group elements, expected {order}")
-        gram = self.gram.a
-        if np.any((mats.swapaxes(1, 2) @ gram @ mats - gram) % p):
-            raise InvariantViolation("a built group element does not preserve the symplectic form")
-        mats.setflags(write=False)
-        return mats
+        return self._checked_group_stack(mats, "built")
 
     def doubled(self) -> "SymplecticSpace":
         """The same space squared, with gram diag(-J, J)."""
@@ -277,6 +301,32 @@ class SymplecticSpace:
 
     def __repr__(self) -> str:
         return f"SymplecticSpace(p={self.field.p}, dim={self.dim})"
+
+
+def _pick_rows(kb: np.ndarray, rng: np.random.Generator | None, p: int,
+               eg: np.ndarray | None = None) -> np.ndarray:
+    """One row of the span of each kb of a (count, k, dim) stack: a nonzero
+    one, or with eg given, one that pairs to nonzero with its row of eg.
+
+    With a Generator each row is y kb for y from one rng.integers(0, p,
+    (count, 1, k)) call, and the rejected rows are redrawn, in index order,
+    from their own kb until none is left.  With rng None each row is the
+    first accepted row of its kb.
+    """
+    def accept(rows, at):
+        return rows.any(axis=1) if eg is None else (rows * eg[at]).sum(axis=1) % p != 0
+
+    count, k, d = kb.shape
+    if rng is None:
+        ok = accept(kb.reshape(-1, d), np.arange(count).repeat(k)).reshape(count, k)
+        return kb[np.arange(count), ok.argmax(axis=1)]
+    at = np.arange(count)
+    rows = (rng.integers(0, p, (count, 1, k)) @ kb)[:, 0] % p
+    redo = at[~accept(rows, at)]
+    while redo.size:
+        rows[redo] = (rng.integers(0, p, (redo.size, 1, k)) @ kb[redo])[:, 0] % p
+        redo = redo[~accept(rows[redo], redo)]
+    return rows
 
 
 def _rref_subspaces(field: Fp, n: int, k: int):

@@ -26,6 +26,9 @@ from weilchar.field import Fp, SquareClass
 from weilchar.symplectic import SymplecticSpace, displacement_disc, kernel_of_displacement
 
 
+HEADER = "g,dim_ker,det_sigma_class,trace_re,trace_im,formula_used"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -246,6 +249,32 @@ def test_table_with_no_rows_prints_an_empty_list(capsys):
                          "--format", "json")
     assert code == 0, err
     assert json.loads(out) == []
+
+
+@pytest.mark.parametrize("fmt,want", [("json", "[]\n"), ("csv", HEADER + "\r\n"),
+                                      ("text", HEADER + "\n")])
+def test_sampled_table_with_no_samples_prints_an_empty_table(capsys, fmt, want):
+    code, out, err = run(capsys, "table", "--p", "5", "--n", "2", "--samples", "0",
+                         "--format", fmt)
+    assert (code, out, err) == (0, want, "")
+
+
+def test_sampled_table_rows_are_one_stacked_draw(capsys):
+    """`table --samples N` lists `random_element_matrices(N, rng)` for rng
+    seeded by [seed, p, n]; one sample is the element `random_element` draws."""
+    sp = SymplecticSpace(Fp(5), 2)
+
+    def seeded():
+        return np.random.default_rng(np.random.SeedSequence([4, 5, 2]))
+
+    for samples in (1, 6):
+        code, out, _ = run(capsys, "table", "--p", "5", "--n", "2", "--samples", str(samples),
+                           "--seed", "4", "--format", "json")
+        assert code == 0
+        got = np.array([row["g"] for row in json.loads(out)])
+        assert np.array_equal(got, sp.random_element_matrices(samples, seeded()))
+        if samples == 1:
+            assert np.array_equal(got[0], sp.random_element(seeded()).mat.a)
 
 
 def _row_dict(g, k, disc, tr, used):

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from weilchar import symplectic
+from weilchar.characters import AdditiveCharacter
+from weilchar.charformula import closed_form_data_many
 from weilchar.errors import DimensionMismatch, EnumerationTooLarge, InvariantViolation
 from weilchar.field import Fp, FpMatrix, Subspace
 from weilchar.symplectic import (
@@ -220,6 +223,8 @@ def test_element_matrices_check_the_form_on_the_whole_stack(monkeypatch):
         sp.element_matrices()
     with pytest.raises(InvariantViolation):
         sp.elements()
+    with pytest.raises(InvariantViolation):
+        sp.random_element_matrices(5, np.random.default_rng(0))
 
 
 def test_transvection_is_symplectic_and_fixes_hyperplane():
@@ -274,6 +279,90 @@ def test_random_element_frozen_draw_hashes(p, n, digest):
     assert hashlib.sha256(draws.astype("<i8").tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("p,n,digest", [
+    (3, 5, "eecfd6a5df86e21d64ac28ae07f78d4dc392b87dd87af863b4238a26da035eee"),
+    (7, 3, "d0f4068f65741006d213778cf6f6db1dddac541aeb71d18dd2fb10e67132deaa"),
+    (97, 2, "c754af44a739294f8a174b2ae4999c086d2d963ed0fc012df17dcbc18b2e166d"),
+])
+def test_random_element_matrices_frozen_draw_hashes(p, n, digest):
+    """One stacked draw of 200 elements from the seed [p, n], hashed as
+    little-endian int64 bytes: the stream of sampled `table` rows."""
+    sp = space(p, n)
+    mats = sp.random_element_matrices(200, np.random.default_rng([p, n]))
+    assert mats.shape == (200, sp.dim, sp.dim) and not mats.flags.writeable
+    assert hashlib.sha256(mats.astype("<i8").tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (7, 2), (3, 3)])
+def test_random_element_matrices_are_validated_group_elements(p, n):
+    """Every drawn matrix passes the constructor's own check, and a stack
+    of one is the element `random_element` draws from the same rng."""
+    sp = space(p, n)
+    mats = sp.random_element_matrices(40, np.random.default_rng(p * n))
+    for g in mats:
+        sp.element(g)
+    one = sp.random_element_matrices(1, np.random.default_rng(5))
+    assert np.array_equal(one[0], sp.random_element(np.random.default_rng(5)).mat.a)
+
+
+def test_random_element_matrices_of_no_elements():
+    sp = space(5, 2)
+    rng = np.random.default_rng(1)
+    mats = sp.random_element_matrices(0, rng)
+    assert mats.shape == (0, 4, 4) and mats.dtype == np.int64 and not mats.flags.writeable
+    # an empty sample takes nothing from the rng
+    assert rng.integers(0, 2**62) == np.random.default_rng(1).integers(0, 2**62)
+
+
+def test_random_element_matrices_draw_in_bounded_stacks(monkeypatch):
+    """Past `_DRAW_STACK` the sample is drawn as successive stacks of at
+    most that many bases from the one rng; up to it, as one stack."""
+    monkeypatch.setattr(symplectic, "_DRAW_STACK", 4)
+    sp = space(7, 2)
+    sizes = []
+    bases = SymplecticSpace._symplectic_bases
+
+    def recording(self, count, rng):
+        sizes.append(count)
+        return bases(self, count, rng)
+
+    monkeypatch.setattr(SymplecticSpace, "_symplectic_bases", recording)
+    mats = sp.random_element_matrices(10, np.random.default_rng(3))
+    assert sizes == [4, 4, 2]
+    rng = np.random.default_rng(3)
+    want = [sp.random_element_matrices(m, rng) for m in (4, 4, 2)]
+    assert np.array_equal(mats, np.concatenate(want))
+    sizes.clear()
+    sp.random_element_matrices(4, np.random.default_rng(3))
+    assert sizes == [4]
+
+
+def test_stacked_draws_are_uniform_on_sl2_f3():
+    """24,000 draws at (3, 1): each of the 24 elements appears within 5
+    sigma of 1,000 times."""
+    sp = space(3, 1)
+    mats = sp.random_element_matrices(24_000, np.random.default_rng(11))
+    code = 3 ** np.arange(4)  # each matrix as a base-3 number
+    group = sp.element_matrices().reshape(24, -1) @ code
+    drawn, counts = np.unique(mats.reshape(len(mats), -1) @ code, return_counts=True)
+    assert np.array_equal(drawn, np.sort(group))
+    sigma = np.sqrt(24_000 * (1 / 24) * (23 / 24))
+    assert np.all(np.abs(counts - 1000) <= 5 * sigma), counts
+
+
+def test_stacked_draws_have_the_exact_kernel_dimension_shares_on_sp4_f3():
+    """20,000 draws at (3, 2): the share of each dim ker(g - 1) lies within
+    5 sigma of its share of the whole group."""
+    sp = space(3, 2)
+    char = AdditiveCharacter(sp.field, 1)
+    group = [k for k, _, _ in closed_form_data_many(char, sp, sp.element_matrices())]
+    exact = np.bincount(group, minlength=5) / len(group)
+    draws = sp.random_element_matrices(20_000, np.random.default_rng(12))
+    drawn = np.bincount([k for k, _, _ in closed_form_data_many(char, sp, draws)], minlength=5)
+    sigma = np.sqrt(20_000 * exact * (1 - exact))
+    assert np.all(np.abs(drawn - 20_000 * exact) <= 5 * sigma), (drawn, exact)
+
+
 def basis_by_all_constraints(sp, draw):
     """Reference: each complement as the kernel of every constraint row so far."""
     p = sp.field.p
@@ -292,7 +381,8 @@ def basis_by_all_constraints(sp, draw):
 
 
 def recording_draw(rng, p, seen):
-    """The draw of `SymplecticSpace._random_basis`, recording each kb."""
+    """A one-vector draw from rng as `symplectic._pick_rows` makes it for a
+    stack of one, recording each kb."""
     def draw(kb, accept):
         seen.append(kb.copy())
         while True:
@@ -300,6 +390,18 @@ def recording_draw(rng, p, seen):
             if accept(v):
                 return v
     return draw
+
+
+def recording_picks(monkeypatch, seen):
+    """Record the kb stack and the rows of every `_pick_rows` call."""
+    pick = symplectic._pick_rows
+
+    def recorder(kb, rng, p, eg=None):
+        rows = pick(kb, rng, p, eg)
+        seen.append((kb.copy(), rows.copy()))
+        return rows
+
+    monkeypatch.setattr(symplectic, "_pick_rows", recorder)
 
 
 def congruent_space(p, n, seed):
@@ -317,23 +419,48 @@ def congruent_space(p, n, seed):
                                 space(5, 1).doubled(), congruent_space(7, 2, 1),
                                 congruent_space(3, 3, 2)],
                          ids=["3-3", "5-2", "97-1", "3-5", "doubled-5-1", "gram-7-2", "gram-3-3"])
-def test_symplectic_basis_equals_the_kernel_of_all_constraints(sp):
+def test_symplectic_basis_equals_the_kernel_of_all_constraints(sp, monkeypatch):
     """Each complement, taken as R' kb from the last one, is the rref basis
-    the kernel of all constraints gives: the same kb at every step, the
-    same draws, and the rng left in the same state."""
+    the kernel of all constraints gives.  A stack of one takes the same kb
+    at every step and the same draws as the reference, and leaves the rng
+    in the same state; in a stack of seven, each element's rows lie in its
+    own complements, which are those the reference builds from that
+    element's own e and f."""
     p = sp.field.p
+    picks = []
+    recording_picks(monkeypatch, picks)
     for seed in range(8):
         got_kbs, want_kbs = [], []
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(4):
-            got = sp._symplectic_basis(recording_draw(rng_got, p, got_kbs))
+            picks.clear()
+            got = sp._symplectic_bases(1, rng_got)
+            got_kbs += [kb[0] for kb, _ in picks]
             want = basis_by_all_constraints(sp, recording_draw(rng_want, p, want_kbs))
-            assert np.array_equal(got, want)
+            assert got.shape == (1, sp.dim, sp.dim) and np.array_equal(got[0], want)
         assert len(got_kbs) == len(want_kbs)
         assert all(np.array_equal(a, b) for a, b in zip(got_kbs, want_kbs))
         assert rng_got.integers(0, 2**62) == rng_want.integers(0, 2**62)
+    for seed in range(3):
+        picks.clear()
+        got = sp._symplectic_bases(7, np.random.default_rng(seed))
+        assert len(picks) == 2 * sp.n
+        for j in range(7):
+            fed = iter([rows[j] for _, rows in picks])
+            kbs = []
+
+            def draw(kb, accept):
+                kbs.append(kb.copy())
+                v = next(fed)
+                assert accept(v) and sp.subspace(kb).coordinates_many(v[None])[1][0]
+                return v
+
+            assert np.array_equal(got[j], basis_by_all_constraints(sp, draw))
+            assert all(np.array_equal(a, kb[j]) for a, (kb, _) in zip(kbs, picks, strict=True))
     first = lambda kb, accept: next(v for v in kb if accept(v))
-    assert np.array_equal(sp._darboux_basis(), basis_by_all_constraints(sp, first))
+    want = basis_by_all_constraints(sp, first)
+    assert np.array_equal(sp._symplectic_bases(1, None)[0], want)
+    assert np.array_equal(sp._darboux_basis(), want)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
