@@ -22,37 +22,52 @@ _DRAW_STACK = 1024
 
 
 def standard_gram(field: Fp, n: int) -> FpMatrix:
+    j = np.zeros((2 * n, 2 * n), dtype=np.int64)
     eye = np.eye(n, dtype=np.int64)
-    z = np.zeros((n, n), dtype=np.int64)
-    return FpMatrix(field, np.block([[z, eye], [-eye, z]]))
+    j[:n, n:] = eye
+    j[n:, :n] = -eye
+    return FpMatrix(field, j)
 
 
 class SymplecticSpace:
-    """F_p^dim with a fixed invertible antisymmetric gram matrix."""
+    """F_p^dim with a fixed invertible antisymmetric gram matrix.
+
+    A gram passed in is checked to be square of even dimension, alternating
+    and nondegenerate, the last by one elimination.  The grams the library
+    builds itself, J for `SymplecticSpace(field, n)` and diag(-G, G) for
+    `doubled`, have the known nonzero determinants 1 and det(G)^2, so they
+    are taken without that elimination.
+    """
 
     __slots__ = (
         "field", "gram", "_doubled", "_lagrangians", "_darboux", "_diagonal", "_standard"
     )
 
     def __init__(self, field: Fp, n: int | None = None, gram: FpMatrix | None = None) -> None:
-        self.field = field
-        # (B, B^-1) of `_darboux_basis`, known up front for the gram J: B = I
-        self._darboux: tuple[np.ndarray, np.ndarray] | None = None
         if gram is None:
             if n is None or n < 1:
                 raise DimensionMismatch("need n >= 1 or an explicit gram matrix")
-            gram = standard_gram(field, n)
             eye = FpMatrix.identity(field, 2 * n).a
-            self._darboux = (eye, eye)
-        p = field.p
+            self._build(field, standard_gram(field, n), (eye, eye))
+            return
+        self._build(field, gram, None)
         a = gram.a
-        if a.shape[0] != a.shape[1] or a.shape[0] % 2:
-            raise DimensionMismatch("gram must be square of even dimension")
-        if np.any((a + a.T) % p) or np.any(a.diagonal() % p):
+        if np.any((a + a.T) % field.p) or np.any(a.diagonal() % field.p):
             raise DimensionMismatch("gram must be alternating")
         if gram.det() == 0:
             raise DimensionMismatch("gram must be nondegenerate")
+
+    def _build(self, field: Fp, gram: FpMatrix,
+               darboux: tuple[np.ndarray, np.ndarray] | None) -> None:
+        """Set the fields for a gram of checked shape; the caller vouches for
+        the rest.  darboux is (B, B^-1) of `_darboux_basis` when known up
+        front, as B = I is for the gram J."""
+        a = gram.a
+        if a.shape[0] != a.shape[1] or a.shape[0] % 2:
+            raise DimensionMismatch("gram must be square of even dimension")
+        self.field = field
         self.gram = gram
+        self._darboux = darboux
         self._doubled: SymplecticSpace | None = None
         self._lagrangians: list[Lagrangian] | None = None
         self._diagonal: Lagrangian | None = None
@@ -83,11 +98,13 @@ class SymplecticSpace:
         return Lagrangian(self, sub)
 
     def standard_lagrangian(self) -> "Lagrangian":
-        """The span of the first n unit vectors, built once per space."""
+        """The span of the first n unit vectors, built once per space from
+        its rref basis [I | 0], with no elimination."""
         if self._standard is None:
-            rows = np.zeros((self.n, self.dim), dtype=np.int64)
-            rows[:, : self.n] = np.eye(self.n, dtype=np.int64)
-            self._standard = self.lagrangian(rows)
+            n = self.n
+            rows = np.zeros((n, self.dim), dtype=np.int64)
+            rows[:, :n] = np.eye(n, dtype=np.int64)
+            self._standard = _reduced_lagrangian(self, rows, tuple(range(n)))
         return self._standard
 
     def element(self, mat) -> "SpElement":
@@ -280,13 +297,18 @@ class SymplecticSpace:
         return self._checked_group_stack(mats, "built")
 
     def doubled(self) -> "SymplecticSpace":
-        """The same space squared, with gram diag(-J, J)."""
+        """The same space squared, with gram diag(-G, G) for this space's
+        gram G, built once.  Its determinant is det(G)^2, nonzero, so it is
+        not recomputed by elimination."""
         if self._doubled is None:
             j = self.gram.a
-            z = np.zeros_like(j)
-            self._doubled = SymplecticSpace(
-                self.field, gram=FpMatrix(self.field, np.block([[-j, z], [z, j]]))
-            )
+            d = self.dim
+            big = np.zeros((2 * d, 2 * d), dtype=np.int64)
+            big[:d, :d] = -j
+            big[d:, d:] = j
+            w = SymplecticSpace.__new__(SymplecticSpace)
+            w._build(self.field, FpMatrix(self.field, big), None)
+            self._doubled = w
         return self._doubled
 
     def __eq__(self, other: object) -> bool:
@@ -399,15 +421,17 @@ class Lagrangian:
         return Lagrangian(self.space, Subspace.from_rows(self.space.field, self.space.dim, rows))
 
     def doubled(self) -> "Lagrangian":
-        """The Lagrangian {(a, b) : a, b in self} of the doubled space, built once."""
+        """The Lagrangian {(a, b) : a, b in self} of the doubled space, built
+        once.  Its rows (b, 0) and (0, b) are in rref because b is, with the
+        pivots P and d + P for the pivots P of b, so no elimination runs."""
         if self._doubled is None:
             b = self.sub.basis.a
             k, d = b.shape
             rows = np.zeros((2 * k, 2 * d), dtype=np.int64)
             rows[:k, :d] = b
             rows[k:, d:] = b
-            w = self.space.doubled()
-            self._doubled = Lagrangian(w, Subspace.from_rows(w.field, w.dim, rows))
+            pivots = self.sub.pivots + tuple(d + c for c in self.sub.pivots)
+            self._doubled = _reduced_lagrangian(self.space.doubled(), rows, pivots)
         return self._doubled
 
     def __eq__(self, other: object) -> bool:
@@ -448,12 +472,13 @@ class SpElement:
         return SpElement(self.space, self.mat.inv())
 
     def graph(self) -> Lagrangian:
-        """The graph {(x, gx)} as a Lagrangian of the doubled space, built once."""
+        """The graph {(x, gx)} as a Lagrangian of the doubled space, built
+        once.  Its basis [I | g^T] is already in rref, with pivots 0..d-1,
+        so no elimination runs."""
         if self._graph is None:
             d = self.space.dim
             rows = np.hstack([np.eye(d, dtype=np.int64), self.mat.a.T])
-            w = self.space.doubled()
-            self._graph = Lagrangian(w, Subspace.from_rows(w.field, w.dim, rows))
+            self._graph = _reduced_lagrangian(self.space.doubled(), rows, tuple(range(d)))
         return self._graph
 
     def __eq__(self, other: object) -> bool:
@@ -470,8 +495,21 @@ class SpElement:
         return f"SpElement(p={self.space.field.p},\n{self.mat.a})"
 
 
+def _reduced_lagrangian(space: SymplecticSpace, rows: np.ndarray,
+                        pivots: tuple[int, ...]) -> Lagrangian:
+    """The Lagrangian of space spanned by library-built rows that are
+    already its rref basis, with these pivot columns.  No elimination runs,
+    but the shape and `Lagrangian`'s dimension and isotropy checks do."""
+    if rows.shape != (len(pivots), space.dim):
+        raise DimensionMismatch(f"basis of shape {rows.shape} for {len(pivots)} pivots "
+                                f"in dimension {space.dim}")
+    field = space.field
+    return Lagrangian(space, Subspace(field, space.dim, FpMatrix(field, rows), pivots))
+
+
 def diagonal_lagrangian(space: SymplecticSpace) -> Lagrangian:
-    """The diagonal {(x, x)} inside the doubled space, built once per space."""
+    """The diagonal {(x, x)} inside the doubled space, built once per space
+    as the graph of the identity, with no elimination."""
     if space._diagonal is None:
         space._diagonal = space.identity().graph()
     return space._diagonal

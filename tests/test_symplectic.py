@@ -1,13 +1,18 @@
 """Symplectic spaces, Lagrangian enumeration, group element generation."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import weilchar
 from weilchar import symplectic
 from weilchar.characters import AdditiveCharacter
 from weilchar.charformula import closed_form_data_many
@@ -527,6 +532,92 @@ def test_graph_doubled_and_diagonal_are_built_once():
     assert ld == Lagrangian(w, Subspace.from_rows(w.field, w.dim, rows))
     assert diagonal_lagrangian(sp) is diagonal_lagrangian(sp)
     assert diagonal_lagrangian(sp) == sp.identity().graph()
+
+
+def eliminated(sp, rows):
+    return Lagrangian(sp, Subspace.from_rows(sp.field, sp.dim, rows))
+
+
+def assert_same_lagrangian(got, want):
+    assert got.space == want.space
+    assert got.sub.basis.shape == want.sub.basis.shape
+    assert got.sub.basis.a.tobytes() == want.sub.basis.a.tobytes()
+    assert got.sub.pivots == want.sub.pivots
+    assert got == want and hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("make", [lambda: space(3, 1), lambda: space(5, 2), lambda: space(7, 3),
+                                  lambda: space(3, 5), lambda: space(3, 1).doubled(),
+                                  lambda: space(5, 2).doubled(), lambda: congruent_space(7, 2, 1),
+                                  lambda: congruent_space(3, 3, 2)],
+                         ids=["3-1", "5-2", "7-3", "3-5", "doubled-3-1", "doubled-5-2",
+                              "gram-7-2", "gram-3-3"])
+def test_library_built_lagrangians_equal_their_eliminated_twins(make):
+    """graph(), the diagonal, l.doubled() and the standard Lagrangian skip
+    the elimination of their rows; each equals the Lagrangian that
+    `Subspace.from_rows` makes of the same rows, byte for byte and pivot for
+    pivot, and the doubled space equals the one a checked gram makes."""
+    sp = make()
+    f, d = sp.field, sp.dim
+    w = sp.doubled()
+    assert w.gram.det() != 0
+    big = np.zeros((2 * d, 2 * d), dtype=np.int64)
+    big[:d, :d] = -sp.gram.a
+    big[d:, d:] = sp.gram.a
+    assert w == SymplecticSpace(f, gram=FpMatrix(f, big))
+    eye = np.eye(d, dtype=np.int64)
+    assert_same_lagrangian(diagonal_lagrangian(sp), eliminated(w, np.hstack([eye, eye])))
+    standard = np.zeros((sp.n, d), dtype=np.int64)
+    standard[:, : sp.n] = np.eye(sp.n, dtype=np.int64)
+    if sp.is_isotropic(Subspace.from_rows(f, d, standard)):
+        assert_same_lagrangian(sp.standard_lagrangian(), eliminated(sp, standard))
+    else:
+        with pytest.raises(DimensionMismatch):
+            eliminated(sp, standard)
+        with pytest.raises(DimensionMismatch):
+            sp.standard_lagrangian()
+    rng = np.random.default_rng(d)
+    for _ in range(4):
+        g = sp.random_element(rng)
+        assert_same_lagrangian(g.graph(), eliminated(w, np.hstack([eye, g.mat.a.T])))
+        l = sp.random_lagrangian(rng)
+        b = l.sub.basis.a
+        z = np.zeros_like(b)
+        assert_same_lagrangian(l.doubled(), eliminated(w, np.block([[b, z], [z, b]])))
+        moved = l.transform(g)
+        assert_same_lagrangian(moved, eliminated(sp, l.sub.basis.a @ g.mat.a.T))
+        b = moved.sub.basis.a
+        assert_same_lagrangian(moved.doubled(), eliminated(w, np.block([[b, z], [z, b]])))
+
+
+def test_user_input_raises_typed_errors_under_python_O():
+    """python -O strips assert: a bad gram still raises DimensionMismatch,
+    and a non-isotropic --l still exits 2 with its message."""
+    env = dict(os.environ, PYTHONPATH=str(Path(weilchar.__file__).parents[1]))
+    script = """
+import numpy as np
+from weilchar.errors import DimensionMismatch
+from weilchar.field import Fp, FpMatrix
+from weilchar.symplectic import SymplecticSpace
+f = Fp(5)
+bad = [np.zeros((2, 2), np.int64), [[0, 1, 0], [-1, 0, 0], [0, 0, 0]], [[1, 1], [-1, 0]]]
+for gram in bad:
+    try:
+        SymplecticSpace(f, gram=FpMatrix(f, gram))
+    except DimensionMismatch:
+        continue
+    raise SystemExit(f"accepted {gram}")
+print("typed")
+"""
+    run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert (run.returncode, run.stdout.strip(), run.stderr) == (0, "typed", "")
+    eye = ",".join(str(int(i == j)) for i in range(4) for j in range(4))
+    run = subprocess.run([sys.executable, "-O", "-m", "weilchar", "trace", "--p", "5", "--n", "2",
+                          "--g", eye, "--l", "1,0,0,0,0,0,1,0"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 2
+    assert "not isotropic" in run.stderr
 
 
 def test_displacement_kernel_and_disc():
