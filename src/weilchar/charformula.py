@@ -24,12 +24,13 @@ dimensions, Witt invariants and transfer isometry to closed formulas.  They
 take one `DiagonalForm` per (g, l), which also carries ker(g - 1) and
 g l ^ l, so each pair's form and subspaces are built once for all checks.
 
-The forms and the Maslov classes each have a stacked call over many pairs,
-and the single call is its one-element form, so each has one implementation:
-`diagonal_forms` builds the forms from stacked solvers and null spaces, and
-`check_maslov_classes` the Witt data of many forms from one stacked call per
-quantity.  The tests hold each stack to an independent one-pair route, the
-forms to `diagonal_form_by_sums`, built through sums and `intersect`.
+The forms, the Maslov classes and the inverse identities each have one
+stacked implementation, and the single call is its one-element form:
+`diagonal_forms` builds the forms from stacked solvers and null spaces and
+their subspaces through `field._subspaces`, `check_maslov_classes` takes g l
+from `symplectic._transformed`, and `check_inverse_identities` inverts
+through `_inverses_many`.  The tests hold each stack to an independent
+one-pair route, the forms to `diagonal_form_by_sums` (sums and `intersect`).
 """
 
 from __future__ import annotations
@@ -47,9 +48,11 @@ from .field import (
     SquareClass,
     Subspace,
     _eliminate_many,
+    _inverses_many,
     _kernel_rows,
     _rank_dets_many,
     _solvers_many,
+    _subspaces,
 )
 from .maslov import Orientation, _polygon_rank_dets, orientation_pairings
 from .metaplectic import MpElement, _theta_triples, character_factor
@@ -58,6 +61,7 @@ from .symplectic import (
     Lagrangian,
     SpElement,
     SymplecticSpace,
+    _transformed,
     kernel_of_displacement,
 )
 
@@ -90,17 +94,6 @@ class DiagonalForm:
 def diagonal_form(g: SpElement, l: Lagrangian) -> DiagonalForm:
     """The `DiagonalForm` of (g, l): the one-element call of `diagonal_forms`."""
     return diagonal_forms([g], [l])[0]
-
-
-def _subspaces(field, rows: np.ndarray, free: np.ndarray, pivots=None) -> list[Subspace]:
-    """The subspaces of F_p^c spanned by rows[b][free[b]], a (B, c', c) stack
-    of rref bases in place; each pivots at pivots[b][free[b]], or at the
-    columns free[b] when pivots is None."""
-    ambient = rows.shape[2]
-    if pivots is None:
-        pivots = np.broadcast_to(np.arange(rows.shape[1]), free.shape)
-    return [Subspace(field, ambient, FpMatrix(field, r[m]), tuple(c[m].tolist()))
-            for r, m, c in zip(rows, free, pivots)]
 
 
 def diagonal_forms(gs: Sequence[SpElement], ls: Sequence[Lagrangian]) -> list[DiagonalForm]:
@@ -290,16 +283,17 @@ def check_maslov_classes(char: AdditiveCharacter, dfs: Sequence[DiagonalForm]) -
     and the rref bases of (graph, diagonal, l + l) one `_polygon_rank_dets`.
     dim(l ^ (g-1)l) is n + rank (g-1)l - rank [l; (g-1)l], with both ranks
     from one stacked elimination.  The pairings of (g l, l) take one
-    `orientation_pairings` call, with g l ^ l from the forms zero-padded as
-    `inters`, and the displacement classes one `closed_form_data_many`."""
+    `orientation_pairings` call, with g l from one `_transformed` of the
+    moved bases b g^T, which orient it, and g l ^ l from the forms
+    zero-padded as `inters`; the displacement classes take one
+    `closed_form_data_many`."""
     if not dfs:
         return []
     space = dfs[0].g.space
     if any(df.g.space != space or df.l.space != space for df in dfs):
         raise DimensionMismatch("Maslov classes need one space")
     field, n, d = space.field, space.n, space.dim
-    p = field.p
-    nb = len(dfs)
+    p, nb = field.p, len(dfs)
     eye = np.eye(d, dtype=np.int64)
     mats = np.stack([df.g.mat.a for df in dfs])
     bl = np.stack([df.l.sub.basis.a for df in dfs])
@@ -326,23 +320,20 @@ def check_maslov_classes(char: AdditiveCharacter, dfs: Sequence[DiagonalForm]) -
     inters = np.zeros((nb, max(df.inter.dim for df in dfs), d), dtype=np.int64)
     for inter, df in zip(inters, dfs):
         inter[:df.inter.dim] = df.inter.basis.a
-    orients = [Orientation.default(df.l) for df in dfs]
-    pairs = orientation_pairings([o.transform(df.g) for o, df in zip(orients, dfs)], orients,
-                                 inters)
+    gbl = bl @ mats.swapaxes(1, 2) % p
+    moved = [Orientation._spanning(gl, FpMatrix(field, b))
+             for gl, b in zip(_transformed(space, gbl), gbl)]
+    pairs = orientation_pairings(moved, [Orientation.default(df.l) for df in dfs], inters)
     closed = closed_form_data_many(char, space, mats)
 
     reports = []
     for inv_q, inv_m, meet, pair, (_, disc, _) in zip(*invs, meets, pairs, closed):
         want_disc = SquareClass.of(field, pow(-1, meet, p)) * pair * disc
-        reports.append(CheckReport(
-            label="maslov-class",
-            ok=inv_q.same(inv_m) and inv_q.disc == want_disc,
-            details={
-                "support_inv": (inv_q.rank, inv_q.disc.rep, inv_q.gamma),
-                "maslov_inv": (inv_m.rank, inv_m.disc.rep, inv_m.gamma),
-                "disc_formula": want_disc.rep,
-            },
-        ))
+        ok = inv_q.same(inv_m) and inv_q.disc == want_disc
+        reports.append(CheckReport("maslov-class", ok, {
+            "support_inv": (inv_q.rank, inv_q.disc.rep, inv_q.gamma),
+            "maslov_inv": (inv_m.rank, inv_m.disc.rep, inv_m.gamma),
+            "disc_formula": want_disc.rep}))
     return reports
 
 
@@ -360,31 +351,33 @@ def check_transfer_isometry(df: DiagonalForm) -> CheckReport:
 
 
 def check_inverse_identity(df: DiagonalForm) -> CheckReport:
-    """For invertible g - 1: the dual form equals form(a, (g-1)^(-1) b) and
-    -form(a, (g^(-1)-1)^(-1) b), two independent inverse computations."""
-    if df.ker.dim:
-        raise SingularGMinusOne("g - 1 is singular")
-    g = df.g
-    space = g.space
-    field = space.field
-    p = field.p
+    """The one-element call of `check_inverse_identities`."""
+    return check_inverse_identities([df])[0]
+
+
+def check_inverse_identities(dfs: Sequence[DiagonalForm]) -> list[CheckReport]:
+    """For every form of one space with g - 1 invertible: the dual form equals
+    form(a, (g-1)^(-1) b) and -form(a, (g^(-1)-1)^(-1) b), two independent
+    inverse computations.  g^(-1) of every pair takes one stacked
+    `_inverses_many`, and (g-1)^(-1) and (g^(-1)-1)^(-1) a second."""
+    if not dfs:
+        return []
+    space = dfs[0].g.space
+    if any(df.g.space != space for df in dfs):
+        raise DimensionMismatch("inverse identities need one space")
+    field, j, nb = space.field, space.gram.a, len(dfs)
+    mats = np.stack([df.g.mat.a for df in dfs])
+    ginv = _inverses_many(mats, field)[1]
     eye = np.eye(space.dim, dtype=np.int64)
-    b = df.dual_support.basis.a
-    j = space.gram.a
-    gm1 = FpMatrix(field, g.mat.a - eye)
-    first = (b @ j @ gm1.inv().a @ b.T) % p
-    ginv = g.inv()
-    hm1 = FpMatrix(field, ginv.mat.a - eye)
-    second = (-(b @ j @ hm1.inv().a @ b.T)) % p
-    ok = bool(np.array_equal(first, df.dual_gram.a)) and bool(
-        np.array_equal(second, df.dual_gram.a)
-    )
-    return CheckReport(
-        label="inverse-identity",
-        ok=ok,
-        details={
-            "dual_gram": df.dual_gram.tolist(),
-            "resolvent": first.tolist(),
-            "inverse_route": second.tolist(),
-        },
-    )
+    ok, resolvents = _inverses_many(np.concatenate([mats - eye, ginv - eye]), field)
+    if any(df.ker.dim for df in dfs) or not ok.all():
+        raise SingularGMinusOne("g - 1 is singular")
+    reports = []
+    for df, r1, r2 in zip(dfs, resolvents[:nb], resolvents[nb:]):
+        b = df.dual_support.basis.a
+        first, second = b @ j @ r1 @ b.T % field.p, -(b @ j @ r2 @ b.T) % field.p
+        ok = all(np.array_equal(route, df.dual_gram.a) for route in (first, second))
+        reports.append(CheckReport("inverse-identity", ok, {
+            "dual_gram": df.dual_gram.tolist(), "resolvent": first.tolist(),
+            "inverse_route": second.tolist()}))
+    return reports

@@ -9,7 +9,8 @@ Each quantity built on an elimination has one implementation, on a (B, r, c)
 stack, and a single call is its one-element stack.  `_eliminate_many` alone
 picks the pivot loop: the scalar `_eliminate` for a stack of one, several
 times cheaper there, and the stacked loop otherwise.  Only `FpMatrix.rref`
-and `FpMatrix.det` call `_eliminate` directly.
+and `FpMatrix.det` call `_eliminate` directly.  `_subspaces` alone turns rref
+rows and their pivots into `Subspace`s, one or a whole stack at a time.
 """
 
 from __future__ import annotations
@@ -122,13 +123,6 @@ class SquareClass:
         return f"SquareClass(p={self.field.p}, rep={self.rep}, {tag})"
 
 
-def _as_array(data, p: int) -> np.ndarray:
-    a = np.asarray(data, dtype=np.int64) % p
-    if a.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-d array, got shape {a.shape}")
-    return a
-
-
 class FpMatrix:
     """An immutable matrix over F_p backed by a numpy int64 array."""
 
@@ -136,7 +130,9 @@ class FpMatrix:
 
     def __init__(self, field: Fp, data) -> None:
         self.field = field
-        arr = _as_array(data, field.p)
+        arr = np.asarray(data, dtype=np.int64) % field.p
+        if arr.ndim != 2:
+            raise DimensionMismatch(f"expected a 2-d array, got shape {arr.shape}")
         arr.setflags(write=False)
         self.a = arr
 
@@ -209,9 +205,7 @@ class FpMatrix:
     def kernel(self) -> "Subspace":
         """The right null space {x : A x = 0} as a subspace of F_p^ncols, from
         one elimination: the one-element call of `_kernel_rows`."""
-        rows, free = _kernel_rows(self.a[None], self.field)
-        pivots = tuple(np.flatnonzero(free[0]).tolist())
-        return Subspace(self.field, self.ncols, FpMatrix(self.field, rows[0][free[0]]), pivots)
+        return _subspaces(self.field, *_kernel_rows(self.a[None], self.field))[0]
 
     def det(self) -> int:
         if self.nrows != self.ncols:
@@ -418,6 +412,21 @@ def _solvers_many(stack: np.ndarray, field: Fp) -> tuple[np.ndarray, np.ndarray,
     return solutions, syndromes, ranks
 
 
+def _subspaces(field: Fp, rows: np.ndarray, keep: np.ndarray | None = None,
+               pivots: np.ndarray | None = None) -> list["Subspace"]:
+    """The subspaces of F_p^c with the rref bases rows[b][keep[b]] of a (B, k, c)
+    stack, all rows when keep is None, pivoted at the columns pivots[b][keep[b]],
+    or at the row indices as in `_kernel_rows` when pivots is None.  Every
+    `Subspace` made from rref rows is made here: no elimination, a shape check."""
+    nb, k, ambient = rows.shape
+    pivots = np.arange(k)[None].repeat(nb, axis=0) if pivots is None else pivots
+    if pivots.shape != (nb, k) or keep is not None and keep.shape != (nb, k):
+        raise DimensionMismatch(f"pivots of shape {pivots.shape} for bases of shape {rows.shape}")
+    keep = [slice(None)] * nb if keep is None else keep
+    return [Subspace(field, ambient, FpMatrix(field, r[m]), tuple(c[m].tolist()))
+            for r, m, c in zip(rows, keep, pivots)]
+
+
 class RowSolver:
     """Solves y @ M = d over F_p for a fixed (r, c) matrix M and many d.
 
@@ -459,12 +468,9 @@ class Subspace:
     @classmethod
     def from_rows(cls, field: Fp, ambient: int, rows) -> "Subspace":
         arr = np.asarray(rows, dtype=np.int64)
-        if arr.size == 0:
-            arr = np.zeros((0, ambient), dtype=np.int64)
-        else:
-            arr = arr.reshape(-1, ambient) % field.p
+        arr = arr.reshape(-1, ambient) % field.p if arr.size else np.zeros((0, ambient), np.int64)
         red, pivots = FpMatrix(field, arr).rref()
-        return cls(field, ambient, FpMatrix(field, red.a[: len(pivots)]), pivots)
+        return _subspaces(field, red.a[None, : len(pivots)], pivots=np.array([pivots]))[0]
 
     @classmethod
     def zero(cls, field: Fp, ambient: int) -> "Subspace":
@@ -509,11 +515,11 @@ class Subspace:
         return Subspace.from_rows(self.field, self.ambient, coefs[:, : self.dim] @ u)
 
     def complement_std(self) -> "Subspace":
-        """The complement spanned by standard basis vectors off the pivot set."""
-        rows = np.eye(self.ambient, dtype=np.int64)[
-            [c for c in range(self.ambient) if c not in self.pivots]
-        ]
-        return Subspace.from_rows(self.field, self.ambient, rows)
+        """The complement spanned by the unit vectors off the pivot set, whose
+        rows are their own rref."""
+        off = [c for c in range(self.ambient) if c not in self.pivots]
+        rows = np.eye(self.ambient, dtype=np.int64)[None, off]
+        return _subspaces(self.field, rows, pivots=np.array([off], dtype=np.int64))[0]
 
     def vectors(self) -> np.ndarray:
         """All p^dim member vectors as an array of shape (p^dim, ambient)."""

@@ -4,6 +4,11 @@ The standard space F_p^{2n} carries the gram matrix J = [[0, I], [-I, 0]] and
 form(u, v) = u @ J @ v.  The doubled space is the same vector space squared
 with gram diag(-J, J); graphs of group elements and the diagonal are
 Lagrangians there.
+
+g l has one implementation, `_transformed`, which reduces the moved bases
+b g^T of a whole stack in one elimination; `Lagrangian.transform` is its
+one-element call.  Bases the library builds already in rref take no
+elimination: `_reduced_lagrangian` passes them to `field._subspaces`.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionMismatch, EnumerationTooLarge, InvariantViolation
-from .field import Fp, FpMatrix, SquareClass, Subspace, _inverses_many, _kernel_rows
+from .field import (Fp, FpMatrix, SquareClass, Subspace, _eliminate_many, _inverses_many,
+                    _kernel_rows, _subspaces)
 
 LAGRANGIAN_CAP = 100_000
 GROUP_CAP = 100_000
@@ -91,20 +97,17 @@ class SymplecticSpace:
 
     def is_isotropic(self, sub: Subspace) -> bool:
         b = sub.basis.a
-        return not np.any((b @ self.gram.a @ b.T) % self.field.p)
+        return not ((b @ self.gram.a @ b.T) % self.field.p).any()
 
     def lagrangian(self, rows) -> "Lagrangian":
-        sub = self.subspace(rows)
-        return Lagrangian(self, sub)
+        return Lagrangian(self, self.subspace(rows))
 
     def standard_lagrangian(self) -> "Lagrangian":
         """The span of the first n unit vectors, built once per space from
         its rref basis [I | 0], with no elimination."""
         if self._standard is None:
-            n = self.n
-            rows = np.zeros((n, self.dim), dtype=np.int64)
-            rows[:, :n] = np.eye(n, dtype=np.int64)
-            self._standard = _reduced_lagrangian(self, rows, tuple(range(n)))
+            rows = np.eye(self.n, self.dim, dtype=np.int64)
+            self._standard = _reduced_lagrangian(self, rows, tuple(range(self.n)))
         return self._standard
 
     def element(self, mat) -> "SpElement":
@@ -118,8 +121,7 @@ class SymplecticSpace:
         p = self.field.p
         v = np.asarray(v, dtype=np.int64) % p
         jv = (self.gram.a @ v) % p
-        mat = (np.eye(self.dim, dtype=np.int64) + (lam % p) * np.outer(v, jv)) % p
-        return self.element(mat)
+        return self.element(np.eye(self.dim, dtype=np.int64) + (lam % p) * np.outer(v, jv))
 
     def order(self) -> int:
         p, n = self.field.p, self.n
@@ -152,18 +154,16 @@ class SymplecticSpace:
             raise EnumerationTooLarge(f"{count} Lagrangians exceeds cap {LAGRANGIAN_CAP}")
         if self._lagrangians is not None:
             return self._lagrangians
-        field, n, dim = self.field, self.n, self.dim
+        field, n = self.field, self.n
         # rows x of a J-Lagrangian map to rows x B^T of a gram-Lagrangian
-        to_gram = None
-        if self.gram != standard_gram(field, n):
-            to_gram = self._darboux_basis().T
+        to_gram = None if self.gram == standard_gram(field, n) else self._darboux_basis().T
         out = []
-        for basis, pivots in _chart_bases(field, n):
+        for bases, pivots in _chart_bases(field, n):
             if to_gram is None:
-                sub = Subspace(field, dim, FpMatrix(field, basis), pivots)
+                subs = _subspaces(field, bases, pivots=np.broadcast_to(pivots, bases.shape[:2]))
+                out.extend(Lagrangian(self, sub) for sub in subs)
             else:
-                sub = self.subspace(basis @ to_gram)
-            out.append(Lagrangian(self, sub))
+                out.extend(_transformed(self, bases @ to_gram))
         out.sort(key=lambda l: l.sub.basis.a.tobytes())
         if len(out) != count:
             raise InvariantViolation(f"found {len(out)} Lagrangians, expected {count}")
@@ -301,11 +301,9 @@ class SymplecticSpace:
         gram G, built once.  Its determinant is det(G)^2, nonzero, so it is
         not recomputed by elimination."""
         if self._doubled is None:
-            j = self.gram.a
-            d = self.dim
+            j, d = self.gram.a, self.dim
             big = np.zeros((2 * d, 2 * d), dtype=np.int64)
-            big[:d, :d] = -j
-            big[d:, d:] = j
+            big[:d, :d], big[d:, d:] = -j, j
             w = SymplecticSpace.__new__(SymplecticSpace)
             w._build(self.field, FpMatrix(self.field, big), None)
             self._doubled = w
@@ -367,8 +365,9 @@ def _rref_subspaces(field: Fp, n: int, k: int):
 
 
 def _chart_bases(field: Fp, n: int):
-    """(rref basis, pivots) of every Lagrangian of the standard F_p^{2n}, one
-    chart (U, S) at a time as in `SymplecticSpace.all_lagrangians`.
+    """(rref bases, pivots) of every Lagrangian of the standard F_p^{2n}: for
+    each U of `SymplecticSpace.all_lagrangians`, the stack of the bases of
+    all its charts (U, S), which share their pivots.
 
     The rows [B_U | S T] and [0 | B_W] are already in rref: T holds the
     coset representatives modulo W of the unit vectors e_i, i in P, which
@@ -389,9 +388,7 @@ def _chart_bases(field: Fp, n: int):
             stack[:, :k, :n] = bu
             stack[:, :k, n:] = (sym @ w.coset_rep(eye[list(piv)])) % p
             stack[:, k:, n:] = w.basis.a
-            pivots = piv + tuple(n + q for q in w.pivots)
-            for b in stack:
-                yield b, pivots
+            yield stack, piv + tuple(n + q for q in w.pivots)
 
 
 class Lagrangian:
@@ -400,8 +397,9 @@ class Lagrangian:
     __slots__ = ("space", "sub", "_doubled")
 
     def __init__(self, space: SymplecticSpace, sub: Subspace) -> None:
-        if sub.dim != space.n:
-            raise DimensionMismatch(f"Lagrangian must have dim {space.n}, got {sub.dim}")
+        if (sub.ambient, sub.dim) != (space.dim, space.n):
+            raise DimensionMismatch(f"Lagrangian must have dim {space.n} in {space.dim}, "
+                                    f"got {sub.dim} in {sub.ambient}")
         if not space.is_isotropic(sub):
             raise DimensionMismatch("subspace is not isotropic")
         self.space = space
@@ -417,8 +415,8 @@ class Lagrangian:
         return self.sub.dim
 
     def transform(self, g: "SpElement") -> "Lagrangian":
-        rows = (self.sub.basis.a @ g.mat.a.T) % self.space.field.p
-        return Lagrangian(self.space, Subspace.from_rows(self.space.field, self.space.dim, rows))
+        """g l: the one-element call of `_transformed`."""
+        return _transformed(self.space, (self.sub.basis.a @ g.mat.a.T)[None])[0]
 
     def doubled(self) -> "Lagrangian":
         """The Lagrangian {(a, b) : a, b in self} of the doubled space, built
@@ -428,8 +426,7 @@ class Lagrangian:
             b = self.sub.basis.a
             k, d = b.shape
             rows = np.zeros((2 * k, 2 * d), dtype=np.int64)
-            rows[:k, :d] = b
-            rows[k:, d:] = b
+            rows[:k, :d] = rows[k:, d:] = b
             pivots = self.sub.pivots + tuple(d + c for c in self.sub.pivots)
             self._doubled = _reduced_lagrangian(self.space.doubled(), rows, pivots)
         return self._doubled
@@ -499,12 +496,20 @@ def _reduced_lagrangian(space: SymplecticSpace, rows: np.ndarray,
                         pivots: tuple[int, ...]) -> Lagrangian:
     """The Lagrangian of space spanned by library-built rows that are
     already its rref basis, with these pivot columns.  No elimination runs,
-    but the shape and `Lagrangian`'s dimension and isotropy checks do."""
-    if rows.shape != (len(pivots), space.dim):
-        raise DimensionMismatch(f"basis of shape {rows.shape} for {len(pivots)} pivots "
-                                f"in dimension {space.dim}")
-    field = space.field
-    return Lagrangian(space, Subspace(field, space.dim, FpMatrix(field, rows), pivots))
+    but `_subspaces`'s shape check and `Lagrangian`'s checks do."""
+    return Lagrangian(space, _subspaces(space.field, rows[None], pivots=np.array([pivots]))[0])
+
+
+def _transformed(space: SymplecticSpace, rows: np.ndarray) -> list[Lagrangian]:
+    """The Lagrangians of space spanned by a (B, n, d) stack of rows, such as
+    the moved bases b g^T of g l for b the basis of l, from one
+    `_eliminate_many`.  Each is a checked `Lagrangian`, so rows that span no
+    Lagrangian, as when g does not preserve the form, raise `DimensionMismatch`."""
+    red, pivots, ranks, _ = _eliminate_many(rows, space.field)
+    if set(ranks.tolist()) - {space.n}:
+        raise DimensionMismatch(f"Lagrangian must have dim {space.n}, got ranks {ranks.tolist()}")
+    subs = _subspaces(space.field, red, pivots=np.nonzero(pivots)[1].reshape(len(red), space.n))
+    return [Lagrangian(space, sub) for sub in subs]
 
 
 def diagonal_lagrangian(space: SymplecticSpace) -> Lagrangian:
@@ -517,8 +522,7 @@ def diagonal_lagrangian(space: SymplecticSpace) -> Lagrangian:
 
 def kernel_of_displacement(g: SpElement) -> Subspace:
     """ker(g - 1) as a subspace of V."""
-    eye = np.eye(g.space.dim, dtype=np.int64)
-    return FpMatrix(g.space.field, g.mat.a - eye).kernel()
+    return FpMatrix(g.space.field, g.mat.a - np.eye(g.space.dim, dtype=np.int64)).kernel()
 
 
 def displacement_disc(g: SpElement, complement: Subspace | None = None) -> SquareClass:

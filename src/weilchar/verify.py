@@ -18,13 +18,14 @@ The polygon suite does the same for its tuples: one stack of edge
 intersections shared by the predicted rank and disc (`predicted_rank_discs`)
 and the edge factors (`edge_factors`), and one stack of polygon forms per
 tuple length (`maslov_invariants`).  The trace suite takes its closed forms
-from one `closed_form_data_many` call, and the structural suite its forms
-from one `diagonal_forms` call and its Maslov classes from one
-`check_maslov_classes` call.  The theta suite holds each
-table row to its own first entry and that entry to the stacked doubled
-factor; only the cell's last element, a random draw when samples > 0, goes
-through the single routes `character_factor` and `character_factor_doubled`,
-as the cell's independent oracle.  `trace_oracle` stays one call per element.
+from one `closed_form_data_many` call, and the structural suite each of its
+forms, Maslov classes and inverse identities from one call per cell
+(`diagonal_forms`, `check_maslov_classes`, `check_inverse_identities`).  The
+theta suite holds each table row to its own first entry and that entry to
+the stacked doubled factor; only the cell's last element, a random draw
+when samples > 0, goes through the single routes `character_factor` and
+`character_factor_doubled`, as the cell's independent oracle.
+`trace_oracle` stays one call per element.
 
 Values built from gamma are exact (`characters`), so the polygon, cocycle and
 theta suites and the trace suite's closed-versus-factor test use `==`, and the
@@ -46,7 +47,7 @@ import numpy as np
 from .characters import AdditiveCharacter
 from .charformula import (
     _factor_trace,
-    check_inverse_identity,
+    check_inverse_identities,
     check_kernel_dims,
     check_maslov_classes,
     check_transfer_isometry,
@@ -76,7 +77,7 @@ from .metaplectic import (
 )
 from .quadform import QuadraticSpace, weil_index, weil_index_bruteforce
 from .schrodinger import MAX_REP_DIM, check_diagonal_kernel, intertwiner, trace_oracle, weil_operator
-from .symplectic import LAGRANGIAN_CAP, Lagrangian, SpElement, SymplecticSpace
+from .symplectic import LAGRANGIAN_CAP, Lagrangian, SpElement, SymplecticSpace, _reduced_lagrangian
 
 # most character factors (Lagrangians x elements) the theta suite evaluates
 _THETA_FACTOR_BUDGET = 20_000
@@ -160,27 +161,19 @@ def _lag_list(l: Lagrangian) -> list:
 
 
 def _standard_lagrangians(space: SymplecticSpace) -> list[Lagrangian]:
-    """Three pairwise transverse Lagrangians: span(e), span(f), span(e+f)."""
+    """Three pairwise transverse Lagrangians: span(e), span(f), span(e+f),
+    the last two from their rref bases [0 | I] and [I | I], with no
+    elimination."""
     n, d = space.n, space.dim
-    rows_x = np.zeros((n, d), np.int64)
-    rows_y = np.zeros((n, d), np.int64)
-    rows_d = np.zeros((n, d), np.int64)
-    for i in range(n):
-        rows_x[i, i] = 1
-        rows_y[i, n + i] = 1
-        rows_d[i, i] = rows_d[i, n + i] = 1
-    return [space.lagrangian(r) for r in (rows_x, rows_y, rows_d)]
+    f = np.eye(n, d, n, dtype=np.int64)
+    return [space.standard_lagrangian(), _reduced_lagrangian(space, f, tuple(range(n, d))),
+            _reduced_lagrangian(space, np.eye(n, d, dtype=np.int64) + f, tuple(range(n)))]
 
 
 def _core_elements(space: SymplecticSpace) -> list[SpElement]:
     n, d = space.n, space.dim
-    e1 = np.zeros(d, np.int64)
-    e1[0] = 1
-    ef = np.zeros(d, np.int64)
-    ef[0] = ef[n] = 1
-    f1 = np.zeros(d, np.int64)
-    f1[n] = 1
-    out = [space.identity(), space.transvection(e1), space.transvection(ef),
+    e1, f1 = np.eye(d, dtype=np.int64)[[0, n]]
+    out = [space.identity(), space.transvection(e1), space.transvection(e1 + f1),
            space.transvection(f1, 2)]
     mat = np.eye(d, dtype=np.int64)
     mat[0, 0] = 2
@@ -393,11 +386,12 @@ def _suite_structural(char, space, rng, samples, max_enum, cocycle) -> _Tally:
     for _ in range(samples):
         pairs.append((space.random_element(rng), space.random_lagrangian(rng)))
     dfs = diagonal_forms([g for g, _ in pairs], [l for _, l in pairs])
+    inverses = iter(check_inverse_identities([df for df in dfs if df.ker.dim == 0]))
     for (g, l), df, maslov in zip(pairs, dfs, check_maslov_classes(char, dfs)):
         info = {"g": _mat_list(g), "l": _lag_list(l)}
         reports = [check_kernel_dims(df), check_transfer_isometry(df), maslov]
         if df.ker.dim == 0:
-            reports.append(check_inverse_identity(df))
+            reports.append(next(inverses))
         reports.append(check_diagonal_kernel(char, df))
         for r in reports:
             t.add_flag(r.ok, kind=r.label, details=r.details, witness=r.witness, **info)

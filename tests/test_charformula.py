@@ -12,6 +12,7 @@ from weilchar.characters import AdditiveCharacter, approx_eq
 from weilchar.charformula import (
     CheckReport,
     DiagonalForm,
+    check_inverse_identities,
     check_inverse_identity,
     check_kernel_dims,
     check_maslov_class,
@@ -342,6 +343,50 @@ def test_inverse_identity_seeded():
                 pairs.append((g, sp.random_lagrangian(rng)))
         for df in diagonal_forms([g for g, _ in pairs], [l for _, l in pairs]):
             assert check_inverse_identity(df).ok
+
+
+def test_stacked_inverse_identities_equal_the_one_element_calls():
+    """One stacked check equals the one-element calls pair by pair; a form
+    with a corrupted dual gram fails its own pair and no other, and a pair
+    with g - 1 singular is refused."""
+    for p, n in ((5, 1), (3, 2), (7, 2)):
+        ch, sp = setup(p, n)
+        rng = np.random.default_rng(41 * p + n)
+        eye = FpMatrix.identity(sp.field, sp.dim)
+        pairs = []
+        while len(pairs) < 9:
+            g = sp.random_element(rng)
+            if (g.mat - eye).det() != 0:
+                pairs.append((g, sp.random_lagrangian(rng)))
+        dfs = diagonal_forms([g for g, _ in pairs], [l for _, l in pairs])
+        reports = check_inverse_identities(dfs)
+        assert reports == [check_inverse_identity(df) for df in dfs]
+        assert all(r.ok for r in reports)
+        for bad in (0, 4, 8):
+            corrupted = list(dfs)
+            corrupted[bad] = replace(dfs[bad], dual_gram=FpMatrix(sp.field, dfs[bad].dual_gram.a + 1))
+            oks = [r.ok for r in check_inverse_identities(corrupted)]
+            assert oks == [i != bad for i in range(len(dfs))]
+        singular = diagonal_forms([sp.identity()], [sp.standard_lagrangian()])
+        with pytest.raises(SingularGMinusOne):
+            check_inverse_identities(dfs[:2] + singular)
+    assert check_inverse_identities([]) == []
+
+
+def test_diagonal_form_subspaces_equal_their_eliminated_twins():
+    """The four subspaces of each form, built from rref rows with no
+    elimination, equal what `Subspace.from_rows` makes of their rows."""
+    for p, n in ((3, 1), (5, 2), (3, 3)):
+        ch, sp = setup(p, n)
+        rng = np.random.default_rng(43 * p + n)
+        pairs = [(sp.identity(), sp.standard_lagrangian())]
+        pairs += [(sp.random_element(rng), sp.random_lagrangian(rng)) for _ in range(12)]
+        for df in diagonal_forms([g for g, _ in pairs], [l for _, l in pairs]):
+            for sub in (df.support, df.ker, df.dual_support, df.inter):
+                twin = Subspace.from_rows(sub.field, sub.ambient, sub.basis.a)
+                assert sub.basis.a.tobytes() == twin.basis.a.tobytes()
+                assert sub.basis.shape == twin.basis.shape and sub.pivots == twin.pivots
+                assert sub == twin and hash(sub) == hash(twin)
 
 
 def test_trace_from_factor_matches_closed_form():

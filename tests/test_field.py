@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from weilchar.errors import DimensionMismatch
-from weilchar.field import Fp, FpMatrix, RowSolver, SquareClass, Subspace
+from weilchar.field import Fp, FpMatrix, RowSolver, SquareClass, Subspace, _kernel_rows, _subspaces
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -239,3 +239,41 @@ def test_matrix_shape_mismatch_raises():
     b = FpMatrix(f, [[1, 2, 3]])
     with pytest.raises(DimensionMismatch):
         _ = a @ b
+
+
+def assert_same_subspace(got, want):
+    assert (got.field, got.ambient) == (want.field, want.ambient)
+    assert got.basis.shape == want.basis.shape
+    assert got.basis.a.tobytes() == want.basis.a.tobytes()
+    assert got.pivots == want.pivots
+    assert got == want and hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_built_subspaces_equal_their_eliminated_twins(p):
+    """Each subspace `_subspaces` builds from a kernel stack, and each
+    standard complement of one, equals the subspace `Subspace.from_rows`
+    eliminates from its rows, and the kernel is the one-matrix kernel."""
+    f = Fp(p)
+    rng = np.random.default_rng(p)
+    for r, c in ((1, 4), (3, 5), (4, 4), (5, 3)):
+        stack = rng.integers(0, p, (6, r, c))
+        stack[0] = 0  # kernel: the whole space
+        stack[1, 1:] = stack[1, :1]  # rank at most 1
+        for sub, a in zip(_subspaces(f, *_kernel_rows(stack, f)), stack):
+            assert_same_subspace(sub, Subspace.from_rows(f, c, sub.basis.a))
+            assert_same_subspace(sub, FpMatrix(f, a).kernel())
+            comp = sub.complement_std()
+            assert_same_subspace(comp, Subspace.from_rows(f, c, comp.basis.a))
+            assert comp.dim + sub.dim == c
+
+
+def test_subspace_builder_rejects_mismatched_shapes():
+    f = Fp(5)
+    rows = np.eye(3, 4, dtype=np.int64)[None]
+    assert_same_subspace(_subspaces(f, rows, pivots=np.array([[0, 1, 2]]))[0],
+                         Subspace.from_rows(f, 4, rows[0]))
+    for keep, pivots in ((None, np.array([[0, 1]])), (None, np.array([0, 1, 2])),
+                         (np.ones((1, 2), dtype=bool), None), (np.ones((2, 3), dtype=bool), None)):
+        with pytest.raises(DimensionMismatch):
+            _subspaces(f, rows, keep, pivots)

@@ -17,7 +17,7 @@ from weilchar import symplectic
 from weilchar.characters import AdditiveCharacter
 from weilchar.charformula import closed_form_data_many
 from weilchar.errors import DimensionMismatch, EnumerationTooLarge, InvariantViolation
-from weilchar.field import Fp, FpMatrix, Subspace
+from weilchar.field import Fp, FpMatrix, Subspace, _eliminate
 from weilchar.symplectic import (
     Lagrangian,
     SymplecticSpace,
@@ -588,6 +588,72 @@ def test_library_built_lagrangians_equal_their_eliminated_twins(make):
         assert_same_lagrangian(moved, eliminated(sp, l.sub.basis.a @ g.mat.a.T))
         b = moved.sub.basis.a
         assert_same_lagrangian(moved.doubled(), eliminated(w, np.block([[b, z], [z, b]])))
+
+
+@pytest.mark.parametrize("make", [lambda: space(3, 1), lambda: space(5, 2), lambda: space(7, 3),
+                                  lambda: space(5, 2).doubled(), lambda: congruent_space(7, 2, 1)],
+                         ids=["3-1", "5-2", "7-3", "doubled-5-2", "gram-7-2"])
+@pytest.mark.parametrize("count", [0, 1, 7])
+def test_stacked_transport_equals_the_scalar_reference(make, count):
+    """`_transformed` of a stack of moved bases b g^T equals, pair by pair,
+    the Lagrangian built from the scalar loop `_eliminate` of the same rows,
+    byte for byte, pivot for pivot, by == and by hash; so does the
+    one-element call `Lagrangian.transform`."""
+    sp = make()
+    f, d = sp.field, sp.dim
+    rng = np.random.default_rng(10 * d + count)
+    pairs = [(sp.random_element(rng), sp.random_lagrangian(rng)) for _ in range(count)]
+    rows = np.zeros((count, sp.n, d), dtype=np.int64)
+    for i, (g, l) in enumerate(pairs):
+        rows[i] = l.sub.basis.a @ g.mat.a.T % f.p
+    got = symplectic._transformed(sp, rows)
+    assert len(got) == count
+    for moved, (g, l), b in zip(got, pairs, rows):
+        red, pivots, _ = _eliminate(b, f)
+        want = Lagrangian(sp, Subspace(f, d, FpMatrix(f, red[:len(pivots)]), pivots))
+        assert_same_lagrangian(moved, want)
+        assert_same_lagrangian(l.transform(g), want)
+
+
+def test_transport_of_a_non_symplectic_matrix_raises_under_python_O():
+    """python -O strips assert: a matrix that sends l to a non-isotropic or a
+    smaller subspace still raises DimensionMismatch from the transport."""
+    env = dict(os.environ, PYTHONPATH=str(Path(weilchar.__file__).parents[1]))
+    script = """
+import types
+import numpy as np
+from weilchar.errors import DimensionMismatch
+from weilchar.field import Fp, FpMatrix
+from weilchar.symplectic import SymplecticSpace, _transformed
+sp = SymplecticSpace(Fp(5), 2)
+l = sp.standard_lagrangian()
+swap = np.eye(4, dtype=np.int64)[[0, 2, 1, 3]]  # e2 -> f1: span(e1, f1) is not isotropic
+flat = np.diag([1, 0, 1, 1])  # e2 -> 0: the image is a line
+for bad in (swap, flat):
+    for move in (lambda: _transformed(sp, (l.sub.basis.a @ bad.T)[None]),
+                 lambda: l.transform(types.SimpleNamespace(mat=FpMatrix(sp.field, bad)))):
+        try:
+            move()
+        except DimensionMismatch:
+            continue
+        raise SystemExit(f"moved l by {bad.tolist()}")
+print("typed")
+"""
+    run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert (run.returncode, run.stdout.strip(), run.stderr) == (0, "typed", "")
+
+
+def test_reduced_lagrangian_checks_its_shapes():
+    """The trusted rref path still refuses rows whose count, pivot count or
+    width does not fit the space, with DimensionMismatch."""
+    sp = space(5, 2)
+    rows = np.eye(2, 4, dtype=np.int64)
+    assert symplectic._reduced_lagrangian(sp, rows, (0, 1)) == sp.standard_lagrangian()
+    for bad_rows, pivots in ((rows, (0,)), (rows, (0, 1, 2)), (rows[:1], (0,)),
+                             (np.eye(2, 6, dtype=np.int64), (0, 1))):
+        with pytest.raises(DimensionMismatch):
+            symplectic._reduced_lagrangian(sp, bad_rows, pivots)
 
 
 def test_user_input_raises_typed_errors_under_python_O():

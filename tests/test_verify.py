@@ -294,6 +294,19 @@ def test_theta_lagrangians_never_exceed_the_budget():
     assert len(lags) == len(set(lags)) == 8
 
 
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 2), (3, 4)])
+def test_standard_lagrangians_equal_their_eliminated_twins(p, n):
+    """span(e), span(f) and span(e + f), built from their rref bases, equal
+    the Lagrangians `SymplecticSpace.lagrangian` eliminates from the same rows."""
+    sp = SymplecticSpace(Fp(p), n)
+    eye, zero = np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64)
+    for got, rows in zip(verify._standard_lagrangians(sp), ([eye, zero], [zero, eye], [eye, eye])):
+        want = sp.lagrangian(np.hstack(rows))
+        assert got.sub.basis.a.tobytes() == want.sub.basis.a.tobytes()
+        assert got.sub.pivots == want.sub.pivots
+        assert got == want and hash(got) == hash(want)
+
+
 def test_theta_table_stays_within_the_budget_past_its_edge(monkeypatch):
     """With the budget cut to 400 factors, 40 Lagrangians times 10 elements
     still enumerate at (3, 2), and 11 elements take 9 distinct Lagrangians:
