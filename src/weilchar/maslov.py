@@ -75,15 +75,26 @@ class Orientation:
 
     @classmethod
     def random(cls, lag: Lagrangian, rng) -> "Orientation":
-        rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-        field = lag.space.field
-        k = lag.dim
-        while True:
-            c = rng.integers(0, field.p, (k, k))
-            if FpMatrix(field, c).det():
-                break
-        # c is invertible, so c @ basis spans lag
-        return cls._spanning(lag, FpMatrix(field, c @ lag.sub.basis.a))
+        """A random orientation of lag: the one-element call of `random_many`."""
+        return cls.random_many([lag], rng)[0]
+
+    @classmethod
+    def random_many(cls, lags: Sequence[Lagrangian], rng) -> list["Orientation"]:
+        """A random orientation c b of each Lagrangian of lags, all of one
+        dimension k, for b its basis: one stack of random k x k matrices c,
+        and the singular ones redrawn, in index order, until none is left."""
+        rng = np.random.default_rng(rng)
+        if not lags:
+            return []
+        field = lags[0].space.field
+        k = lags[0].dim
+        cs = rng.integers(0, field.p, (len(lags), k, k))
+        redo = np.flatnonzero(_eliminate_many(cs, field)[3] == 0)
+        while redo.size:
+            cs[redo] = rng.integers(0, field.p, (redo.size, k, k))
+            redo = redo[_eliminate_many(cs[redo], field)[3] == 0]
+        # each c is invertible, so c b spans its Lagrangian
+        return [cls._spanning(l, FpMatrix(field, c @ l.sub.basis.a)) for l, c in zip(lags, cs)]
 
     def transform(self, g: SpElement) -> "Orientation":
         """The image orientation on g(l), transported by g: the moved basis

@@ -7,8 +7,13 @@ Lagrangians there.
 
 g l has one implementation, `_transformed`, which reduces the moved bases
 b g^T of a whole stack in one elimination; `Lagrangian.transform` is its
-one-element call.  Bases the library builds already in rref take no
+one-element call, and `SymplecticSpace.random_lagrangians` reduces a whole
+drawn sample through it.  Bases the library builds already in rref take no
 elimination: `_reduced_lagrangian` passes them to `field._subspaces`.
+
+Spaces and Lagrangians compare and hash by a byte key built on first use:
+(p, gram bytes) for a space, and that plus the shape and bytes of the rref
+basis for a Lagrangian.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ class SymplecticSpace:
     """
 
     __slots__ = (
-        "field", "gram", "_doubled", "_lagrangians", "_darboux", "_diagonal", "_standard"
+        "field", "gram", "_doubled", "_lagrangians", "_darboux", "_diagonal", "_standard", "_key"
     )
 
     def __init__(self, field: Fp, n: int | None = None, gram: FpMatrix | None = None) -> None:
@@ -78,6 +83,7 @@ class SymplecticSpace:
         self._lagrangians: list[Lagrangian] | None = None
         self._diagonal: Lagrangian | None = None
         self._standard: Lagrangian | None = None
+        self._key: tuple | None = None
 
     @property
     def dim(self) -> int:
@@ -252,10 +258,19 @@ class SymplecticSpace:
 
     def random_lagrangian(self, rng) -> "Lagrangian":
         """The span of e_1..e_n of a random symplectic basis: the one-element
-        call of the stacked draw, which takes from rng what this call always
-        took, so seeded draws keep their values."""
-        basis = self._symplectic_bases(1, np.random.default_rng(rng))[0]
-        return self.lagrangian(basis[:, : self.n].T)
+        call of `random_lagrangians`, which takes from rng what this call
+        always took, so seeded draws keep their values."""
+        return self.random_lagrangians(1, rng)[0]
+
+    def random_lagrangians(self, count: int, rng) -> list["Lagrangian"]:
+        """`count` uniformly random Lagrangians, the span(e) of each basis of
+        one `_symplectic_bases` stack, drawn in stacks of at most
+        `_DRAW_STACK` as in `random_element_matrices` and reduced by one
+        `_transformed` call."""
+        rng = np.random.default_rng(rng)
+        rows = [self._symplectic_bases(min(_DRAW_STACK, count - start), rng)[:, :, : self.n]
+                for start in range(0, count, _DRAW_STACK)]
+        return _transformed(self, np.concatenate(rows).swapaxes(1, 2)) if rows else []
 
     def elements(self) -> list["SpElement"]:
         """The whole group as elements, in the order of `element_matrices`."""
@@ -309,15 +324,20 @@ class SymplecticSpace:
             self._doubled = w
         return self._doubled
 
+    def _eq_key(self) -> tuple:
+        """(p, gram bytes), built once: equal exactly when the fields and
+        grams are, since the gram's size fixes its shape."""
+        if self._key is None:
+            self._key = (self.field.p, self.gram.a.tobytes())
+        return self._key
+
     def __eq__(self, other: object) -> bool:
         return other is self or (
-            isinstance(other, SymplecticSpace)
-            and other.field == self.field
-            and other.gram == self.gram
+            isinstance(other, SymplecticSpace) and other._eq_key() == self._eq_key()
         )
 
     def __hash__(self) -> int:
-        return hash(("SymplecticSpace", self.field.p, self.gram.a.tobytes()))
+        return hash(self._eq_key())
 
     def __repr__(self) -> str:
         return f"SymplecticSpace(p={self.field.p}, dim={self.dim})"
@@ -394,7 +414,7 @@ def _chart_bases(field: Fp, n: int):
 class Lagrangian:
     """A maximal isotropic subspace, canonicalized through its rref basis."""
 
-    __slots__ = ("space", "sub", "_doubled")
+    __slots__ = ("space", "sub", "_doubled", "_key")
 
     def __init__(self, space: SymplecticSpace, sub: Subspace) -> None:
         if (sub.ambient, sub.dim) != (space.dim, space.n):
@@ -405,6 +425,7 @@ class Lagrangian:
         self.space = space
         self.sub = sub
         self._doubled: Lagrangian | None = None
+        self._key: tuple | None = None
 
     @property
     def basis(self) -> FpMatrix:
@@ -431,15 +452,21 @@ class Lagrangian:
             self._doubled = _reduced_lagrangian(self.space.doubled(), rows, pivots)
         return self._doubled
 
+    def _eq_key(self) -> tuple:
+        """The space's key with the shape and bytes of the rref basis, built
+        once on the first comparison or hash."""
+        if self._key is None:
+            b = self.sub.basis.a
+            self._key = (*self.space._eq_key(), b.shape, b.tobytes())
+        return self._key
+
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Lagrangian)
-            and other.space == self.space
-            and other.sub == self.sub
+        return other is self or (
+            isinstance(other, Lagrangian) and other._eq_key() == self._eq_key()
         )
 
     def __hash__(self) -> int:
-        return hash(("Lagrangian", hash(self.space), hash(self.sub)))
+        return hash(self._eq_key())
 
     def __repr__(self) -> str:
         return f"Lagrangian(p={self.space.field.p},\n{self.sub.basis.a})"
@@ -454,7 +481,7 @@ class SpElement:
         p = space.field.p
         if mat.shape != (space.dim, space.dim):
             raise DimensionMismatch("wrong matrix size for this space")
-        if np.any((mat.a.T @ space.gram.a @ mat.a - space.gram.a) % p):
+        if ((mat.a.T @ space.gram.a @ mat.a - space.gram.a) % p).any():
             raise DimensionMismatch("matrix does not preserve the symplectic form")
         self.space = space
         self.mat = mat

@@ -8,6 +8,13 @@ the two-cocycle on non-identity pairs, which must make the splitting suite
 fail with a witness; it exists to prove the harness can catch a wrong
 cocycle.
 
+Each suite draws its whole sample in one stacked call: its group elements
+from one `random_element_matrices`, its Lagrangians from one
+`random_lagrangians` (every tuple length first, for the polygon and loops
+suites), and the polygon suite's orientations from one
+`Orientation.random_many`.  An `SpElement` is built only where a lift or a
+stacked routine takes one; the cocycle suite reads its pairs off the stack.
+
 A suite evaluates its cell's lifts, products and character factors as
 stacks (`split_lifts`, `mp_products`, `character_factor_table`,
 `character_factors_doubled`), one call per cell where a loop would make one
@@ -41,6 +48,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -182,6 +190,20 @@ def _core_elements(space: SymplecticSpace) -> list[SpElement]:
     return out
 
 
+def _sampled_elements(space: SymplecticSpace, rng, count: int) -> list[SpElement]:
+    """The core elements, then `count` random ones from one stacked draw."""
+    drawn = space.random_element_matrices(count, rng)
+    return _core_elements(space) + [space.element(m) for m in drawn]
+
+
+def _random_tuples(space: SymplecticSpace, rng, count: int, low: int, high: int) -> list[tuple]:
+    """`count` tuples of random Lagrangians, of lengths in [low, high): every
+    length first, then all their Lagrangians as one stacked draw."""
+    lengths = rng.integers(low, high, count).tolist()
+    lags = iter(space.random_lagrangians(sum(lengths), rng))
+    return [tuple(islice(lags, m)) for m in lengths]
+
+
 def _some_lagrangians(
     space: SymplecticSpace, rng, samples: int, max_enum: int, n_elems: int
 ) -> list[Lagrangian]:
@@ -189,7 +211,8 @@ def _some_lagrangians(
     suite then evaluates fit the budget.  Past it, distinct Lagrangians, as
     many as fit the budget but no more than the standard three and
     max(samples, 3) draws: the standard three first, then random draws that
-    skip repeats.  One Lagrangian at least, when n_elems alone exceeds it."""
+    skip repeats, each round one stacked draw of the missing count.  One
+    Lagrangian at least, when n_elems alone exceeds it."""
     budget = min(max_enum, _THETA_FACTOR_BUDGET)
     count = space.lagrangian_count()
     if count * n_elems <= budget:
@@ -198,10 +221,10 @@ def _some_lagrangians(
     out = _standard_lagrangians(space)[:want]
     seen = set(out)
     while len(out) < want:
-        l = space.random_lagrangian(rng)
-        if l not in seen:
-            seen.add(l)
-            out.append(l)
+        for l in space.random_lagrangians(want - len(out), rng):
+            if l not in seen:
+                seen.add(l)
+                out.append(l)
     return out
 
 
@@ -220,23 +243,25 @@ def _suite_gamma(char: AdditiveCharacter, space, rng, samples, max_enum, cocycle
             t.add_flag(gam[a] * gam[b] == gam[1] * gam[a * b % p], kind="product", a=a, b=b)
         for s in range(1, p):
             t.add_flag(gam[a] == gam[a * s * s % p], kind="square-class", a=a, s=s)
-    # diagonal forms: product rule against dimension and determinant
+    # diagonal forms: product rule against dimension and determinant; each
+    # sample's dimension and its entries come from one stacked draw
     count = samples if samples else 4
-    for _ in range(count):
-        dim = int(rng.integers(1, 5))
-        entries = [int(rng.integers(1, p)) for _ in range(dim)]
+    dims = rng.integers(1, 5, count).tolist()
+    for dim, row in zip(dims, rng.integers(1, p, (count, 4))):
+        entries = row[:dim].tolist()
         q = QuadraticSpace.diagonal(field, entries)
         det = 1
         for e in entries:
             det = det * e % p
         want = gam[1] ** (dim - 1) * gam[det]
         t.add_flag(weil_index(char, q) == want, kind="diag-product", entries=entries)
-    # fast path against direct summation on small random symmetric grams
-    for _ in range(count):
-        dim = int(rng.integers(1, 5))
+    # fast path against direct summation on small random symmetric grams, the
+    # leading dim x dim blocks of one stack of 4 x 4 draws
+    dims = rng.integers(1, 5, count).tolist()
+    for dim, m in zip(dims, rng.integers(0, p, (count, 4, 4))):
         if p**dim > max_enum:
             continue
-        m = rng.integers(0, p, size=(dim, dim))
+        m = m[:dim, :dim]
         gram = (m + m.T) % p
         q = QuadraticSpace(field, FpMatrix(field, gram))
         err = abs(weil_index(char, q) - weil_index_bruteforce(char, q, cap=max_enum))
@@ -249,11 +274,10 @@ def _suite_polygon(char, space, rng, samples, max_enum, cocycle) -> _Tally:
     base = _standard_lagrangians(space)
     tuples = [(base[0], base[1], base[2]), (base[0], base[1], base[0], base[1]),
               (base[2], base[1], base[0]), (base[0], base[0], base[1])]
-    for _ in range(samples):
-        m = int(rng.integers(3, 6))
-        tuples.append(tuple(space.random_lagrangian(rng) for _ in range(m)))
-    # the random orientations come after every tuple, in tuple order
-    randoms = [[Orientation.random(l, rng) for l in lags] for lags in tuples]
+    tuples += _random_tuples(space, rng, samples, 3, 6)
+    # the random orientations, one stacked draw after every tuple, in tuple order
+    drawn = iter(Orientation.random_many([l for lags in tuples for l in lags], rng))
+    randoms = [list(islice(drawn, len(lags))) for lags in tuples]
     # one stack of edges (l_i, l_i+1) over all tuples, shared by both passes
     inters = lagrangian_intersections([e for lags in tuples for e in _edges(lags)])
     wants = predicted_rank_discs([[Orientation.default(l) for l in lags] for lags in tuples],
@@ -276,33 +300,30 @@ def _suite_polygon(char, space, rng, samples, max_enum, cocycle) -> _Tally:
 def _suite_cocycle(char, space, rng, samples, max_enum, cocycle) -> _Tally:
     t = _Tally()
     p = char.p
-    core = _core_elements(space)
-    pairs = [(a, b) for a in core for b in core]
-    for _ in range(samples):
-        pairs.append((space.random_element(rng), space.random_element(rng)))
-    lags = [space.standard_lagrangian()]
-    if samples:
-        lags.append(space.random_lagrangian(rng))
-    gs = np.array([g.mat.a for g, _ in pairs])
-    hs = np.array([h.mat.a for _, h in pairs])
+    # the sampled pairs (g, h) and the group-law triples from one stacked draw
+    rounds = max(samples // 4, 1)
+    drawn = space.random_element_matrices(2 * samples + 3 * rounds, rng)
+    lags = [space.standard_lagrangian(), *space.random_lagrangians(min(samples, 1), rng)]
+    core = np.stack([g.mat.a for g in _core_elements(space)])
+    gs = np.concatenate([core.repeat(len(core), axis=0), drawn[:samples]])
+    hs = np.concatenate([np.tile(core, (len(core), 1, 1)), drawn[samples:2 * samples]])
     ghs = gs @ hs % p
     # one split value per distinct matrix and l, one stacked cocycle per l
     stack = np.concatenate([gs, hs, ghs])
     distinct, at = np.unique(stack.reshape(len(stack), -1), axis=0, return_inverse=True)
-    at = at.reshape(3, len(pairs))
+    at = at.reshape(3, len(gs))
     values = [split_values(char, distinct, l) for l in lags]
     twists = [cocycle(char, gs, hs, l) for l in lags]
-    for i, (g, h) in enumerate(pairs):
+    for i, (g, h) in enumerate(zip(gs, hs)):
         for j, l in enumerate(lags):
             sv = values[j]
             lhs = sv[at[0, i]] * sv[at[1, i]] * twists[j][i]
             rhs = sv[at[2, i]]
-            t.add_flag(lhs == rhs, kind="splitting", g=_mat_list(g), h=_mat_list(h),
+            t.add_flag(lhs == rhs, kind="splitting", g=g.tolist(), h=h.tolist(),
                        l=_lag_list(l), got=lhs, want=rhs)
-    # group law of lifted elements: associativity and inverses, drawn as
+    # group law of lifted elements: associativity and inverses, taken as
     # (e1, e2, e3) per round
-    rounds = max(samples // 4, 1)
-    lifts = split_lifts(char, [space.random_element(rng) for _ in range(3 * rounds)])
+    lifts = split_lifts(char, [space.element(m) for m in drawn[2 * samples:]])
     e1s, e2s, e3s = lifts[0::3], lifts[1::3], lifts[2::3]
     e12s, e23s = _split(mp_products(e1s + e2s, e2s + e3s), 2)
     invs = [e2.inverse() for e2 in e2s]
@@ -323,9 +344,7 @@ def _suite_trace(char, space, rng, samples, max_enum, cocycle) -> _Tally:
     t = _Tally()
     p, n = char.p, space.n
     tol = 1e-8 * p**n
-    elems = _core_elements(space)
-    for _ in range(samples):
-        elems.append(space.random_element(rng))
+    elems = _sampled_elements(space, rng, samples)
     lifts = {sign: split_lifts(char, elems, sign=sign) for sign in (1, -1)}
     # both lifts' factors at the base, the Lagrangian `trace_from_factor` defaults to
     table = character_factor_table(lifts[1] + lifts[-1], [space.standard_lagrangian()])
@@ -346,10 +365,7 @@ def _suite_loops(char, space, rng, samples, max_enum, cocycle) -> _Tally:
     t = _Tally()
     dim = char.p**space.n
     eye = np.eye(dim)
-    tuples = [tuple(_standard_lagrangians(space))]
-    for _ in range(samples):
-        m = int(rng.integers(3, 5))
-        tuples.append(tuple(space.random_lagrangian(rng) for _ in range(m)))
+    tuples = [tuple(_standard_lagrangians(space))] + _random_tuples(space, rng, samples, 3, 5)
     for lags in tuples:
         loop = eye
         for a, b in zip(lags, lags[1:] + lags[:1]):
@@ -362,9 +378,7 @@ def _suite_loops(char, space, rng, samples, max_enum, cocycle) -> _Tally:
 
 def _suite_theta(char, space, rng, samples, max_enum, cocycle) -> _Tally:
     t = _Tally()
-    elems = _core_elements(space)
-    for _ in range(samples):
-        elems.append(space.random_element(rng))
+    elems = _sampled_elements(space, rng, samples)
     lags = _some_lagrangians(space, rng, samples, max_enum, len(elems))
     lifts = split_lifts(char, elems)
     table = character_factor_table(lifts, lags)
@@ -382,12 +396,14 @@ def _suite_theta(char, space, rng, samples, max_enum, cocycle) -> _Tally:
 
 def _suite_structural(char, space, rng, samples, max_enum, cocycle) -> _Tally:
     t = _Tally()
-    pairs = [(g, space.standard_lagrangian()) for g in _core_elements(space)]
-    for _ in range(samples):
-        pairs.append((space.random_element(rng), space.random_lagrangian(rng)))
-    dfs = diagonal_forms([g for g, _ in pairs], [l for _, l in pairs])
+    # the core elements at the base, then one stack of elements and one of
+    # Lagrangians
+    gs = _sampled_elements(space, rng, samples)
+    ls = [space.standard_lagrangian()] * (len(gs) - samples)
+    ls += space.random_lagrangians(samples, rng)
+    dfs = diagonal_forms(gs, ls)
     inverses = iter(check_inverse_identities([df for df in dfs if df.ker.dim == 0]))
-    for (g, l), df, maslov in zip(pairs, dfs, check_maslov_classes(char, dfs)):
+    for g, l, df, maslov in zip(gs, ls, dfs, check_maslov_classes(char, dfs)):
         info = {"g": _mat_list(g), "l": _lag_list(l)}
         reports = [check_kernel_dims(df), check_transfer_isometry(df), maslov]
         if df.ker.dim == 0:
@@ -404,8 +420,8 @@ def _suite_homomorphism(char, space, rng, samples, max_enum, cocycle) -> _Tally:
     tol = 1e-8 * p**n
     core = _core_elements(space)
     pairs = [(a, b) for a in core[:3] for b in core[:3]]
-    for _ in range(samples):
-        pairs.append((space.random_element(rng), space.random_element(rng)))
+    drawn = [space.element(m) for m in space.random_element_matrices(2 * samples, rng)]
+    pairs += zip(drawn[:samples], drawn[samples:])
     lefts, rights = _split(split_lifts(char, [g for g, _ in pairs] + [h for _, h in pairs]), 2)
     # the core pairs share the operators of the core lifts rights[:3]; a sampled
     # pair's are built for it and let go, so memory does not grow with samples

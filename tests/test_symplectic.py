@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -340,6 +341,78 @@ def test_random_element_matrices_draw_in_bounded_stacks(monkeypatch):
     sizes.clear()
     sp.random_element_matrices(4, np.random.default_rng(3))
     assert sizes == [4]
+
+
+def test_random_lagrangians_of_none_takes_nothing():
+    sp = space(5, 2)
+    rng = np.random.default_rng(1)
+    assert sp.random_lagrangians(0, rng) == []
+    assert rng.integers(0, 2**62) == np.random.default_rng(1).integers(0, 2**62)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 2), (7, 3)])
+def test_random_lagrangians_of_one_is_random_lagrangian(p, n):
+    """A sample of one is the Lagrangian `random_lagrangian` draws and the
+    one `Subspace.from_rows` makes of the span(e) rows of one drawn basis,
+    and leaves the rng where both leave it."""
+    sp = space(p, n)
+    stacked, single, basis = (np.random.default_rng(p + n) for _ in range(3))
+    [got] = sp.random_lagrangians(1, stacked)
+    assert_same_lagrangian(got, sp.random_lagrangian(single))
+    assert_same_lagrangian(got, eliminated(sp, sp._symplectic_bases(1, basis)[0][:, :n].T))
+    assert stacked.integers(0, 2**62) == single.integers(0, 2**62) == basis.integers(0, 2**62)
+
+
+@pytest.mark.parametrize("p,n,digest", [
+    (3, 1, "7b1e98339a4e66184028d65d070cea2cb866d25dc819da63d888316e6c631496"),
+    (5, 2, "7e1feb8f396a018f8a383a286da2687e3bf4e833c468f40ed4a13befd4ef3283"),
+    (7, 3, "36f4664f4c19c527e4ecd725377277a51ec54ed3d200f14d9381a8813af793bc"),
+])
+def test_random_lagrangians_frozen_draw_hashes(p, n, digest):
+    """One stacked draw of 200 Lagrangians from the seed [p, n], their rref
+    bases hashed as little-endian int64 bytes: the stream of the `verify`
+    suites' sampled Lagrangians."""
+    sp = space(p, n)
+    lags = sp.random_lagrangians(200, np.random.default_rng([p, n]))
+    bases = np.stack([l.sub.basis.a for l in lags])
+    assert hashlib.sha256(bases.astype("<i8").tobytes()).hexdigest() == digest
+
+
+def test_random_lagrangians_draw_in_bounded_stacks(monkeypatch):
+    """Past `_DRAW_STACK` the sample is drawn as successive stacks of at
+    most that many bases from the one rng, and reduced together."""
+    monkeypatch.setattr(symplectic, "_DRAW_STACK", 4)
+    sp = space(7, 2)
+    got = sp.random_lagrangians(10, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    want = [l for m in (4, 4, 2) for l in sp.random_lagrangians(m, rng)]
+    assert len(got) == len(want) == 10
+    for a, b in zip(got, want):
+        assert_same_lagrangian(a, b)
+
+
+@pytest.mark.parametrize("make", [lambda: space(3, 1), lambda: space(5, 2), lambda: space(3, 3),
+                                  lambda: space(3, 1).doubled(), lambda: congruent_space(7, 2, 1)],
+                         ids=["3-1", "5-2", "3-3", "doubled-3-1", "gram-7-2"])
+def test_random_lagrangians_equal_their_eliminated_twins(make):
+    """Each drawn Lagrangian equals the one `Subspace.from_rows` makes of the
+    span(e) rows of the same symplectic basis, byte for byte, pivot for
+    pivot, by == and by hash."""
+    sp = make()
+    got = sp.random_lagrangians(12, np.random.default_rng(sp.dim))
+    bases = sp._symplectic_bases(12, np.random.default_rng(sp.dim))
+    for l, basis in zip(got, bases):
+        assert_same_lagrangian(l, eliminated(sp, basis[:, : sp.n].T))
+
+
+def test_random_lagrangians_are_uniform_on_sp4_f3():
+    """20,000 draws at (3, 2): each of the 40 Lagrangians appears within 5
+    sigma of 500 times."""
+    sp = space(3, 2)
+    counts = Counter(sp.random_lagrangians(20_000, np.random.default_rng(12)))
+    assert set(counts) == set(sp.all_lagrangians())
+    sigma = np.sqrt(20_000 * (1 / 40) * (39 / 40))
+    assert all(abs(c - 500) <= 5 * sigma for c in counts.values()), counts.values()
 
 
 def test_stacked_draws_are_uniform_on_sl2_f3():
@@ -734,3 +807,44 @@ def test_lagrangian_transform_and_doubling():
     g = sp.element([[1, 1], [0, 1]])
     assert l.transform(g) == l
     assert sp.lagrangian([[0, 1]]).transform(g) == sp.lagrangian([[1, 1]])
+
+
+def reference_equal(a, b):
+    """Lagrangian equality by the rule before byte keys: the same field and
+    gram matrix, and the same rref basis."""
+    return (isinstance(b, Lagrangian) and a.space.field == b.space.field
+            and a.space.gram == b.space.gram and a.sub == b.sub)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2)])
+def test_byte_key_equality_agrees_with_the_reference_rule(p, n):
+    """Over every Lagrangian and its image under a random element, == by
+    byte key agrees with the reference rule on every pair, equal Lagrangians
+    hash alike, and each Lagrangian hashes to its own key's hash."""
+    sp = space(p, n)
+    lags = sp.all_lagrangians()
+    g = sp.random_element(np.random.default_rng(p * n))
+    images = [l.transform(g) for l in lags]
+    fresh = [eliminated(sp, l.sub.basis.a) for l in lags]
+    for a in lags + images:
+        for b in lags + images + fresh:
+            assert (a == b) == reference_equal(a, b) == (b == a)
+            if a == b:
+                assert hash(a) == hash(b)
+    assert sorted(images, key=lambda l: l.sub.basis.a.tobytes()) == lags
+    assert len(set(lags + images + fresh)) == len(lags)
+    assert lags[0] != lags[0].sub and sp != lags[0]
+
+
+def test_byte_key_tells_apart_the_same_basis_in_another_gram():
+    """A rref basis that is Lagrangian for both the standard gram and a
+    congruent one gives two unequal Lagrangians of unequal spaces."""
+    other, std = congruent_space(7, 2, 1), space(7, 2)
+    assert other != std and std != other and hash(other) != hash(std)
+    shared = [l for l in other.all_lagrangians() if std.is_isotropic(l.sub)]
+    assert shared
+    for l in shared:
+        twin = Lagrangian(std, l.sub)
+        assert twin.sub.basis.a.tobytes() == l.sub.basis.a.tobytes()
+        assert l != twin and twin != l and not reference_equal(l, twin)
+        assert twin not in set(other.all_lagrangians())

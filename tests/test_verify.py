@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weilchar import maslov, metaplectic, quadform, verify
+from weilchar import maslov, metaplectic, quadform, schrodinger, verify
 from weilchar.characters import AdditiveCharacter
 from weilchar.errors import EnumerationTooLarge
 from weilchar.field import Fp
@@ -55,6 +55,18 @@ def test_corrupted_cocycle_is_caught_with_witness():
     # the cocycle suite exercises the hook directly and must flag it
     assert any(r.suite == "cocycle" for r in bad)
     assert all(r.witness is not None for r in bad)
+
+
+def test_corrupted_cocycle_witness_names_its_pair_and_lagrangian():
+    """`--corrupt-cocycle` fails the cocycle suite, and its witness carries
+    g and h as 2n x 2n lists and l as an n x 2n list, as JSON values."""
+    for p, n in ((3, 1), (5, 2)):
+        [r] = run_verification([p], [n], seed=1, samples=5, corrupt_cocycle=True,
+                               suites=("cocycle",))
+        assert not r.ok and r.witness["kind"] == "splitting"
+        for key, shape in (("g", (2 * n, 2 * n)), ("h", (2 * n, 2 * n)), ("l", (n, 2 * n))):
+            assert np.array(r.witness[key]).shape == shape, key
+            assert all(isinstance(x, int) for x in np.ravel(r.witness[key]).tolist())
 
 
 def test_corrupted_cocycle_fails_the_same_checks():
@@ -420,3 +432,55 @@ def test_every_name_the_bench_tracer_counts_is_a_traced_boundary(monkeypatch):
     for layer, qual in wanted:
         mod = importlib.import_module(f"weilchar.{layer}")
         assert qual in {t[0] for t in tracer._targets(mod, layer)}, (layer, qual)
+
+
+# checked counts in SUITE_ORDER at the verify-sweep cells with seed 1, by
+# samples.  Each equals the count before the suites drew their samples as
+# stacks, except structural at samples 5 (marked): it checks the inverse
+# identity only on the pairs whose g - 1 is invertible, so its count
+# follows the draw, and the stacked draw read 44, 45, 42, 44 where the
+# one-at-a-time draw read 43, 46, 43, 45.
+_SWEEP_CELLS = ((3, 1), (5, 1), (7, 1), (11, 1), (3, 2), (5, 2))
+_SWEEP_CHECKED = {
+    0: {(3, 1): [20, 12, 27, 10, 1, 10, 21, 9], (5, 1): [48, 12, 27, 10, 1, 10, 21, 9],
+        (7, 1): [92, 12, 27, 10, 1, 10, 21, 9], (11, 1): [228, 12, 27, 10, 1, 10, 21, 9],
+        (3, 2): [20, 12, 27, 10, 1, 10, 20, 9], (5, 2): [48, 12, 27, 10, 1, 10, 20, 9]},
+    1: {(3, 1): [14, 15, 54, 12, 2, 12, 25, 10], (5, 1): [42, 15, 54, 12, 2, 12, 26, 10],
+        (7, 1): [86, 15, 54, 12, 2, 12, 26, 10], (11, 1): [222, 15, 54, 12, 2, 12, 26, 10],
+        (3, 2): [14, 15, 54, 12, 2, 12, 24, 10], (5, 2): [42, 15, 54, 12, 2, 12, 25, 10]},
+    5: {(3, 1): [22, 27, 62, 20, 6, 20, 44, 14],  # structural 43 one at a time
+        (5, 1): [50, 27, 62, 20, 6, 20, 45, 14],
+        (7, 1): [94, 27, 62, 20, 6, 20, 45, 14],
+        (11, 1): [230, 27, 62, 20, 6, 20, 45, 14],  # structural 46 one at a time
+        (3, 2): [22, 27, 62, 20, 6, 20, 42, 14],  # structural 43 one at a time
+        (5, 2): [50, 27, 62, 20, 6, 20, 44, 14]},  # structural 45 one at a time
+}
+
+
+@pytest.mark.parametrize("samples", [0, 1, 5])
+def test_checked_counts_at_the_sweep_cells(samples):
+    for p, n in _SWEEP_CELLS:
+        results = run_verification([p], [n], seed=1, samples=samples)
+        assert all(r.ok for r in results), (p, n, [r.witness for r in results if not r.ok])
+        assert [r.checked for r in results] == _SWEEP_CHECKED[samples][p, n], (p, n)
+
+
+@pytest.mark.parametrize("p,n,hits,misses", [(3, 1, 24, 6), (5, 1, 23, 7), (3, 2, 23, 7),
+                                             (5, 2, 22, 8)])
+def test_pair_kernel_cache_counts_over_one_cell(p, n, hits, misses):
+    """Over one cell with samples 0, where no suite that builds a pair
+    kernel draws anything, the `_pair_kernel` cache takes the hits and
+    misses it took when Lagrangians compared field, gram and basis in turn:
+    equality by byte key keys the cache as before."""
+    schrodinger._pair_kernel.cache_clear()
+    run_verification([p], [n], seed=1, samples=0)
+    info = schrodinger._pair_kernel.cache_info()
+    assert (info.hits, info.misses) == (hits, misses)
+
+
+def test_verify_draws_no_element_or_lagrangian_alone():
+    """Every suite draws its sample in stacked calls: verify.py calls no
+    one-element draw."""
+    source = Path(verify.__file__).read_text()
+    for call in ("random_element(", "random_lagrangian(", "Orientation.random("):
+        assert call not in source, call
